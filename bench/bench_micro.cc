@@ -193,22 +193,40 @@ void BM_GenGenerateTopK(benchmark::State& state) {
 BENCHMARK(BM_GenGenerateTopK)->Arg(1)->Arg(HardwareThreads());
 
 void BM_LearnerFit(benchmark::State& state) {
-  static const char* kLearners[] = {"logistic_regression", "decision_tree",
-                                    "xgboost", "knn"};
-  const char* learner = kLearners[state.range(0)];
+  // One fit per iteration. Indices 0-3 are the original set; 4-8 cover
+  // every tree ensemble, the last one on a 4-class task (one score tree
+  // per class per boosting round).
+  struct Case {
+    const char* learner;
+    int num_classes;
+  };
+  static const Case kCases[] = {
+      {"logistic_regression", 2}, {"decision_tree", 2},
+      {"xgboost", 2},             {"knn", 2},
+      {"lgbm", 2},                {"gradient_boosting", 2},
+      {"random_forest", 2},       {"extra_trees", 2},
+      {"xgboost", 4}};
+  const Case& c = kCases[state.range(0)];
   DatasetSpec spec = DefaultSpec();
+  if (c.num_classes > 2) {
+    spec.task = TaskType::kMultiClassification;
+    spec.num_classes = c.num_classes;
+  }
   Table table = GenerateDataset(spec);
   ml::Featurizer featurizer;
   featurizer.Fit(table, spec.task);
   auto data = featurizer.Transform(table);
   for (auto _ : state) {
     auto model =
-        ml::CreateLearner(learner, spec.task, ml::HyperParams{}, 1);
+        ml::CreateLearner(c.learner, spec.task, ml::HyperParams{}, 1);
     benchmark::DoNotOptimize(model.value()->Fit(*data).ok());
   }
-  state.SetLabel(learner);
+  state.SetLabel(c.num_classes > 2
+                     ? std::string(c.learner) + " classes=" +
+                           std::to_string(c.num_classes)
+                     : std::string(c.learner));
 }
-BENCHMARK(BM_LearnerFit)->DenseRange(0, 3);
+BENCHMARK(BM_LearnerFit)->DenseRange(0, 8);
 
 void BM_MatMul(benchmark::State& state) {
   // Exercises the dispatched GEMM micro-kernel across MxK * KxN. The

@@ -1,7 +1,6 @@
 #include "ml/forest.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -38,6 +37,8 @@ Status ForestLearner::Fit(const LabeledData& data) {
             : 1.0;
   }
   const size_t n = data.rows();
+  Result<SortedColumns> sorted = SortedColumns::Build(data.x);
+  if (!sorted.ok()) return sorted.status();
   std::vector<double> grad;
   std::vector<double> hess;
   if (!IsClassification(task_)) {
@@ -51,22 +52,26 @@ Status ForestLearner::Fit(const LabeledData& data) {
   // count (though it differs from the old single-stream sequential fit).
   std::vector<Rng> tree_rngs =
       util::ForkRngs(&rng_, static_cast<size_t>(n_estimators_));
+  // Every tree reads the one presort and partitions it in a workspace of
+  // its own.
   trees_ = util::ThreadPool::Global().ParallelMap<Tree>(
       static_cast<size_t>(n_estimators_), [&](size_t t) {
         Rng* rng = &tree_rngs[t];
-        std::vector<size_t> rows(n);
+        TreeWorkspace ws;
         if (extra_trees_) {
-          std::iota(rows.begin(), rows.end(), 0);
+          ws.SetAllRows(*sorted);
         } else {
+          std::vector<size_t> rows(n);
           for (size_t i = 0; i < n; ++i) rows[i] = rng->UniformInt(n);
+          ws.SetRows(*sorted, rows);
         }
         if (IsClassification(task_)) {
-          return FitClassificationTree(data.x, data.y, num_classes_, rows,
-                                       params, rng);
+          return FitClassificationTree(*sorted, data.y, num_classes_, params,
+                                       rng, &ws);
         }
         TreeParams p = params;
         p.lambda = 0.0;
-        return FitGradientTree(data.x, grad, hess, rows, p, rng);
+        return FitGradientTree(*sorted, grad, hess, p, rng, &ws);
       });
   fitted_ = true;
   return Status::Ok();

@@ -64,23 +64,31 @@ Status GbdtLearner::Fit(const LabeledData& data) {
     base_score_ /= static_cast<double>(n);
   }
 
+  Result<SortedColumns> sorted = SortedColumns::Build(data.x);
+  if (!sorted.ok()) return sorted.status();
+
   // Running scores per row (and per class for classification).
   std::vector<double> scores(n * static_cast<size_t>(score_dims_),
                              classification ? 0.0 : base_score_);
   std::vector<double> grad(n);
   std::vector<double> hess(n);
   std::vector<double> probs(static_cast<size_t>(score_dims_));
+  // Without row subsampling every tree shares the presort's root lists;
+  // otherwise each round's sample is expanded once for all its trees.
+  TreeWorkspace workspace;
+  if (subsample_ >= 1.0) workspace.SetAllRows(*sorted);
+  std::vector<size_t> rows;
+  rows.reserve(n);
 
   for (int round = 0; round < n_estimators_; ++round) {
-    // Row subsample for this round.
-    std::vector<size_t> rows;
-    rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (subsample_ >= 1.0 || rng_.Bernoulli(subsample_)) {
-        rows.push_back(i);
+    if (subsample_ < 1.0) {
+      rows.clear();
+      for (size_t i = 0; i < n; ++i) {
+        if (rng_.Bernoulli(subsample_)) rows.push_back(i);
       }
+      if (rows.empty()) rows.push_back(rng_.UniformInt(n));
+      workspace.SetRows(*sorted, rows);
     }
-    if (rows.empty()) rows.push_back(rng_.UniformInt(n));
 
     if (classification) {
       for (int k = 0; k < score_dims_; ++k) {
@@ -102,8 +110,8 @@ Status GbdtLearner::Fit(const LabeledData& data) {
           grad[i] = p - y;
           hess[i] = std::max(p * (1.0 - p), 1e-6);
         }
-        Tree tree =
-            FitGradientTree(data.x, grad, hess, rows, tree_params_, &rng_);
+        Tree tree = FitGradientTree(*sorted, grad, hess, tree_params_,
+                                    &rng_, &workspace);
         for (size_t i = 0; i < n; ++i) {
           scores[i * static_cast<size_t>(score_dims_) +
                  static_cast<size_t>(k)] +=
@@ -116,8 +124,8 @@ Status GbdtLearner::Fit(const LabeledData& data) {
         grad[i] = scores[i] - data.y[i];
         hess[i] = 1.0;
       }
-      Tree tree =
-          FitGradientTree(data.x, grad, hess, rows, tree_params_, &rng_);
+      Tree tree = FitGradientTree(*sorted, grad, hess, tree_params_, &rng_,
+                                  &workspace);
       for (size_t i = 0; i < n; ++i) {
         scores[i] += learning_rate_ * tree.Evaluate(data.x.Row(i));
       }

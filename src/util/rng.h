@@ -122,6 +122,9 @@ class Rng {
   /// subsystem its own stream without cross-coupling consumption order.
   Rng Fork() { return Rng(Next() ^ 0xA5A5A5A5DEADBEEFULL); }
 
+  /// Equal generators draw the same sequence from here on.
+  bool operator==(const Rng& other) const = default;
+
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

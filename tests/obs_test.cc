@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include "core/kgpip.h"
 #include "data/synthetic.h"
+#include "hpo/trial_guard.h"
 #include "obs/metrics.h"
 #include "obs/sliding_window.h"
 #include "obs/stage_profile.h"
@@ -444,6 +446,35 @@ TEST_F(TracerTest, ChromeJsonRoundTripsThroughUtilJson) {
   EXPECT_EQ(spans, 2u);
   EXPECT_TRUE(names.count("kgpip.fit"));
   EXPECT_TRUE(names.count("hpo.trial"));
+}
+
+TEST_F(TracerTest, TrialSpanNamesItsLearner) {
+  // A Chrome trace splits trial time by learner only if each hpo.trial
+  // span says which learner it fit.
+  DatasetSpec data_spec;
+  data_spec.name = "trial_span";
+  data_spec.rows = 120;
+  Table table = GenerateDataset(data_spec);
+  auto evaluator = hpo::TrialEvaluator::Create(
+      table, TaskType::kBinaryClassification, 0.25, 3);
+  ASSERT_TRUE(evaluator.ok()) << evaluator.status().ToString();
+  hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+  ml::PipelineSpec spec;
+  spec.learner = "gaussian_nb";
+  guard.Evaluate(spec, 1, "untraced");
+  obs::Tracer::Global().Enable();
+  spec.learner = "decision_tree";
+  guard.Evaluate(spec, 2, "traced");
+  obs::Tracer::Global().Disable();
+  int trial_spans = 0;
+  for (const obs::TraceEvent& event : obs::Tracer::Global().Snapshot()) {
+    if (event.name != "hpo.trial") continue;
+    ++trial_spans;
+    std::map<std::string, std::string> args(event.args.begin(),
+                                            event.args.end());
+    EXPECT_EQ(args["learner"], "decision_tree");
+  }
+  EXPECT_EQ(trial_spans, 1);
 }
 
 TEST_F(TracerTest, CapacityDropsExcessEventsAndCountsThem) {
