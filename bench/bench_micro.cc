@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "codegraph/analyzer.h"
 #include "codegraph/corpus.h"
@@ -191,6 +192,67 @@ void BM_GenGenerateTopK(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenGenerateTopK)->Arg(1)->Arg(HardwareThreads());
+
+// Synthetic training corpus shaped like the mined one: a dataset and a
+// read_csv seed node, one to three preprocessors and an estimator in a
+// chain, conditioned on a 60-dimensional dataset embedding.
+std::vector<gen::GraphExample> TrainingCorpus(size_t count) {
+  const graph4ml::PipelineVocab& vocab = graph4ml::PipelineVocab::Get();
+  const char* preprocessors[] = {"standard_scaler", "minmax_scaler",
+                                 "simple_imputer",  "one_hot_encoder",
+                                 "pca",             "select_k_best"};
+  const char* estimators[] = {"logistic_regression", "random_forest",
+                              "xgboost",             "lgbm",
+                              "knn",                 "decision_tree"};
+  Rng rng(17);
+  std::vector<gen::GraphExample> examples(count);
+  for (gen::GraphExample& e : examples) {
+    e.graph.node_types = {graph4ml::PipelineVocab::kDatasetType,
+                          graph4ml::PipelineVocab::kReadCsvType};
+    const uint64_t steps = 1 + rng.UniformInt(uint64_t{3});
+    for (uint64_t s = 0; s < steps; ++s) {
+      e.graph.node_types.push_back(
+          vocab.TypeOf(preprocessors[rng.UniformInt(uint64_t{6})]));
+    }
+    e.graph.node_types.push_back(
+        vocab.TypeOf(estimators[rng.UniformInt(uint64_t{6})]));
+    for (int i = 1; i < static_cast<int>(e.graph.node_types.size()); ++i) {
+      e.graph.edges.emplace_back(i - 1, i);
+    }
+    e.condition.resize(embed::TableEmbedder::kDims);
+    for (double& v : e.condition) v = rng.Normal();
+    e.given_nodes = 2;
+  }
+  return examples;
+}
+
+void BM_GenTrainEpoch(benchmark::State& state) {
+  // One generator training epoch over 64 examples (tape forward,
+  // Backward, Adam) at the default Kgpip generator shape. range(0) is
+  // the batch size, range(1) the pool's thread count.
+  const int threads = static_cast<int>(state.range(1));
+  util::ThreadPool::Configure(threads);
+  gen::GeneratorConfig config;
+  config.vocab_size = graph4ml::PipelineVocab::Get().size();
+  config.hidden = 32;
+  config.condition_dims = static_cast<int>(embed::TableEmbedder::kDims);
+  config.batch_size = static_cast<int>(state.range(0));
+  gen::GraphGenerator generator(config, 7);
+  const std::vector<gen::GraphExample> examples = TrainingCorpus(64);
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(generator.TrainEpoch(examples, &rng));
+  }
+  util::ThreadPool::Configure(0);
+  state.SetLabel("batch=" + std::to_string(config.batch_size) +
+                 " threads=" + std::to_string(threads));
+}
+BENCHMARK(BM_GenTrainEpoch)
+    ->Args({1, 1})
+    ->Args({4, 1})
+    ->Args({1, HardwareThreads()})
+    ->Args({4, HardwareThreads()})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LearnerFit(benchmark::State& state) {
   // One fit per iteration. Indices 0-3 are the original set; 4-8 cover

@@ -47,7 +47,6 @@ GraphGenerator::GraphGenerator(const GeneratorConfig& config, uint64_t seed)
                          &init_rng_);
   add_edge_ = nn::Linear(&store_, "add_edge", 2 * h, 1, &init_rng_);
   choose_node_ = nn::Linear(&store_, "choose_node", 2 * h, 1, &init_rng_);
-  optimizer_ = std::make_unique<nn::Adam>(&store_, config_.learning_rate);
 }
 
 Var GraphGenerator::Propagate(
@@ -57,7 +56,7 @@ Var GraphGenerator::Propagate(
   for (int round = 0; round < config_.prop_rounds; ++round) {
     if (edges.empty()) {
       // Still run the GRU with zero messages so isolated nodes evolve.
-      Var zero(nn::Matrix(n, static_cast<size_t>(config_.hidden)));
+      Var zero = Var::Constant(n, static_cast<size_t>(config_.hidden));
       current = update_.Forward(zero, current);
       continue;
     }
@@ -94,11 +93,12 @@ Var GraphGenerator::InitNode(int type,
   Var out = init_node_.Forward(emb);
   if (type == graph4ml::PipelineVocab::kDatasetType &&
       config_.condition_dims > 0 && !condition.empty()) {
-    nn::Matrix cond(1, static_cast<size_t>(config_.condition_dims));
+    Var cond =
+        Var::Constant(1, static_cast<size_t>(config_.condition_dims));
     for (size_t i = 0; i < cond.cols() && i < condition.size(); ++i) {
-      cond(0, i) = condition[i];
+      cond.mutable_value()(0, i) = condition[i];
     }
-    out = Add(out, cond_proj_.Forward(Var(std::move(cond))));
+    out = Add(out, cond_proj_.Forward(cond));
   }
   return Tanh(out);
 }
@@ -119,12 +119,10 @@ std::vector<int> IncomingSources(const graph4ml::TypedGraph& graph,
 
 }  // namespace
 
-Var GraphGenerator::SequenceLoss(const GraphExample& example,
-                                 int* decisions) const {
+Var GraphGenerator::SequenceLoss(const GraphExample& example) const {
   const graph4ml::TypedGraph& g = example.graph;
   const int total = static_cast<int>(g.num_nodes());
   const int given = std::max(1, std::min(example.given_nodes, total));
-  int count = 0;
 
   // Seed states.
   Var states = InitNode(g.node_types[0], example.condition);
@@ -137,7 +135,7 @@ Var GraphGenerator::SequenceLoss(const GraphExample& example,
     if (e.first < given && e.second < given) edges.push_back(e);
   }
 
-  Var loss(nn::Matrix(1, 1));
+  Var loss = Var::Constant(1, 1);
   for (int i = given; i <= total; ++i) {
     states = Propagate(states, edges);
     Var h_graph = Readout(states);
@@ -146,7 +144,6 @@ Var GraphGenerator::SequenceLoss(const GraphExample& example,
         i < total ? g.node_types[static_cast<size_t>(i)]
                   : config_.vocab_size;  // STOP
     loss = Add(loss, SoftmaxCrossEntropy(node_logits, {target_type}));
-    ++count;
     if (i == total) break;
 
     Var h_new = InitNode(g.node_types[static_cast<size_t>(i)],
@@ -156,30 +153,18 @@ Var GraphGenerator::SequenceLoss(const GraphExample& example,
       // "Add an edge?" -> yes.
       Var edge_logit = add_edge_.Forward(ConcatCols(h_graph, h_new));
       loss = Add(loss, BinaryCrossEntropyWithLogits(edge_logit, 1.0));
-      ++count;
       // "To which node?" -> src.
-      nn::Matrix ones(states.rows(), 1, 1.0);
-      Var tiled = MatMul(Var(std::move(ones)), h_new);
+      Var tiled = MatMul(Var::Constant(states.rows(), 1, 1.0), h_new);
       Var scores = choose_node_.Forward(ConcatCols(states, tiled));
       // scores is (n x 1); treat as one softmax row.
-      Var row = nn::MakeOp(
-          scores.value().Transposed(), {scores}, [](nn::VarNode& self) {
-            self.parents[0]->EnsureGrad();
-            for (size_t c = 0; c < self.grad.cols(); ++c) {
-              self.parents[0]->grad(c, 0) += self.grad(0, c);
-            }
-          });
-      loss = Add(loss, SoftmaxCrossEntropy(row, {src}));
-      ++count;
+      loss = Add(loss, SoftmaxCrossEntropy(Transpose(scores), {src}));
       edges.emplace_back(src, i);
     }
     // "Add an edge?" -> no (stop adding edges for this node).
     Var stop_logit = add_edge_.Forward(ConcatCols(h_graph, h_new));
     loss = Add(loss, BinaryCrossEntropyWithLogits(stop_logit, 0.0));
-    ++count;
     states = ConcatRows(states, h_new);
   }
-  if (decisions != nullptr) *decisions = count;
   return loss;
 }
 
@@ -193,6 +178,9 @@ double GraphGenerator::TrainEpoch(const std::vector<GraphExample>& examples,
       metrics.GetHistogram("gen.train_epoch_seconds");
   static obs::Gauge* loss_gauge = metrics.GetGauge("gen.train_loss");
   Stopwatch watch;
+  if (optimizer_ == nullptr) {
+    optimizer_ = std::make_unique<nn::Adam>(&store_, config_.learning_rate);
+  }
   std::vector<size_t> order = rng->Permutation(examples.size());
   double mean_loss = 0.0;
   if (config_.batch_size <= 1) {
@@ -201,15 +189,18 @@ double GraphGenerator::TrainEpoch(const std::vector<GraphExample>& examples,
     // next example sees), so it stays on the calling thread.
     double total_loss = 0.0;
     for (size_t idx : order) {
-      int decisions = 0;
-      Var loss = SequenceLoss(examples[idx], &decisions);
-      total_loss += loss.value()(0, 0);
-      nn::Backward(loss);
+      total_loss += Backprop(*this, examples[idx]);
       optimizer_->Step();
     }
     mean_loss = total_loss / static_cast<double>(examples.size());
   } else {
     mean_loss = TrainEpochBatched(examples, order);
+  }
+  {
+    // Training scratch lives for one epoch; a trained model keeps no
+    // tape.
+    util::MutexLock lock(engines_mu_);
+    tapes_.clear();
   }
   epochs->Increment();
   epoch_seconds->Record(watch.ElapsedSeconds());
@@ -231,44 +222,41 @@ double GraphGenerator::TrainEpochBatched(
     const std::vector<GraphExample>& examples,
     const std::vector<size_t>& order) {
   util::ThreadPool& pool = util::ThreadPool::Global();
-  // One replica per lane: a lane processes its batch items serially on
-  // its own weight copy, so per-example graphs never share mutable
-  // state. Replicas are built lazily and reused across epochs.
-  while (replicas_.size() < static_cast<size_t>(pool.num_lanes())) {
-    replicas_.push_back(
-        std::make_unique<GraphGenerator>(config_, /*seed=*/0));
-  }
   const size_t batch = static_cast<size_t>(config_.batch_size);
+  // One replica per batch slot: slot b's example runs on replica b alone,
+  // whichever thread picks it up, so no two examples ever share weights
+  // or grads. Replicas carry no optimizer state.
+  std::vector<std::unique_ptr<GraphGenerator>> replicas;
+  for (size_t b = 0; b < std::min(batch, order.size()); ++b) {
+    replicas.push_back(std::make_unique<GraphGenerator>(config_, /*seed=*/0));
+  }
   const std::vector<Var>& params = store_.params();
+  std::vector<double> losses(batch, 0.0);
   double total_loss = 0.0;
   for (size_t start = 0; start < order.size(); start += batch) {
     const size_t count = std::min(batch, order.size() - start);
-    for (auto& replica : replicas_) replica->CopyWeightsFrom(*this);
-    std::vector<double> losses(count, 0.0);
-    std::vector<std::vector<nn::Matrix>> grads(count);
-    pool.ParallelFor(count, [&](size_t b, size_t lane) {
-      GraphGenerator& replica = *replicas_[lane];
-      int decisions = 0;
-      Var loss = replica.SequenceLoss(examples[order[start + b]], &decisions);
-      losses[b] = loss.value()(0, 0);
-      nn::Backward(loss);
-      // Snapshot this example's gradients, then clear the replica for
-      // the lane's next item. Params a loss never touched keep an empty
-      // grad matrix; the accumulation below skips those.
-      const std::vector<Var>& replica_params = replica.store_.params();
-      grads[b].reserve(replica_params.size());
-      for (const Var& p : replica_params) grads[b].push_back(p.grad());
-      replica.store_.ZeroGrads();
+    pool.ParallelFor(count, [&](size_t b) {
+      GraphGenerator& replica = *replicas[b];
+      replica.CopyWeightsFrom(*this);
+      losses[b] = Backprop(replica, examples[order[start + b]]);
     });
-    // Accumulate in example order so the summed gradient is one fixed
-    // floating-point expression, then take a single Adam step.
+    // Sum the slot gradients in slot order, so every summed element is
+    // one fixed chain whatever thread ran which slot, and clear each
+    // slot for its next example (Backward resets only the parameters
+    // its loss reaches). A parameter a replica never reached has no
+    // grad yet and adds nothing.
     store_.ZeroGrads();
     for (size_t b = 0; b < count; ++b) {
       total_loss += losses[b];
+      const std::vector<Var>& slot_params = replicas[b]->store_.params();
       for (size_t p = 0; p < params.size(); ++p) {
-        if (grads[b][p].empty()) continue;
-        Var param = params[p];
-        param.node()->grad.AddInPlace(grads[b][p]);
+        nn::Matrix& sum = params[p].node()->grad;
+        nn::Matrix& slot = slot_params[p].node()->grad;
+        if (slot.size() != sum.size()) continue;
+        for (size_t k = 0; k < sum.size(); ++k) {
+          sum.data()[k] += slot.data()[k];
+          slot.data()[k] = 0.0;
+        }
       }
     }
     optimizer_->Step();
@@ -276,10 +264,42 @@ double GraphGenerator::TrainEpochBatched(
   return total_loss / static_cast<double>(examples.size());
 }
 
+double GraphGenerator::Backprop(GraphGenerator& model,
+                                const GraphExample& example) {
+  std::unique_ptr<nn::Tape> tape = AcquireTape();
+  double loss_value = 0.0;
+  {
+    nn::TapeScope scope(tape.get());
+    Var loss = model.SequenceLoss(example);
+    loss_value = loss.value()(0, 0);
+    nn::Backward(loss);
+    tape->Clear();
+  }
+  ReleaseTape(std::move(tape));
+  return loss_value;
+}
+
+std::unique_ptr<nn::Tape> GraphGenerator::AcquireTape() {
+  {
+    util::MutexLock lock(engines_mu_);
+    if (!tapes_.empty()) {
+      std::unique_ptr<nn::Tape> tape = std::move(tapes_.back());
+      tapes_.pop_back();
+      return tape;
+    }
+  }
+  return std::make_unique<nn::Tape>();
+}
+
+void GraphGenerator::ReleaseTape(std::unique_ptr<nn::Tape> tape) {
+  util::MutexLock lock(engines_mu_);
+  tapes_.push_back(std::move(tape));
+}
+
 double GraphGenerator::LogProb(const GraphExample& example) const {
-  int decisions = 0;
-  Var loss = SequenceLoss(example, &decisions);
-  return -loss.value()(0, 0);
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
+  return -SequenceLoss(example).value()(0, 0);
 }
 
 GeneratedGraph GraphGenerator::GenerateTape(
@@ -288,6 +308,8 @@ GeneratedGraph GraphGenerator::GenerateTape(
   GeneratedGraph out;
   out.graph = seed;
   KGPIP_CHECK(!seed.node_types.empty()) << "seed subgraph required";
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
 
   // One softmax per decision, shared between the sample and its
   // log-probability (DecisionDist); buffers live outside the decode loop
@@ -327,8 +349,7 @@ GeneratedGraph GraphGenerator::GenerateTape(
       out.log_prob += std::log(std::max(add ? p_edge : 1.0 - p_edge,
                                         1e-12));
       if (!add) break;
-      nn::Matrix ones(states.rows(), 1, 1.0);
-      Var tiled = MatMul(Var(std::move(ones)), h_new);
+      Var tiled = MatMul(Var::Constant(states.rows(), 1, 1.0), h_new);
       nn::Matrix scores =
           choose_node_.Forward(ConcatCols(states, tiled)).value()
               .Transposed();
@@ -493,33 +514,44 @@ std::vector<GeneratedGraph> GraphGenerator::GenerateTopK(
 nn::Matrix GraphGenerator::ReferencePropagate(
     const nn::Matrix& states,
     const std::vector<std::pair<int, int>>& edges) const {
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
   return Propagate(Var(states), edges).value();
 }
 
 nn::Matrix GraphGenerator::ReferenceReadout(const nn::Matrix& states) const {
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
   return Readout(Var(states)).value();
 }
 
 nn::Matrix GraphGenerator::ReferenceInitNode(
     int type, const std::vector<double>& condition) const {
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
   return InitNode(type, condition).value();
 }
 
 nn::Matrix GraphGenerator::ReferenceNodeLogits(
     const nn::Matrix& states) const {
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
   return add_node_.Forward(Readout(Var(states))).value();
 }
 
 double GraphGenerator::ReferenceEdgeLogit(const nn::Matrix& states,
                                           const nn::Matrix& h_new) const {
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
   Var h_graph = Readout(Var(states));
   return add_edge_.Forward(ConcatCols(h_graph, Var(h_new))).value()(0, 0);
 }
 
 nn::Matrix GraphGenerator::ReferenceChooseScores(
     const nn::Matrix& states, const nn::Matrix& h_new) const {
-  nn::Matrix ones(states.rows(), 1, 1.0);
-  Var tiled = MatMul(Var(std::move(ones)), Var(h_new));
+  nn::Tape tape;
+  nn::TapeScope scope(&tape);
+  Var tiled = MatMul(Var::Constant(states.rows(), 1, 1.0), Var(h_new));
   return choose_node_.Forward(ConcatCols(Var(states), tiled)).value()
       .Transposed();
 }

@@ -31,9 +31,9 @@ struct GeneratorConfig {
   bool cross_check = false;
   /// Examples per optimizer step. 1 reproduces the classic per-example
   /// SGD loop exactly; >1 computes the per-example gradients of each
-  /// minibatch in parallel (data parallelism over model replicas),
-  /// accumulates them in example order, and applies one Adam step —
-  /// bit-identical at any thread count.
+  /// minibatch in parallel (one model replica per batch slot), sums them
+  /// in example order, and applies one Adam step — bit-identical at any
+  /// thread count.
   int batch_size = 1;
 };
 
@@ -138,18 +138,28 @@ class GraphGenerator {
   /// Initial state for a node of `type` (+ condition for dataset nodes).
   nn::Var InitNode(int type, const std::vector<double>& condition) const;
 
-  /// Shared teacher-forced pass; returns the summed loss Var and the
-  /// number of decisions (for Generate/LogProb reuse see .cc).
-  nn::Var SequenceLoss(const GraphExample& example, int* decisions) const;
+  /// Shared teacher-forced pass on the active tape; returns the summed
+  /// loss over every decision (TrainEpoch, LogProb).
+  nn::Var SequenceLoss(const GraphExample& example) const;
 
   /// Overwrites this model's parameter values with `other`'s (same
-  /// config). Used to sync per-lane training replicas each minibatch.
+  /// config). Used to sync the per-slot training replicas.
   void CopyWeightsFrom(const GraphGenerator& other);
 
-  /// Minibatch path of TrainEpoch: per-example gradients fan out over
-  /// per-lane replicas; accumulation and the Adam step stay ordered.
+  /// Minibatch path of TrainEpoch: batch slot b runs its example on
+  /// replica b (built for the epoch); the slot gradients are summed in
+  /// slot order, then one Adam step.
   double TrainEpochBatched(const std::vector<GraphExample>& examples,
                            const std::vector<size_t>& order);
+
+  /// Sets `model`'s parameter grads to d(loss)/d(weights) for `example`
+  /// (the master or a replica) on a checked-out tape; returns the loss.
+  double Backprop(GraphGenerator& model, const GraphExample& example);
+  /// Training tape free list: one tape per example in flight, each
+  /// keeping its buffers for the next example it records. TrainEpoch
+  /// empties it before returning.
+  std::unique_ptr<nn::Tape> AcquireTape();
+  void ReleaseTape(std::unique_ptr<nn::Tape> tape);
 
   /// Checks a warm engine out of the free list (or builds one when the
   /// list is empty). Pairs with ReleaseEngine; checkout means two
@@ -170,21 +180,22 @@ class GraphGenerator {
   GeneratorConfig config_;
   Rng init_rng_;
   nn::ParamStore store_;
+  /// Built by the first TrainEpoch; replicas never get one.
   std::unique_ptr<nn::Adam> optimizer_;
-  /// Lane-indexed model replicas for data-parallel training (lazy).
-  std::vector<std::unique_ptr<GraphGenerator>> replicas_;
-  /// Free list of inference engines (mutable decode scratch), guarded
-  /// by engines_mu_. Grows lazily to the peak number of concurrent
-  /// decodes and keeps warmed-up caches across calls.
+  /// Free lists of training tapes and inference engines (mutable decode
+  /// scratch), guarded by engines_mu_. Each grows lazily to the peak
+  /// number of concurrent users and keeps its buffers across calls.
   mutable util::Mutex engines_mu_{util::LockRank::kGenEngines,
                                   "gen.engines"};
+  std::vector<std::unique_ptr<nn::Tape>> tapes_
+      KGPIP_GUARDED_BY(engines_mu_);
   mutable std::vector<std::unique_ptr<InferenceEngine>> engines_
       KGPIP_GUARDED_BY(engines_mu_);
   mutable std::vector<std::unique_ptr<MultiLaneDecoder>> multi_engines_
       KGPIP_GUARDED_BY(engines_mu_);
 
   nn::Var type_embedding_;  // (vocab) x hidden
-  nn::Linear init_node_;    // hidden + hidden -> hidden (type emb + hG)
+  nn::Linear init_node_;    // hidden -> hidden (over the type embedding)
   nn::Linear cond_proj_;    // condition_dims -> hidden
   nn::Linear msg_fwd_;      // 2*hidden -> hidden
   nn::Linear msg_bwd_;      // 2*hidden -> hidden

@@ -1,54 +1,230 @@
 #include "nn/autograd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <unordered_set>
+#include <cstring>
 
-#include "nn/fastmath.h"
+#include "nn/inference.h"
+#include "nn/simd_kernels.h"
 #include "util/logging.h"
 
 namespace kgpip::nn {
 
-Var::Var(Matrix value, bool requires_grad) {
-  node_ = std::make_shared<VarNode>();
-  node_->value = std::move(value);
+namespace {
+
+thread_local Tape* t_active_tape = nullptr;
+
+/// Backward calls are numbered process-wide, so a visit mark or a packed
+/// W^T left by one call never matches another.
+std::atomic<uint64_t> g_backward_calls{0};
+
+Tape& ActiveTape() {
+  KGPIP_CHECK(t_active_tape != nullptr) << "op recorded outside a TapeScope";
+  return *t_active_tape;
+}
+
+}  // namespace
+
+// ---- Tape --------------------------------------------------------------
+
+VarNode* Tape::NewNode() {
+  if (used_ == nodes_.size()) {
+    nodes_.push_back(std::make_unique<VarNode>());
+    nodes_.back()->tape = this;
+  }
+  return nodes_[used_++].get();
+}
+
+Matrix Tape::TakeMatrix(size_t rows, size_t cols) {
+  const size_t elems = rows * cols;
+  SizeClass& size_class = pool_[elems];
+  Matrix m;
+  if (!size_class.free.empty()) {
+    m = std::move(size_class.free.back());
+    size_class.free.pop_back();
+    pooled_elems_ -= elems;
+  }
+  m.Reshape(rows, cols);  // a pooled buffer already holds `elems`
+  ++size_class.taken;
+  return m;
+}
+
+void Tape::Recycle(Matrix* m) {
+  const size_t elems = m->size();
+  if (elems > 0) {
+    pool_[elems].free.push_back(std::move(*m));
+    pooled_elems_ += elems;
+  }
+  *m = Matrix();
+}
+
+void Tape::Clear() {
+  for (size_t i = 0; i < used_; ++i) {
+    VarNode& node = *nodes_[i];
+    Recycle(&node.value);
+    Recycle(&node.grad);
+    node.requires_grad = false;
+    node.parents = {};
+    node.num_parents = 0;
+    node.backward = nullptr;
+    node.aux_visit = 0;
+  }
+  used_ = 0;
+  // Every buffer is free now. Keep at most the largest graph's worth,
+  // dropping only buffers this graph did not take.
+  size_t graph_elems = 0;
+  for (const auto& [elems, size_class] : pool_) {
+    graph_elems += elems * size_class.taken;
+  }
+  max_graph_elems_ = std::max(max_graph_elems_, graph_elems);
+  for (auto& [elems, size_class] : pool_) {
+    while (size_class.free.size() > size_class.taken &&
+           pooled_elems_ > max_graph_elems_) {
+      size_class.free.pop_back();
+      pooled_elems_ -= elems;
+    }
+    size_class.taken = 0;
+  }
+}
+
+size_t Tape::BufferBytes() const {
+  size_t elems = pooled_elems_;
+  for (size_t i = 0; i < used_; ++i) {
+    elems += nodes_[i]->value.CapacityElems();
+    elems += nodes_[i]->grad.CapacityElems();
+  }
+  return elems * sizeof(double);
+}
+
+TapeScope::TapeScope(Tape* tape) : previous_(t_active_tape) {
+  t_active_tape = tape;
+}
+
+TapeScope::~TapeScope() { t_active_tape = previous_; }
+
+// ---- Var ---------------------------------------------------------------
+
+namespace {
+
+/// Records a node whose parents are `parents`; it gets a backward pass
+/// only if some parent needs a gradient.
+VarNode* Record(std::initializer_list<VarNode*> parents,
+                void (*backward)(VarNode&)) {
+  VarNode* node = ActiveTape().NewNode();
+  bool any_grad = false;
+  for (VarNode* p : parents) {
+    KGPIP_CHECK(p != nullptr);
+    node->parents[node->num_parents++] = p;
+    any_grad = any_grad || p->requires_grad;
+  }
+  node->requires_grad = any_grad;
+  if (any_grad) node->backward = backward;
+  return node;
+}
+
+/// Sizes `node`'s value from its tape's pool (contents unspecified).
+Matrix& Output(VarNode* node, size_t rows, size_t cols) {
+  node->value = node->tape->TakeMatrix(rows, cols);
+  return node->value;
+}
+
+/// Sizes the grad to the value's shape (contents unspecified if new).
+void EnsureGrad(VarNode* node) {
+  if (node->grad.SameShape(node->value)) return;
+  if (node->tape != nullptr && node->grad.CapacityElems() == 0) {
+    node->grad = node->tape->TakeMatrix(node->value.rows(),
+                                        node->value.cols());
+  } else {
+    node->grad.Reshape(node->value.rows(), node->value.cols());
+  }
+}
+
+void AddInto(const Matrix& src, Matrix* dst) {
+  KGPIP_CHECK(dst->SameShape(src));
+  double* d = dst->data();
+  const double* s = src.data();
+  for (size_t i = 0; i < src.size(); ++i) d[i] += s[i];
+}
+
+/// out = m^T.
+void TransposeInto(const Matrix& m, Matrix* out) {
+  out->Reshape(m.cols(), m.rows());
+  for (size_t i = 0; i < m.rows(); ++i) {
+    for (size_t j = 0; j < m.cols(); ++j) (*out)(j, i) = m(i, j);
+  }
+}
+
+/// grad += a * b, the product formed in `scratch` first. Each product
+/// element is one ascending-k chain from +0.0 that skips zero terms of
+/// `a`; a chain from +0.0 never reaches -0.0, so adding a +-0 term
+/// could not change it, and the result equals the plain dot product.
+void AddProduct(const Matrix& a, const Matrix& b, Matrix* scratch,
+                Matrix* grad) {
+  Matrix::MatMulInto(a, b, scratch);
+  AddInto(*scratch, grad);
+}
+
+/// The Backward call running on this thread (0 outside Backward).
+thread_local uint64_t t_backward_call = 0;
+
+/// w^T, packed once per Backward call into w's aux buffer.
+const Matrix& TransposedOnce(VarNode* w) {
+  if (w->aux_visit != t_backward_call) {
+    TransposeInto(w->value, &w->aux);
+    w->aux_visit = t_backward_call;
+  }
+  return w->aux;
+}
+
+}  // namespace
+
+Var::Var(const Matrix& value, bool requires_grad) {
+  node_ = Record({}, nullptr);
+  Output(node_, value.rows(), value.cols());
+  if (value.size() > 0) {
+    std::memcpy(node_->value.data(), value.data(),
+                value.size() * sizeof(double));
+  }
   node_->requires_grad = requires_grad;
 }
 
-Var MakeOp(Matrix value, std::vector<Var> parents,
-           std::function<void(VarNode&)> backward) {
-  Var out;
-  out.node_ = std::make_shared<VarNode>();
-  out.node_->value = std::move(value);
-  bool any_grad = false;
-  for (const Var& p : parents) {
-    KGPIP_CHECK(p.defined());
-    out.node_->parents.push_back(p.node());
-    any_grad = any_grad || p.node()->requires_grad;
-  }
-  out.node_->requires_grad = any_grad;
-  if (any_grad) out.node_->backward = std::move(backward);
+Var Var::Constant(size_t rows, size_t cols, double fill) {
+  Var out(Record({}, nullptr));
+  Output(out.node_, rows, cols).Fill(fill);
   return out;
+}
+
+void Var::ZeroGrad() {
+  EnsureGrad(node_);
+  node_->grad.Fill(0.0);
 }
 
 void Backward(const Var& loss) {
   KGPIP_CHECK(loss.defined());
   KGPIP_CHECK(loss.value().rows() == 1 && loss.value().cols() == 1)
       << "Backward expects a scalar loss";
-  // Iterative topological sort (graphs can be deep for long generation
-  // sequences, so recursion is off the table).
-  std::vector<VarNode*> order;
-  std::unordered_set<VarNode*> visited;
-  std::vector<std::pair<VarNode*, size_t>> stack;
-  stack.emplace_back(loss.node().get(), 0);
-  visited.insert(loss.node().get());
+  VarNode* root = loss.node();
+  KGPIP_CHECK(root->tape != nullptr) << "Backward expects a recorded loss";
+  const uint64_t call =
+      g_backward_calls.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Iterative depth-first post-order (graphs can be deep for long
+  // generation sequences, so recursion is off the table). The visit mark
+  // replaces a visited set; the order decides how each gradient's terms
+  // are summed, so it must not change.
+  std::vector<VarNode*>& order = root->tape->order;
+  std::vector<std::pair<VarNode*, size_t>>& stack = root->tape->stack;
+  order.clear();
+  stack.clear();
+  stack.emplace_back(root, 0);
+  root->visit = call;
   while (!stack.empty()) {
     auto& [node, child_index] = stack.back();
-    if (child_index < node->parents.size()) {
-      VarNode* parent = node->parents[child_index].get();
+    if (child_index < node->num_parents) {
+      VarNode* parent = node->parents[child_index];
       ++child_index;
-      if (parent->requires_grad && !visited.count(parent)) {
-        visited.insert(parent);
+      if (parent->requires_grad && parent->visit != call) {
+        parent->visit = call;
         stack.emplace_back(parent, 0);
       }
     } else {
@@ -58,257 +234,307 @@ void Backward(const Var& loss) {
   }
   // `order` is post-order: parents before children; iterate in reverse.
   for (VarNode* node : order) {
-    node->EnsureGrad();
+    EnsureGrad(node);
     node->grad.Fill(0.0);
   }
-  loss.node()->grad(0, 0) = 1.0;
+  root->grad(0, 0) = 1.0;
+  t_backward_call = call;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     VarNode* node = *it;
     if (node->backward) node->backward(*node);
   }
+  t_backward_call = 0;
 }
 
-namespace {
-
-/// Ensures the parent's grad buffer exists before accumulation.
-Matrix& GradOf(const std::shared_ptr<VarNode>& parent) {
-  parent->EnsureGrad();
-  return parent->grad;
-}
-
-}  // namespace
+// ---- Ops ---------------------------------------------------------------
+//
+// Backward functions add into a parent's grad only when the parent
+// requires one: Backward zeroed exactly those grads.
 
 Var MatMul(const Var& a, const Var& b) {
-  Matrix value = Matrix::MatMul(a.value(), b.value());
-  return MakeOp(std::move(value), {a, b}, [](VarNode& self) {
-    auto& pa = self.parents[0];
-    auto& pb = self.parents[1];
-    if (pa->requires_grad || pa->backward) {
-      GradOf(pa).AddInPlace(Matrix::MatMulTranspose(self.grad, pb->value));
+  VarNode* node = Record({a.node(), b.node()}, [](VarNode& self) {
+    VarNode* pa = self.parents[0];
+    VarNode* pb = self.parents[1];
+    Tape& tape = *self.tape;
+    if (pa->requires_grad) {  // dA = G * B^T
+      TransposeInto(pb->value, &tape.scratch[0]);
+      AddProduct(self.grad, tape.scratch[0], &tape.scratch[1], &pa->grad);
     }
-    if (pb->requires_grad || pb->backward) {
-      GradOf(pb).AddInPlace(Matrix::TransposeMatMul(pa->value, self.grad));
+    if (pb->requires_grad) {  // dB = A^T * G
+      TransposeInto(pa->value, &tape.scratch[0]);
+      AddProduct(tape.scratch[0], self.grad, &tape.scratch[1], &pb->grad);
     }
   });
+  Output(node, a.rows(), b.cols());
+  Matrix::MatMulInto(a.value(), b.value(), &node->value);
+  return Var(node);
+}
+
+Var Affine(const Var& x, const Var& w, const Var& b) {
+  VarNode* node = Record({x.node(), w.node(), b.node()}, [](VarNode& self) {
+    VarNode* px = self.parents[0];
+    VarNode* pw = self.parents[1];
+    VarNode* pb = self.parents[2];
+    Tape& tape = *self.tape;
+    const Matrix& g = self.grad;
+    if (pb->requires_grad) {  // bias rows, top to bottom
+      const simd::Isa isa = simd::ActiveIsa();
+      for (size_t i = 0; i < g.rows(); ++i) {
+        simd::BiasRows(isa, pb->grad.data(), g.data() + i * g.cols(), 1,
+                       g.cols());
+      }
+    }
+    if (px->requires_grad) {  // dX = G * W^T
+      AddProduct(g, TransposedOnce(pw), &tape.scratch[1], &px->grad);
+    }
+    if (pw->requires_grad) {  // dW = X^T * G
+      TransposeInto(px->value, &tape.scratch[0]);
+      AddProduct(tape.scratch[0], g, &tape.scratch[1], &pw->grad);
+    }
+  });
+  Output(node, x.rows(), w.cols());
+  FusedLinear(x.value(), w.value(), b.value(), Activation::kNone,
+              &node->value);
+  return Var(node);
 }
 
 Var Add(const Var& a, const Var& b) {
   KGPIP_CHECK(a.value().SameShape(b.value()));
-  Matrix value = a.value();
-  value.AddInPlace(b.value());
-  return MakeOp(std::move(value), {a, b}, [](VarNode& self) {
-    GradOf(self.parents[0]).AddInPlace(self.grad);
-    GradOf(self.parents[1]).AddInPlace(self.grad);
-  });
-}
-
-Var AddRowBroadcast(const Var& a, const Var& row) {
-  KGPIP_CHECK(row.rows() == 1 && row.cols() == a.cols());
-  Matrix value = a.value();
-  for (size_t i = 0; i < value.rows(); ++i) {
-    for (size_t j = 0; j < value.cols(); ++j) {
-      value(i, j) += row.value()(0, j);
-    }
-  }
-  return MakeOp(std::move(value), {a, row}, [](VarNode& self) {
-    GradOf(self.parents[0]).AddInPlace(self.grad);
-    Matrix& rg = GradOf(self.parents[1]);
-    for (size_t i = 0; i < self.grad.rows(); ++i) {
-      for (size_t j = 0; j < self.grad.cols(); ++j) {
-        rg(0, j) += self.grad(i, j);
+  VarNode* node = Record({a.node(), b.node()}, [](VarNode& self) {
+    for (size_t p = 0; p < 2; ++p) {
+      if (self.parents[p]->requires_grad) {
+        AddInto(self.grad, &self.parents[p]->grad);
       }
     }
   });
+  Matrix& value = Output(node, a.rows(), a.cols());
+  for (size_t i = 0; i < value.size(); ++i) {
+    value.data()[i] = a.value().data()[i] + b.value().data()[i];
+  }
+  return Var(node);
 }
 
 Var Sub(const Var& a, const Var& b) {
   KGPIP_CHECK(a.value().SameShape(b.value()));
-  Matrix value = a.value();
-  value.AddScaled(b.value(), -1.0);
-  return MakeOp(std::move(value), {a, b}, [](VarNode& self) {
-    GradOf(self.parents[0]).AddInPlace(self.grad);
-    GradOf(self.parents[1]).AddScaled(self.grad, -1.0);
+  VarNode* node = Record({a.node(), b.node()}, [](VarNode& self) {
+    if (self.parents[0]->requires_grad) {
+      AddInto(self.grad, &self.parents[0]->grad);
+    }
+    if (self.parents[1]->requires_grad) {
+      self.parents[1]->grad.AddScaled(self.grad, -1.0);
+    }
   });
+  Matrix& value = Output(node, a.rows(), a.cols());
+  // a + (-1) * b is exactly a - b in IEEE arithmetic.
+  for (size_t i = 0; i < value.size(); ++i) {
+    value.data()[i] = a.value().data()[i] + -1.0 * b.value().data()[i];
+  }
+  return Var(node);
 }
 
 Var Mul(const Var& a, const Var& b) {
   KGPIP_CHECK(a.value().SameShape(b.value()));
-  Matrix value = a.value();
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] *= b.value().data()[i];
-  }
-  return MakeOp(std::move(value), {a, b}, [](VarNode& self) {
-    auto& pa = self.parents[0];
-    auto& pb = self.parents[1];
-    Matrix& ga = GradOf(pa);
-    Matrix& gb = GradOf(pb);
+  VarNode* node = Record({a.node(), b.node()}, [](VarNode& self) {
+    VarNode* pa = self.parents[0];
+    VarNode* pb = self.parents[1];
+    const double* g = self.grad.data();
+    const double* a = pa->value.data();
+    const double* b = pb->value.data();
+    // Per element: a's term first, then b's (they may be one node).
     for (size_t i = 0; i < self.grad.size(); ++i) {
-      ga.data()[i] += self.grad.data()[i] * pb->value.data()[i];
-      gb.data()[i] += self.grad.data()[i] * pa->value.data()[i];
+      if (pa->requires_grad) pa->grad.data()[i] += g[i] * b[i];
+      if (pb->requires_grad) pb->grad.data()[i] += g[i] * a[i];
     }
   });
+  Matrix& value = Output(node, a.rows(), a.cols());
+  simd::MulN(simd::ActiveIsa(), a.value().data(), b.value().data(),
+             value.data(), value.size());
+  return Var(node);
 }
 
 Var Scale(const Var& a, double s) {
-  Matrix value = a.value();
-  for (size_t i = 0; i < value.size(); ++i) value.data()[i] *= s;
-  return MakeOp(std::move(value), {a}, [s](VarNode& self) {
-    GradOf(self.parents[0]).AddScaled(self.grad, s);
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (self.parents[0]->requires_grad) {
+      self.parents[0]->grad.AddScaled(self.grad, self.scalar);
+    }
   });
+  node->scalar = s;
+  Matrix& value = Output(node, a.rows(), a.cols());
+  for (size_t i = 0; i < value.size(); ++i) {
+    value.data()[i] = a.value().data()[i] * s;
+  }
+  return Var(node);
 }
 
 Var Sigmoid(const Var& a) {
-  Matrix value = a.value();
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = FastSigmoid(value.data()[i]);
-  }
-  return MakeOp(std::move(value), {a}, [](VarNode& self) {
-    Matrix& g = GradOf(self.parents[0]);
-    for (size_t i = 0; i < self.grad.size(); ++i) {
-      double y = self.value.data()[i];
-      g.data()[i] += self.grad.data()[i] * y * (1.0 - y);
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (self.parents[0]->requires_grad) {
+      simd::SigmoidGradN(simd::ActiveIsa(), self.grad.data(),
+                         self.value.data(), self.parents[0]->grad.data(),
+                         self.grad.size());
     }
   });
+  Matrix& value = Output(node, a.rows(), a.cols());
+  std::copy_n(a.value().data(), value.size(), value.data());
+  SigmoidInPlace(&value);
+  return Var(node);
 }
 
 Var Tanh(const Var& a) {
-  Matrix value = a.value();
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = FastTanh(value.data()[i]);
-  }
-  return MakeOp(std::move(value), {a}, [](VarNode& self) {
-    Matrix& g = GradOf(self.parents[0]);
-    for (size_t i = 0; i < self.grad.size(); ++i) {
-      double y = self.value.data()[i];
-      g.data()[i] += self.grad.data()[i] * (1.0 - y * y);
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (self.parents[0]->requires_grad) {
+      simd::TanhGradN(simd::ActiveIsa(), self.grad.data(), self.value.data(),
+                      self.parents[0]->grad.data(), self.grad.size());
     }
   });
+  Matrix& value = Output(node, a.rows(), a.cols());
+  std::copy_n(a.value().data(), value.size(), value.data());
+  TanhInPlace(&value);
+  return Var(node);
 }
 
-Var Relu(const Var& a) {
-  Matrix value = a.value();
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = std::max(0.0, value.data()[i]);
-  }
-  return MakeOp(std::move(value), {a}, [](VarNode& self) {
-    Matrix& g = GradOf(self.parents[0]);
-    for (size_t i = 0; i < self.grad.size(); ++i) {
-      if (self.value.data()[i] > 0.0) g.data()[i] += self.grad.data()[i];
+Var Transpose(const Var& a) {
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (!self.parents[0]->requires_grad) return;
+    Matrix& g = self.parents[0]->grad;
+    for (size_t i = 0; i < g.rows(); ++i) {
+      for (size_t j = 0; j < g.cols(); ++j) g(i, j) += self.grad(j, i);
     }
   });
+  Output(node, a.cols(), a.rows());
+  TransposeInto(a.value(), &node->value);
+  return Var(node);
 }
 
 Var ConcatCols(const Var& a, const Var& b) {
   KGPIP_CHECK(a.rows() == b.rows());
-  Matrix value(a.rows(), a.cols() + b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) value(i, j) = a.value()(i, j);
-    for (size_t j = 0; j < b.cols(); ++j) {
-      value(i, a.cols() + j) = b.value()(i, j);
-    }
-  }
-  size_t a_cols = a.cols();
-  return MakeOp(std::move(value), {a, b}, [a_cols](VarNode& self) {
-    Matrix& ga = GradOf(self.parents[0]);
-    Matrix& gb = GradOf(self.parents[1]);
+  VarNode* node = Record({a.node(), b.node()}, [](VarNode& self) {
+    VarNode* pa = self.parents[0];
+    VarNode* pb = self.parents[1];
+    const size_t a_cols = self.split;
+    const size_t b_cols = self.grad.cols() - a_cols;
     for (size_t i = 0; i < self.grad.rows(); ++i) {
-      for (size_t j = 0; j < a_cols; ++j) ga(i, j) += self.grad(i, j);
-      for (size_t j = 0; j < gb.cols(); ++j) {
-        gb(i, j) += self.grad(i, a_cols + j);
+      const double* row = self.grad.data() + i * self.grad.cols();
+      if (pa->requires_grad) {
+        double* ga = pa->grad.data() + i * a_cols;
+        for (size_t j = 0; j < a_cols; ++j) ga[j] += row[j];
+      }
+      if (pb->requires_grad) {
+        double* gb = pb->grad.data() + i * b_cols;
+        for (size_t j = 0; j < b_cols; ++j) gb[j] += row[a_cols + j];
       }
     }
   });
+  node->split = a.cols();
+  Matrix& value = Output(node, a.rows(), a.cols() + b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    std::copy_n(a.value().data() + i * a.cols(), a.cols(),
+                value.data() + i * value.cols());
+    std::copy_n(b.value().data() + i * b.cols(), b.cols(),
+                value.data() + i * value.cols() + a.cols());
+  }
+  return Var(node);
 }
 
 Var ConcatRows(const Var& a, const Var& b) {
   KGPIP_CHECK(a.cols() == b.cols());
-  Matrix value(a.rows() + b.rows(), a.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) value(i, j) = a.value()(i, j);
-  }
-  for (size_t i = 0; i < b.rows(); ++i) {
-    for (size_t j = 0; j < b.cols(); ++j) {
-      value(a.rows() + i, j) = b.value()(i, j);
+  VarNode* node = Record({a.node(), b.node()}, [](VarNode& self) {
+    const size_t a_elems = self.split * self.grad.cols();
+    const double* g = self.grad.data();
+    if (self.parents[0]->requires_grad) {
+      double* ga = self.parents[0]->grad.data();
+      for (size_t i = 0; i < a_elems; ++i) ga[i] += g[i];
     }
-  }
-  size_t a_rows = a.rows();
-  return MakeOp(std::move(value), {a, b}, [a_rows](VarNode& self) {
-    Matrix& ga = GradOf(self.parents[0]);
-    Matrix& gb = GradOf(self.parents[1]);
-    for (size_t i = 0; i < a_rows; ++i) {
-      for (size_t j = 0; j < self.grad.cols(); ++j) {
-        ga(i, j) += self.grad(i, j);
-      }
-    }
-    for (size_t i = 0; i < gb.rows(); ++i) {
-      for (size_t j = 0; j < self.grad.cols(); ++j) {
-        gb(i, j) += self.grad(a_rows + i, j);
+    if (self.parents[1]->requires_grad) {
+      double* gb = self.parents[1]->grad.data();
+      for (size_t i = a_elems; i < self.grad.size(); ++i) {
+        gb[i - a_elems] += g[i];
       }
     }
   });
+  node->split = a.rows();
+  Matrix& value = Output(node, a.rows() + b.rows(), a.cols());
+  std::copy_n(a.value().data(), a.value().size(), value.data());
+  std::copy_n(b.value().data(), b.value().size(),
+              value.data() + a.value().size());
+  return Var(node);
 }
 
 Var GatherRows(const Var& a, const std::vector<size_t>& indices) {
-  Matrix value(indices.size(), a.cols());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    KGPIP_CHECK(indices[i] < a.rows());
-    for (size_t j = 0; j < a.cols(); ++j) {
-      value(i, j) = a.value()(indices[i], j);
-    }
-  }
-  return MakeOp(std::move(value), {a}, [indices](VarNode& self) {
-    Matrix& g = GradOf(self.parents[0]);
-    for (size_t i = 0; i < indices.size(); ++i) {
-      for (size_t j = 0; j < self.grad.cols(); ++j) {
-        g(indices[i], j) += self.grad(i, j);
-      }
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (!self.parents[0]->requires_grad) return;
+    Matrix& g = self.parents[0]->grad;
+    const size_t cols = self.grad.cols();
+    for (size_t i = 0; i < self.indices.size(); ++i) {
+      double* dst = g.data() + self.indices[i] * cols;
+      const double* src = self.grad.data() + i * cols;
+      for (size_t j = 0; j < cols; ++j) dst[j] += src[j];
     }
   });
+  node->indices.assign(indices.begin(), indices.end());
+  Matrix& value = Output(node, indices.size(), a.cols());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    KGPIP_CHECK(indices[i] < a.rows());
+    std::copy_n(a.value().data() + indices[i] * a.cols(), a.cols(),
+                value.data() + i * a.cols());
+  }
+  return Var(node);
 }
 
 Var ScatterAddRows(const Var& a, const std::vector<size_t>& indices,
                    size_t num_rows) {
   KGPIP_CHECK(indices.size() == a.rows());
-  Matrix value(num_rows, a.cols());
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (!self.parents[0]->requires_grad) return;
+    Matrix& g = self.parents[0]->grad;
+    const size_t cols = g.cols();
+    for (size_t i = 0; i < self.indices.size(); ++i) {
+      double* dst = g.data() + i * cols;
+      const double* src = self.grad.data() + self.indices[i] * cols;
+      for (size_t j = 0; j < cols; ++j) dst[j] += src[j];
+    }
+  });
+  node->indices.assign(indices.begin(), indices.end());
+  Matrix& value = Output(node, num_rows, a.cols());
+  value.Fill(0.0);
   for (size_t i = 0; i < indices.size(); ++i) {
     KGPIP_CHECK(indices[i] < num_rows);
     for (size_t j = 0; j < a.cols(); ++j) {
       value(indices[i], j) += a.value()(i, j);
     }
   }
-  return MakeOp(std::move(value), {a}, [indices](VarNode& self) {
-    Matrix& g = GradOf(self.parents[0]);
-    for (size_t i = 0; i < indices.size(); ++i) {
-      for (size_t j = 0; j < g.cols(); ++j) {
-        g(i, j) += self.grad(indices[i], j);
-      }
-    }
-  });
+  return Var(node);
 }
 
 Var SumRows(const Var& a) {
-  Matrix value(1, a.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) value(0, j) += a.value()(i, j);
-  }
-  return MakeOp(std::move(value), {a}, [](VarNode& self) {
-    Matrix& g = GradOf(self.parents[0]);
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (!self.parents[0]->requires_grad) return;
+    Matrix& g = self.parents[0]->grad;
     for (size_t i = 0; i < g.rows(); ++i) {
       for (size_t j = 0; j < g.cols(); ++j) g(i, j) += self.grad(0, j);
     }
   });
+  Matrix& value = Output(node, 1, a.cols());
+  value.Fill(0.0);
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.cols(); ++j) value(0, j) += a.value()(i, j);
+  }
+  return Var(node);
 }
 
 Var SumAll(const Var& a) {
-  Matrix value(1, 1);
+  VarNode* node = Record({a.node()}, [](VarNode& self) {
+    if (!self.parents[0]->requires_grad) return;
+    Matrix& g = self.parents[0]->grad;
+    const double d = self.grad(0, 0);
+    for (size_t i = 0; i < g.size(); ++i) g.data()[i] += d;
+  });
+  Matrix& value = Output(node, 1, 1);
+  value(0, 0) = 0.0;
   for (size_t i = 0; i < a.value().size(); ++i) {
     value(0, 0) += a.value().data()[i];
   }
-  return MakeOp(std::move(value), {a}, [](VarNode& self) {
-    Matrix& g = GradOf(self.parents[0]);
-    double d = self.grad(0, 0);
-    for (size_t i = 0; i < g.size(); ++i) g.data()[i] += d;
-  });
+  return Var(node);
 }
 
 Var MeanAll(const Var& a) {
@@ -316,62 +542,64 @@ Var MeanAll(const Var& a) {
   return Scale(SumAll(a), inv);
 }
 
-Matrix SoftmaxValue(const Matrix& logits) {
-  Matrix out(logits.rows(), logits.cols());
+namespace {
+
+/// Row-wise softmax of `logits` into `out`.
+void SoftmaxInto(const Matrix& logits, Matrix* out) {
+  out->Reshape(logits.rows(), logits.cols());
   for (size_t i = 0; i < logits.rows(); ++i) {
-    double max_logit = logits(i, 0);
-    for (size_t j = 1; j < logits.cols(); ++j) {
-      max_logit = std::max(max_logit, logits(i, j));
-    }
-    double z = 0.0;
-    for (size_t j = 0; j < logits.cols(); ++j) {
-      out(i, j) = std::exp(logits(i, j) - max_logit);
-      z += out(i, j);
-    }
-    for (size_t j = 0; j < logits.cols(); ++j) out(i, j) /= z;
+    SoftmaxRow(logits.data() + i * logits.cols(), logits.cols(),
+               out->data() + i * logits.cols());
   }
-  return out;
 }
+
+}  // namespace
 
 Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int>& targets) {
   KGPIP_CHECK(targets.size() == logits.rows());
-  Matrix probs = SoftmaxValue(logits.value());
-  Matrix value(1, 1);
+  VarNode* node = Record({logits.node()}, [](VarNode& self) {
+    if (!self.parents[0]->requires_grad) return;
+    Matrix& g = self.parents[0]->grad;
+    const Matrix& probs = self.aux;
+    const double d =
+        self.grad(0, 0) / static_cast<double>(self.indices.size());
+    for (size_t i = 0; i < probs.rows(); ++i) {
+      for (size_t j = 0; j < probs.cols(); ++j) {
+        const double y = j == self.indices[i] ? 1.0 : 0.0;
+        g(i, j) += d * (probs(i, j) - y);
+      }
+    }
+  });
+  SoftmaxInto(logits.value(), &node->aux);
+  const Matrix& probs = node->aux;
+  node->indices.clear();
+  Matrix& value = Output(node, 1, 1);
+  value(0, 0) = 0.0;
   for (size_t i = 0; i < targets.size(); ++i) {
     KGPIP_CHECK(targets[i] >= 0 &&
                 static_cast<size_t>(targets[i]) < logits.cols());
-    value(0, 0) -= std::log(std::max(
-        probs(i, static_cast<size_t>(targets[i])), 1e-12));
+    const size_t target = static_cast<size_t>(targets[i]);
+    node->indices.push_back(target);
+    value(0, 0) -= std::log(std::max(probs(i, target), 1e-12));
   }
   value(0, 0) /= static_cast<double>(targets.size());
-  return MakeOp(std::move(value), {logits},
-                [probs, targets](VarNode& self) {
-                  Matrix& g = GradOf(self.parents[0]);
-                  double d = self.grad(0, 0) /
-                             static_cast<double>(targets.size());
-                  for (size_t i = 0; i < probs.rows(); ++i) {
-                    for (size_t j = 0; j < probs.cols(); ++j) {
-                      double y = j == static_cast<size_t>(targets[i])
-                                     ? 1.0
-                                     : 0.0;
-                      g(i, j) += d * (probs(i, j) - y);
-                    }
-                  }
-                });
+  return Var(node);
 }
 
 Var BinaryCrossEntropyWithLogits(const Var& logit, double target) {
   KGPIP_CHECK(logit.rows() == 1 && logit.cols() == 1);
-  double x = logit.value()(0, 0);
-  // log(1 + e^-|x|) + max(x,0) - x*t (stable formulation).
-  double loss = std::log1p(std::exp(-std::fabs(x))) + std::max(x, 0.0) -
-                x * target;
-  Matrix value(1, 1);
-  value(0, 0) = loss;
-  double p = 1.0 / (1.0 + std::exp(-x));
-  return MakeOp(std::move(value), {logit}, [p, target](VarNode& self) {
-    GradOf(self.parents[0])(0, 0) += self.grad(0, 0) * (p - target);
+  VarNode* node = Record({logit.node()}, [](VarNode& self) {
+    if (!self.parents[0]->requires_grad) return;
+    self.parents[0]->grad(0, 0) +=
+        self.grad(0, 0) * (self.scalar - self.target);
   });
+  const double x = logit.value()(0, 0);
+  // log(1 + e^-|x|) + max(x,0) - x*t (stable formulation).
+  Output(node, 1, 1)(0, 0) = std::log1p(std::exp(-std::fabs(x))) +
+                             std::max(x, 0.0) - x * target;
+  node->scalar = 1.0 / (1.0 + std::exp(-x));
+  node->target = target;
+  return Var(node);
 }
 
 }  // namespace kgpip::nn

@@ -38,7 +38,7 @@ void FusedLinear(const Matrix& x, const Matrix& w, const Matrix& b,
   KGPIP_CHECK(b.rows() == 1 && b.cols() == w.cols());
   const simd::Isa isa = simd::ActiveIsa();
   GemmInto(x, w, out);
-  // Bias broadcast in the same row-major order as AddRowBroadcast.
+  // Bias broadcast over the rows, row by row.
   simd::BiasRows(isa, out->data(), b.data(), out->rows(), out->cols());
   switch (act) {
     case Activation::kNone:

@@ -11,8 +11,8 @@ namespace kgpip::nn {
 
 /// Tape-free forward kernels for serve-time inference.
 ///
-/// These operate on raw `Matrix` values and caller-owned output buffers:
-/// no `VarNode` is built, no closure captured, no shared_ptr touched.
+/// These operate on raw `Matrix` values and caller-owned output buffers;
+/// nothing is recorded on a tape.
 /// Every kernel is **bit-identical** to the corresponding autograd
 /// forward pass: the serve GEMM reproduces Matrix::MatMulInto's tiling,
 /// per-element ascending-k accumulation, and zero-skip exactly (it is
@@ -25,8 +25,8 @@ namespace kgpip::nn {
 enum class Activation { kNone, kTanh, kSigmoid };
 
 /// out = act(x * w + b), where `b` is a 1 x cols bias row broadcast over
-/// every output row. Bit-identical to
-/// `Act(AddRowBroadcast(MatMul(x, w), b)).value()` on the tape path.
+/// every output row. The tape's Affine node computes its value with this
+/// function, so `Act(Affine(x, w, b)).value()` is bit-identical.
 /// `out` must not alias `x`, `w`, or `b`; its storage is reused (no
 /// allocation when its capacity already fits the result).
 void FusedLinear(const Matrix& x, const Matrix& w, const Matrix& b,

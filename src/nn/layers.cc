@@ -3,16 +3,20 @@
 #include <cmath>
 #include <cstring>
 
+#include "nn/simd_kernels.h"
 #include "util/logging.h"
 
 namespace kgpip::nn {
 
 Var ParamStore::Create(const std::string& name, size_t rows, size_t cols,
                        Rng* rng) {
-  Var param(Matrix::Randn(rows, cols, rng), /*requires_grad=*/true);
-  params_.push_back(param);
+  auto node = std::make_unique<VarNode>();
+  node->value = Matrix::Randn(rows, cols, rng);
+  node->requires_grad = true;
+  params_.emplace_back(node.get());
+  nodes_.push_back(std::move(node));
   names_.push_back(name);
-  return param;
+  return params_.back();
 }
 
 void ParamStore::ZeroGrads() {
@@ -72,7 +76,7 @@ Linear::Linear(ParamStore* store, const std::string& name, size_t in,
 }
 
 Var Linear::Forward(const Var& x) const {
-  return AddRowBroadcast(MatMul(x, weight_), bias_);
+  return Affine(x, weight_, bias_);
 }
 
 void Linear::ForwardValue(const Matrix& x, Matrix* out, Activation act) const {
@@ -178,23 +182,24 @@ void Adam::Step(double clip) {
     double norm = std::sqrt(norm_sq);
     if (norm > clip) scale = clip / norm;
   }
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const simd::AdamCoeffs coeffs{
+      scale,
+      beta1_,
+      beta2_,
+      1.0 - beta1_,
+      1.0 - beta2_,
+      1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      1.0 - std::pow(beta2_, static_cast<double>(t_)),
+      lr_,
+      eps_};
+  const simd::Isa isa = simd::ActiveIsa();
   for (size_t i = 0; i < store_->params().size(); ++i) {
     Var p = store_->params()[i];
     Matrix& value = p.mutable_value();
     const Matrix& grad = p.grad();
     if (grad.size() != value.size()) continue;  // never touched this step
-    for (size_t k = 0; k < value.size(); ++k) {
-      double g = grad.data()[k] * scale;
-      double& m = m_[i].data()[k];
-      double& v = v_[i].data()[k];
-      m = beta1_ * m + (1.0 - beta1_) * g;
-      v = beta2_ * v + (1.0 - beta2_) * g * g;
-      double m_hat = m / bc1;
-      double v_hat = v / bc2;
-      value.data()[k] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
+    simd::AdamN(isa, coeffs, grad.data(), m_[i].data(), v_[i].data(),
+                value.data(), value.size());
   }
   store_->ZeroGrads();
 }

@@ -1,6 +1,7 @@
 #ifndef KGPIP_NN_LAYERS_H_
 #define KGPIP_NN_LAYERS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,7 @@
 namespace kgpip::nn {
 
 /// Owns every trainable parameter of a model; the optimizer and the
-/// (de)serializer iterate over it.
+/// (de)serializer iterate over it. Parameters live here, not on a tape.
 class ParamStore {
  public:
   /// Registers a parameter (Xavier-initialized) and returns its Var.
@@ -33,6 +34,7 @@ class ParamStore {
   Status FromJson(const Json& json);
 
  private:
+  std::vector<std::unique_ptr<VarNode>> nodes_;
   std::vector<Var> params_;
   std::vector<std::string> names_;
 };
@@ -44,6 +46,7 @@ class Linear {
   Linear(ParamStore* store, const std::string& name, size_t in, size_t out,
          Rng* rng);
 
+  /// One Affine node on the active tape.
   Var Forward(const Var& x) const;
 
   /// Tape-free forward into a caller-owned buffer, optionally fused with
@@ -115,7 +118,8 @@ class Adam {
                 double beta2 = 0.999, double eps = 1e-8);
 
   /// Applies one update from the accumulated gradients, then zeroes them.
-  /// Gradients are clipped to a global norm of `clip` first (0 = off).
+  /// Gradients are clipped to a global norm of `clip` first (0 = off);
+  /// the norm is one ordered sum, the update runs on simd::AdamN.
   void Step(double clip = 5.0);
 
   void set_learning_rate(double lr) { lr_ = lr; }

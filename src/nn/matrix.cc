@@ -33,12 +33,6 @@ void Matrix::AddScaled(const Matrix& other, double scale) {
   }
 }
 
-double Matrix::Norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 Matrix Matrix::MatMul(const Matrix& a, const Matrix& b) {
   Matrix c;
   MatMulInto(a, b, &c);
@@ -58,37 +52,6 @@ void Matrix::MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   // across hosts and KGPIP_ISA settings.
   simd::GemmRows(simd::ActiveIsa(), a.data(), b.data(), out->data(), a.rows_,
                  a.cols_, b.cols_);
-}
-
-Matrix Matrix::TransposeMatMul(const Matrix& a, const Matrix& b) {
-  KGPIP_CHECK(a.rows_ == b.rows_);
-  Matrix c(a.cols_, b.cols_);
-  for (size_t k = 0; k < a.rows_; ++k) {
-    const double* arow = a.data() + k * a.cols_;
-    const double* brow = b.data() + k * b.cols_;
-    for (size_t i = 0; i < a.cols_; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* crow = c.data() + i * c.cols_;
-      for (size_t j = 0; j < b.cols_; ++j) crow[j] += aki * brow[j];
-    }
-  }
-  return c;
-}
-
-Matrix Matrix::MatMulTranspose(const Matrix& a, const Matrix& b) {
-  KGPIP_CHECK(a.cols_ == b.cols_);
-  Matrix c(a.rows_, b.rows_);
-  for (size_t i = 0; i < a.rows_; ++i) {
-    const double* arow = a.data() + i * a.cols_;
-    for (size_t j = 0; j < b.rows_; ++j) {
-      const double* brow = b.data() + j * b.cols_;
-      double s = 0.0;
-      for (size_t k = 0; k < a.cols_; ++k) s += arow[k] * brow[k];
-      c(i, j) = s;
-    }
-  }
-  return c;
 }
 
 Matrix Matrix::Transposed() const {

@@ -57,9 +57,6 @@ class Matrix {
   /// this += scale * other.
   void AddScaled(const Matrix& other, double scale);
 
-  /// Frobenius norm.
-  double Norm() const;
-
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
@@ -70,10 +67,6 @@ class Matrix {
   /// accumulated by the same blocked kernel as MatMul, so results are
   /// bit-identical). `out` must not alias `a` or `b`.
   static void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
-  /// C = A^T * B.
-  static Matrix TransposeMatMul(const Matrix& a, const Matrix& b);
-  /// C = A * B^T.
-  static Matrix MatMulTranspose(const Matrix& a, const Matrix& b);
 
   Matrix Transposed() const;
 

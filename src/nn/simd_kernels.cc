@@ -1,6 +1,7 @@
 #include "nn/simd_kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -105,6 +106,27 @@ void GruCombineScalar(const double* z, const double* n, const double* h,
     const double zn = z[k] * n[k];
     const double a = n[k] + (-1.0) * zn;
     out[k] = a + z[k] * h[k];
+  }
+}
+
+void SigmoidGradScalar(const double* dy, const double* y, double* g,
+                       size_t n) {
+  for (size_t i = 0; i < n; ++i) g[i] += dy[i] * y[i] * (1.0 - y[i]);
+}
+
+void TanhGradScalar(const double* dy, const double* y, double* g, size_t n) {
+  for (size_t i = 0; i < n; ++i) g[i] += dy[i] * (1.0 - y[i] * y[i]);
+}
+
+void AdamScalar(const AdamCoeffs& c, const double* grad, double* m,
+                double* v, double* value, size_t n) {
+  for (size_t k = 0; k < n; ++k) {
+    const double g = grad[k] * c.scale;
+    m[k] = c.beta1 * m[k] + c.one_minus_beta1 * g;
+    v[k] = c.beta2 * v[k] + c.one_minus_beta2 * g * g;
+    const double m_hat = m[k] / c.bc1;
+    const double v_hat = v[k] / c.bc2;
+    value[k] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
   }
 }
 
@@ -381,6 +403,63 @@ void GruCombineN(Isa isa, const double* z, const double* n, const double* h,
 #endif
     default:
       GruCombineScalar(z, n, h, out, count);
+      return;
+  }
+}
+
+void SigmoidGradN(Isa isa, const double* dy, const double* y, double* g,
+                  size_t n) {
+  switch (isa) {
+#if defined(KGPIP_SIMD_HAVE_AVX512)
+    case Isa::kAvx512:
+      detail::SigmoidGradAvx512(dy, y, g, n);
+      return;
+#endif
+#if defined(KGPIP_SIMD_HAVE_AVX2)
+    case Isa::kAvx2:
+      detail::SigmoidGradAvx2(dy, y, g, n);
+      return;
+#endif
+    default:
+      SigmoidGradScalar(dy, y, g, n);
+      return;
+  }
+}
+
+void TanhGradN(Isa isa, const double* dy, const double* y, double* g,
+               size_t n) {
+  switch (isa) {
+#if defined(KGPIP_SIMD_HAVE_AVX512)
+    case Isa::kAvx512:
+      detail::TanhGradAvx512(dy, y, g, n);
+      return;
+#endif
+#if defined(KGPIP_SIMD_HAVE_AVX2)
+    case Isa::kAvx2:
+      detail::TanhGradAvx2(dy, y, g, n);
+      return;
+#endif
+    default:
+      TanhGradScalar(dy, y, g, n);
+      return;
+  }
+}
+
+void AdamN(Isa isa, const AdamCoeffs& c, const double* grad, double* m,
+           double* v, double* value, size_t n) {
+  switch (isa) {
+#if defined(KGPIP_SIMD_HAVE_AVX512)
+    case Isa::kAvx512:
+      detail::AdamAvx512(c, grad, m, v, value, n);
+      return;
+#endif
+#if defined(KGPIP_SIMD_HAVE_AVX2)
+    case Isa::kAvx2:
+      detail::AdamAvx2(c, grad, m, v, value, n);
+      return;
+#endif
+    default:
+      AdamScalar(c, grad, m, v, value, n);
       return;
   }
 }

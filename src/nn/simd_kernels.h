@@ -6,7 +6,8 @@
 
 namespace kgpip::nn::simd {
 
-/// Hand-written SIMD micro-kernels for the serve-path linear algebra.
+/// Hand-written SIMD micro-kernels for the generator's linear algebra:
+/// the serve-time decode, and training's forward, backward and Adam.
 ///
 /// Three implementations of every kernel — scalar reference, AVX2
 /// intrinsics, AVX-512F intrinsics — all producing **byte-identical**
@@ -72,8 +73,8 @@ Isa RefreshIsaFromEnv();
 void GemmRows(Isa isa, const double* a, const double* b, double* c,
               size_t rows, size_t ac, size_t bc);
 
-/// row[j] += bias[j] for every row of C (the AddRowBroadcast tail of a
-/// fused linear layer).
+/// row[j] += bias[j] for every row of C (the bias tail of a fused linear
+/// layer; one row at a time it also sums the bias gradient).
 void BiasRows(Isa isa, double* c, const double* bias, size_t rows,
               size_t cols);
 
@@ -96,6 +97,34 @@ void MulN(Isa isa, const double* a, const double* b, double* out, size_t n);
 ///   out[i] = (n[i] + (-1) * (z[i] * n[i])) + z[i] * h[i].
 void GruCombineN(Isa isa, const double* z, const double* n, const double* h,
                  double* out, size_t count);
+
+/// Training backward of the activations, accumulating into `g` with the
+/// tape's association (y is the forward output, dy the output grad):
+///   SigmoidGradN: g[i] += (dy[i] * y[i]) * (1.0 - y[i])
+///   TanhGradN:    g[i] += dy[i] * (1.0 - y[i] * y[i])
+void SigmoidGradN(Isa isa, const double* dy, const double* y, double* g,
+                  size_t n);
+void TanhGradN(Isa isa, const double* dy, const double* y, double* g,
+               size_t n);
+
+/// Per-step constants of an Adam update (nn::Adam::Step).
+struct AdamCoeffs {
+  double scale;            // global-norm clip factor applied to the grad
+  double beta1, beta2;
+  double one_minus_beta1;  // 1 - beta1
+  double one_minus_beta2;  // 1 - beta2
+  double bc1, bc2;         // bias corrections 1 - beta^t
+  double lr, eps;
+};
+
+/// One Adam update of n parameters, per element exactly
+///   g = grad * scale
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + ((1 - beta2) * g) * g
+///   value -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+/// sqrt and division are correctly rounded at every level.
+void AdamN(Isa isa, const AdamCoeffs& c, const double* grad, double* m,
+           double* v, double* value, size_t n);
 
 /// SQ8 decode-dot for the IVF index (embed::SimIndex): accumulates the
 /// weighted sum of quantization codes into per-row scores,

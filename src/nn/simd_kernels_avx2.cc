@@ -40,6 +40,7 @@ struct OpsAvx2 {
   static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V Div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V Sqrt(V a) { return _mm256_sqrt_pd(a); }
 
   // x > b ? b : x — ordered-quiet compare: a NaN lane compares false and
   // keeps x, matching the scalar ternary.
@@ -101,6 +102,16 @@ void MulAvx2(const double* a, const double* b, double* out, size_t n) {
 void GruCombineAvx2(const double* z, const double* n, const double* h,
                     double* out, size_t count) {
   K::GruCombine(z, n, h, out, count);
+}
+void SigmoidGradAvx2(const double* dy, const double* y, double* g, size_t n) {
+  K::SigmoidGrad(dy, y, g, n);
+}
+void TanhGradAvx2(const double* dy, const double* y, double* g, size_t n) {
+  K::TanhGrad(dy, y, g, n);
+}
+void AdamAvx2(const AdamCoeffs& c, const double* grad, double* m, double* v,
+         double* value, size_t n) {
+  K::Adam(c, grad, m, v, value, n);
 }
 void Sq8DotAccumAvx2(const uint8_t* codes, size_t stride, const double* w,
                      size_t dims, double* scores) {

@@ -36,6 +36,10 @@ struct OpsAvx512 {
   static V Sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V Mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V Div(V a, V b) { return _mm512_div_pd(a, b); }
+  // maskz with an all-ones mask, for the same reason as LoadU8 below.
+  static V Sqrt(V a) {
+    return _mm512_maskz_sqrt_pd(static_cast<__mmask8>(0xff), a);
+  }
 
   // x > b ? b : x — ordered-quiet compare: a NaN lane compares false and
   // keeps x, matching the scalar ternary.
@@ -115,6 +119,16 @@ void MulAvx512(const double* a, const double* b, double* out, size_t n) {
 void GruCombineAvx512(const double* z, const double* n, const double* h,
                       double* out, size_t count) {
   K::GruCombine(z, n, h, out, count);
+}
+void SigmoidGradAvx512(const double* dy, const double* y, double* g, size_t n) {
+  K::SigmoidGrad(dy, y, g, n);
+}
+void TanhGradAvx512(const double* dy, const double* y, double* g, size_t n) {
+  K::TanhGrad(dy, y, g, n);
+}
+void AdamAvx512(const AdamCoeffs& c, const double* grad, double* m, double* v,
+           double* value, size_t n) {
+  K::Adam(c, grad, m, v, value, n);
 }
 void Sq8DotAccumAvx512(const uint8_t* codes, size_t stride, const double* w,
                        size_t dims, double* scores) {

@@ -32,7 +32,7 @@
 //   using V = <vector of kW doubles>;  using MaskT = <lane mask>;
 //   static constexpr size_t kW;
 //   Load/Store (unaligned), MaskLoad (zeroing)/MaskStore, TailMask(n)
-//   Broadcast, Add, Sub, Mul, Div
+//   Broadcast, Add, Sub, Mul, Div, Sqrt
 //   SelGt(x, b) -> x > b ? b : x;  SelLt(x, b) -> x < b ? b : x
 //   And/AndNot/Or/Xor (bitwise on the double pattern)
 //   ExpScale(kd) -> 2^kd via exponent-bit construction (kd integral)
@@ -42,6 +42,7 @@
 #include <cstdint>
 
 #include "nn/fastmath.h"
+#include "nn/simd_kernels.h"
 
 namespace kgpip::nn::simd::detail {
 
@@ -288,6 +289,89 @@ struct Kernels {
       Ops::MaskStore(out + i, m,
                      GruCombineV(Ops::MaskLoad(z + i, m), Ops::MaskLoad(n + i, m),
                                  Ops::MaskLoad(h + i, m)));
+    }
+  }
+
+  // ---- Training backward and optimizer ----------------------------------
+
+  static inline V SigmoidGradV(V dy, V y) {
+    return Ops::Mul(Ops::Mul(dy, y), Ops::Sub(Ops::Broadcast(1.0), y));
+  }
+
+  static inline V TanhGradV(V dy, V y) {
+    return Ops::Mul(dy, Ops::Sub(Ops::Broadcast(1.0), Ops::Mul(y, y)));
+  }
+
+  static void SigmoidGrad(const double* dy, const double* y, double* g,
+                          size_t n) {
+    size_t i = 0;
+    for (; i + kW <= n; i += kW) {
+      Ops::Store(g + i, Ops::Add(Ops::Load(g + i),
+                                 SigmoidGradV(Ops::Load(dy + i),
+                                              Ops::Load(y + i))));
+    }
+    if (i < n) {
+      const MaskT m = Ops::TailMask(n - i);
+      Ops::MaskStore(g + i, m,
+                     Ops::Add(Ops::MaskLoad(g + i, m),
+                              SigmoidGradV(Ops::MaskLoad(dy + i, m),
+                                           Ops::MaskLoad(y + i, m))));
+    }
+  }
+
+  static void TanhGrad(const double* dy, const double* y, double* g,
+                       size_t n) {
+    size_t i = 0;
+    for (; i + kW <= n; i += kW) {
+      Ops::Store(g + i, Ops::Add(Ops::Load(g + i),
+                                 TanhGradV(Ops::Load(dy + i),
+                                           Ops::Load(y + i))));
+    }
+    if (i < n) {
+      const MaskT m = Ops::TailMask(n - i);
+      Ops::MaskStore(g + i, m,
+                     Ops::Add(Ops::MaskLoad(g + i, m),
+                              TanhGradV(Ops::MaskLoad(dy + i, m),
+                                        Ops::MaskLoad(y + i, m))));
+    }
+  }
+
+  // One Adam element per lane; updates m, v and value in registers.
+  static inline void AdamV(const AdamCoeffs& c, V grad, V* m, V* v,
+                           V* value) {
+    const V g = Ops::Mul(grad, Ops::Broadcast(c.scale));
+    *m = Ops::Add(Ops::Mul(Ops::Broadcast(c.beta1), *m),
+                  Ops::Mul(Ops::Broadcast(c.one_minus_beta1), g));
+    *v = Ops::Add(Ops::Mul(Ops::Broadcast(c.beta2), *v),
+                  Ops::Mul(Ops::Mul(Ops::Broadcast(c.one_minus_beta2), g), g));
+    const V m_hat = Ops::Div(*m, Ops::Broadcast(c.bc1));
+    const V v_hat = Ops::Div(*v, Ops::Broadcast(c.bc2));
+    const V step = Ops::Div(Ops::Mul(Ops::Broadcast(c.lr), m_hat),
+                            Ops::Add(Ops::Sqrt(v_hat), Ops::Broadcast(c.eps)));
+    *value = Ops::Sub(*value, step);
+  }
+
+  static void Adam(const AdamCoeffs& c, const double* grad, double* m,
+                   double* v, double* value, size_t n) {
+    size_t i = 0;
+    for (; i + kW <= n; i += kW) {
+      V mv = Ops::Load(m + i);
+      V vv = Ops::Load(v + i);
+      V pv = Ops::Load(value + i);
+      AdamV(c, Ops::Load(grad + i), &mv, &vv, &pv);
+      Ops::Store(m + i, mv);
+      Ops::Store(v + i, vv);
+      Ops::Store(value + i, pv);
+    }
+    if (i < n) {
+      const MaskT mask = Ops::TailMask(n - i);
+      V mv = Ops::MaskLoad(m + i, mask);
+      V vv = Ops::MaskLoad(v + i, mask);
+      V pv = Ops::MaskLoad(value + i, mask);
+      AdamV(c, Ops::MaskLoad(grad + i, mask), &mv, &vv, &pv);
+      Ops::MaskStore(m + i, mask, mv);
+      Ops::MaskStore(v + i, mask, vv);
+      Ops::MaskStore(value + i, mask, pv);
     }
   }
 

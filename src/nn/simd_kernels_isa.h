@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/simd_kernels.h"
+
 namespace kgpip::nn::simd::detail {
 
 void GemmAvx2(const double* a, const double* b, double* c, size_t rows,
@@ -21,6 +23,10 @@ void AddTanhAvx2(const double* a, const double* b, double* out, size_t n);
 void MulAvx2(const double* a, const double* b, double* out, size_t n);
 void GruCombineAvx2(const double* z, const double* n, const double* h,
                     double* out, size_t count);
+void SigmoidGradAvx2(const double* dy, const double* y, double* g, size_t n);
+void TanhGradAvx2(const double* dy, const double* y, double* g, size_t n);
+void AdamAvx2(const AdamCoeffs& c, const double* grad, double* m, double* v,
+         double* value, size_t n);
 void Sq8DotAccumAvx2(const uint8_t* codes, size_t stride, const double* w,
                      size_t dims, double* scores);
 
@@ -34,6 +40,10 @@ void AddTanhAvx512(const double* a, const double* b, double* out, size_t n);
 void MulAvx512(const double* a, const double* b, double* out, size_t n);
 void GruCombineAvx512(const double* z, const double* n, const double* h,
                       double* out, size_t count);
+void SigmoidGradAvx512(const double* dy, const double* y, double* g, size_t n);
+void TanhGradAvx512(const double* dy, const double* y, double* g, size_t n);
+void AdamAvx512(const AdamCoeffs& c, const double* grad, double* m, double* v,
+           double* value, size_t n);
 void Sq8DotAccumAvx512(const uint8_t* codes, size_t stride, const double* w,
                        size_t dims, double* scores);
 

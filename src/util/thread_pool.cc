@@ -23,7 +23,7 @@ namespace {
 
 /// True while the current thread is executing a pool task; nested
 /// ParallelFor calls detect this and run inline (see header).
-thread_local int t_lane = -1;
+thread_local bool t_in_task = false;
 
 int EnvThreads() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read-only getenv; the
@@ -55,7 +55,7 @@ int ResolveThreads(int requested) {
 /// share state.
 struct ForLoop {
   size_t n = 0;
-  const std::function<void(size_t, size_t)>* body = nullptr;
+  const std::function<void(size_t)>* body = nullptr;
   /// The submitting thread's request context, re-installed on every lane
   /// that runs one of this loop's chunks: spans/logs emitted inside the
   /// body carry the ids of the request that submitted the loop, even when
@@ -141,7 +141,7 @@ struct ThreadPool::Impl {
     RequestContext saved = ExchangeRequestContext(loop->ctx);
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       try {
-        (*loop->body)(i, static_cast<size_t>(t_lane));
+        (*loop->body)(i);
       } catch (...) {
         MutexLock lock(loop->mu);
         if (i < loop->first_error_item) {
@@ -178,7 +178,7 @@ struct ThreadPool::Impl {
   }
 
   void WorkerMain(size_t lane) {
-    t_lane = static_cast<int>(lane);
+    t_in_task = true;
     uint64_t seen_epoch = 0;
     while (true) {
       Chunk chunk;
@@ -228,17 +228,15 @@ ThreadPool::~ThreadPool() {
   delete impl_;
 }
 
-void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t item, size_t lane)>& body) {
+void ThreadPool::ParallelFor(size_t n,
+                             const std::function<void(size_t item)>& body) {
   if (n == 0) return;
   const size_t workers = static_cast<size_t>(num_workers_);
   // Inline paths: single-lane pool, trivially small loops, or a nested
   // call from inside a pool task (running inline on the worker keeps the
   // pool deadlock-free and the nesting deterministic).
-  if (workers == 0 || n == 1 || t_lane >= 0) {
-    const size_t lane =
-        t_lane >= 0 ? static_cast<size_t>(t_lane) : workers;
-    for (size_t i = 0; i < n; ++i) body(i, lane);
+  if (workers == 0 || n == 1 || t_in_task) {
+    for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
@@ -274,13 +272,13 @@ void ThreadPool::ParallelFor(
   impl_->wake_cv.NotifyAll();
 
   // The submitting thread works lane `workers` until the loop drains.
-  t_lane = static_cast<int>(workers);
+  t_in_task = true;
   Chunk chunk;
   while (loop.chunks_left.load(std::memory_order_acquire) > 0 &&
          impl_->FindWork(workers, &chunk)) {
     impl_->RunChunk(chunk);
   }
-  t_lane = -1;
+  t_in_task = false;
   std::exception_ptr first_error;
   {
     MutexLock lock(loop.mu);
@@ -292,11 +290,6 @@ void ThreadPool::ParallelFor(
   }
   impl_->queue_depth->Set(0.0);
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t item)>& body) {
-  ParallelFor(n, [&](size_t i, size_t /*lane*/) { body(i); });
 }
 
 namespace {
@@ -327,7 +320,7 @@ int ThreadPool::PlannedThreads() {
 }
 
 void ThreadPool::Configure(int num_threads) {
-  KGPIP_CHECK(t_lane < 0)
+  KGPIP_CHECK(!t_in_task)
       << "ThreadPool::Configure called from inside a pool task";
   MutexLock lock(g_pool_mu);
   g_configured_threads = num_threads;

@@ -58,21 +58,18 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Total execution lanes: worker threads + the calling thread. Lane
-  /// ids passed to loop bodies are in [0, num_lanes()).
+  /// Total execution lanes: worker threads + the calling thread.
   int num_lanes() const { return num_workers_ + 1; }
   int num_worker_threads() const { return num_workers_; }
 
-  /// Runs body(i, lane) for every i in [0, n), blocking until all items
-  /// finish. `lane` identifies the executing lane (stable scratch-slot
-  /// index); item-to-lane assignment is *not* deterministic, so lane
-  /// scratch must not influence results. If bodies throw, the exception
-  /// of the lowest item index is rethrown after the loop drains (so the
-  /// choice of surfaced error is deterministic too).
-  void ParallelFor(size_t n,
-                   const std::function<void(size_t item, size_t lane)>& body);
-
-  /// Convenience: grain-free ParallelFor without the lane id.
+  /// Runs body(i) for every i in [0, n), blocking until all items
+  /// finish. Which thread runs an item is not deterministic, and every
+  /// thread outside the pool that calls ParallelFor shares one submitter
+  /// queue, so a body may run next to items of another caller's loop:
+  /// per-item state belongs to the item index, never to the thread. If
+  /// bodies throw, the exception of the lowest item index is rethrown
+  /// after the loop drains (so the choice of surfaced error is
+  /// deterministic too).
   void ParallelFor(size_t n, const std::function<void(size_t item)>& body);
 
   /// Order-preserving map: out[i] = fn(i). Results land by index, so the
@@ -81,7 +78,7 @@ class ThreadPool {
   std::vector<T> ParallelMap(size_t n,
                              const std::function<T(size_t item)>& fn) {
     std::vector<T> out(n);
-    ParallelFor(n, [&](size_t i, size_t /*lane*/) { out[i] = fn(i); });
+    ParallelFor(n, [&](size_t i) { out[i] = fn(i); });
     return out;
   }
 

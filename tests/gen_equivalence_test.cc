@@ -3,7 +3,10 @@
 // reference, deterministic across thread counts, and allocation-free in
 // steady state.
 
+#include <atomic>
+#include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,7 +14,9 @@
 #include "gen/graph_generator.h"
 #include "gen/inference_engine.h"
 #include "graph4ml/graph4ml.h"
+#include "nn/simd_kernels.h"
 #include "obs/metrics.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace kgpip::gen {
@@ -248,6 +253,124 @@ TEST(GenEquivalenceTest, CrossCheckModeVerifiesEveryDecode) {
   GeneratedGraph sampled = generator.Generate(seed, condition, &rng, 1.0);
   EXPECT_FALSE(greedy.graph.node_types.empty());
   EXPECT_FALSE(sampled.graph.node_types.empty());
+}
+
+// Training corpus for the pinned-weights tests. Seven examples, so a
+// batch of four ends in a partial batch of three; seeds of one, two and
+// three given nodes; a node with two incoming edges and one reached
+// only through a (later, earlier) edge; an empty, a short and a full
+// condition.
+std::vector<GraphExample> DigestExamples() {
+  const PipelineVocab& vocab = PipelineVocab::Get();
+  std::vector<GraphExample> examples = TwoModeExamples(2);
+  GraphExample dag;
+  dag.graph.node_types = {PipelineVocab::kDatasetType,
+                          PipelineVocab::kReadCsvType,
+                          vocab.TypeOf("simple_imputer"),
+                          vocab.TypeOf("standard_scaler"),
+                          vocab.TypeOf("xgboost")};
+  dag.graph.edges = {{0, 1}, {1, 2}, {1, 3}, {2, 3}, {3, 4}};
+  dag.condition = {0.5, -1.0, 2.0};
+  dag.given_nodes = 1;
+  examples.push_back(dag);
+  GraphExample stop;
+  stop.graph.node_types = {PipelineVocab::kDatasetType,
+                           PipelineVocab::kReadCsvType};
+  stop.graph.edges = {{0, 1}};
+  stop.given_nodes = 2;
+  examples.push_back(stop);
+  GraphExample reversed;
+  reversed.graph.node_types = {PipelineVocab::kDatasetType,
+                               PipelineVocab::kReadCsvType,
+                               vocab.TypeOf("one_hot_encoder"),
+                               vocab.TypeOf("pca"),
+                               vocab.TypeOf("random_forest")};
+  reversed.graph.edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 1}};
+  reversed.condition = {1.0};
+  reversed.given_nodes = 3;
+  examples.push_back(reversed);
+  return examples;
+}
+
+GeneratorConfig DigestConfig(int batch_size) {
+  GeneratorConfig config = SmallConfig();
+  config.hidden = 18;  // ragged against both vector widths
+  config.condition_dims = 3;
+  config.batch_size = batch_size;
+  return config;
+}
+
+// FNV-1a of the serialized model (config and every weight at %.17g)
+// after three epochs on DigestExamples.
+uint64_t TrainedWeightsDigest(int batch_size) {
+  GraphGenerator generator(DigestConfig(batch_size), 11);
+  const std::vector<GraphExample> examples = DigestExamples();
+  Rng rng(5);
+  for (int epoch = 0; epoch < 3; ++epoch) generator.TrainEpoch(examples, &rng);
+  return Fnv1a64(generator.ToJson().Dump());
+}
+
+// Recorded with the scalar backward GEMMs and one tape node per op. Any
+// change to the order or rounding of a gradient term moves these.
+constexpr uint64_t kPinnedDigestBatch1 = 0x0a963f9b1c8be529ull;
+constexpr uint64_t kPinnedDigestBatch4 = 0xae4577da1d8267b2ull;
+
+TEST(GenTrainingTest, TrainedWeightsMatchPinnedDigestAtEveryLaneCountAndIsa) {
+  std::vector<nn::simd::Isa> levels;
+  for (nn::simd::Isa isa : {nn::simd::Isa::kScalar, nn::simd::Isa::kAvx2,
+                            nn::simd::Isa::kAvx512}) {
+    if (nn::simd::IsaSupported(isa)) levels.push_back(isa);
+  }
+  for (int threads : {1, 2, 4}) {
+    util::ThreadPool::Configure(threads);
+    for (nn::simd::Isa isa : levels) {
+      nn::simd::ForceIsa(isa);
+      const char* name = nn::simd::IsaName(isa);
+      EXPECT_EQ(TrainedWeightsDigest(1), kPinnedDigestBatch1)
+          << "batch 1, " << threads << " lanes, " << name;
+      EXPECT_EQ(TrainedWeightsDigest(4), kPinnedDigestBatch4)
+          << "batch 4, " << threads << " lanes, " << name;
+    }
+  }
+  nn::simd::RefreshIsaFromEnv();
+  util::ThreadPool::Configure(0);
+}
+
+// Every thread outside the pool that calls ParallelFor works the same
+// shared submitter queue, so it can pick up chunks of a training loop
+// that another outside thread submitted. Batched training must give the
+// same losses and weights while such a thread keeps the pool busy.
+TEST(GenTrainingTest, BatchedTrainingIgnoresConcurrentOutsideSubmitters) {
+  util::ThreadPool::Configure(2);
+  const std::vector<GraphExample> examples = DigestExamples();
+  auto train = [&](std::vector<double>* losses) {
+    GraphGenerator generator(DigestConfig(4), 11);
+    Rng rng(5);
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      losses->push_back(generator.TrainEpoch(examples, &rng));
+    }
+    return Fnv1a64(generator.ToJson().Dump());
+  };
+  std::vector<double> quiet_losses;
+  const uint64_t quiet = train(&quiet_losses);
+
+  std::atomic<bool> stop{false};
+  std::thread noise([&] {
+    std::vector<double> sink(256, 0.0);
+    while (!stop.load(std::memory_order_relaxed)) {
+      util::ThreadPool::Global().ParallelFor(256, [&](size_t i) {
+        sink[i] = std::sqrt(static_cast<double>(i) + sink[i]);
+      });
+    }
+  });
+  std::vector<double> busy_losses;
+  const uint64_t busy = train(&busy_losses);
+  stop.store(true, std::memory_order_relaxed);
+  noise.join();
+  util::ThreadPool::Configure(0);
+
+  EXPECT_EQ(busy_losses, quiet_losses);
+  EXPECT_EQ(busy, quiet);
 }
 
 }  // namespace

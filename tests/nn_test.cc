@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,13 +27,35 @@ TEST(MatrixTest, MatMulKnownValues) {
   // a = [1 2 3; 4 5 6], b = [7 8; 9 10; 11 12]
   EXPECT_DOUBLE_EQ(c(0, 0), 1 * 7 + 2 * 9 + 3 * 11);
   EXPECT_DOUBLE_EQ(c(1, 1), 4 * 8 + 5 * 10 + 6 * 12);
-  // Transposed variants agree with explicit transposes.
-  Matrix at_b = Matrix::TransposeMatMul(a, a);
-  Matrix expected = Matrix::MatMul(a.Transposed(), a);
-  for (size_t i = 0; i < at_b.rows(); ++i) {
-    for (size_t j = 0; j < at_b.cols(); ++j) {
-      EXPECT_NEAR(at_b(i, j), expected(i, j), 1e-12);
-    }
+}
+
+void ExpectBitEqual(const Matrix& a, const Matrix& b) {
+  ASSERT_TRUE(a.SameShape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+// The backward GEMMs run on the forward kernel over packed transposes:
+// dA = G * B^T and dB = A^T * G must equal those products bit for bit,
+// for MatMul and for the fused Affine node alike.
+TEST(AutogradTest, BackwardProductsEqualExplicitTransposedProducts) {
+  Tape tape;
+  TapeScope scope(&tape);
+  Rng rng(4);
+  Var a(Matrix::Randn(3, 5, &rng), true);
+  Var b(Matrix::Randn(5, 4, &rng), true);
+  Var bias(Matrix::Randn(1, 4, &rng), true);
+  Matrix g = Matrix::Randn(3, 4, &rng);
+  g(1, 2) = 0.0;  // a skipped term
+  // d(sum(C * g))/dC = g exactly.
+  Backward(SumAll(Mul(MatMul(a, b), Var(g))));
+  ExpectBitEqual(a.grad(), Matrix::MatMul(g, b.value().Transposed()));
+  ExpectBitEqual(b.grad(), Matrix::MatMul(a.value().Transposed(), g));
+
+  Backward(SumAll(Mul(Affine(a, b, bias), Var(g))));
+  ExpectBitEqual(a.grad(), Matrix::MatMul(g, b.value().Transposed()));
+  ExpectBitEqual(b.grad(), Matrix::MatMul(a.value().Transposed(), g));
+  for (size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(bias.grad()(0, j), (g(0, j) + g(1, j)) + g(2, j));
   }
 }
 
@@ -56,6 +81,8 @@ void CheckGradients(Var param, const std::function<Var()>& loss_fn,
 }
 
 TEST(AutogradTest, MatMulSigmoidChainGradients) {
+  Tape tape;
+  TapeScope scope(&tape);
   Rng rng(3);
   Var w(Matrix::Randn(4, 3, &rng), /*requires_grad=*/true);
   Var x(Matrix::Randn(2, 4, &rng));
@@ -65,6 +92,8 @@ TEST(AutogradTest, MatMulSigmoidChainGradients) {
 }
 
 TEST(AutogradTest, GruCellGradients) {
+  Tape tape;
+  TapeScope scope(&tape);
   Rng rng(5);
   ParamStore store;
   GruCell cell(&store, "gru", 3, 3, &rng);
@@ -78,6 +107,8 @@ TEST(AutogradTest, GruCellGradients) {
 }
 
 TEST(AutogradTest, SoftmaxCrossEntropyGradients) {
+  Tape tape;
+  TapeScope scope(&tape);
   Var logits(Matrix(3, 4), true);
   for (size_t i = 0; i < logits.value().size(); ++i) {
     logits.mutable_value().data()[i] = 0.1 * static_cast<double>(i) - 0.5;
@@ -89,6 +120,8 @@ TEST(AutogradTest, SoftmaxCrossEntropyGradients) {
 }
 
 TEST(AutogradTest, GatherScatterConcatGradients) {
+  Tape tape;
+  TapeScope scope(&tape);
   Rng rng(9);
   Var a(Matrix::Randn(4, 3, &rng), true);
   std::vector<size_t> idx = {2, 0, 2};
@@ -103,6 +136,8 @@ TEST(AutogradTest, GatherScatterConcatGradients) {
 }
 
 TEST(AutogradTest, BceWithLogitsMatchesClosedForm) {
+  Tape tape;
+  TapeScope scope(&tape);
   Var logit(Matrix(1, 1), true);
   logit.mutable_value()(0, 0) = 0.7;
   Var loss = BinaryCrossEntropyWithLogits(logit, 1.0);
@@ -114,6 +149,8 @@ TEST(AutogradTest, BceWithLogitsMatchesClosedForm) {
 }
 
 TEST(AutogradTest, DeepChainBackwardDoesNotOverflowStack) {
+  Tape tape;
+  TapeScope scope(&tape);
   Var x(Matrix(1, 1), true);
   x.mutable_value()(0, 0) = 0.01;
   Var y = x;
@@ -124,6 +161,8 @@ TEST(AutogradTest, DeepChainBackwardDoesNotOverflowStack) {
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
+  Tape tape;
+  TapeScope scope(&tape);
   ParamStore store;
   Rng rng(1);
   Var w = store.Create("w", 1, 4, &rng);
@@ -134,10 +173,42 @@ TEST(AdamTest, ConvergesOnQuadratic) {
     Var diff = Sub(w, Var(target));
     Var loss = MeanAll(Mul(diff, diff));
     Backward(loss);
+    tape.Clear();
     adam.Step();
   }
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(w.value()(0, i), target(0, i), 1e-2);
+  }
+}
+
+// A tape reused across graphs of different sizes gives the same bits as
+// a fresh one, and after each Clear holds no more buffer bytes than the
+// largest graph recorded on it.
+TEST(TapeTest, ReusedTapeMatchesFreshTapeAndStaysBounded) {
+  ParamStore store;
+  Rng rng(21);
+  GruCell cell(&store, "gru", 4, 5, &rng);
+  auto gradients = [&](Tape* tape, size_t rows) {
+    TapeScope scope(tape);
+    Rng data_rng(rows);
+    Var x(Matrix::Randn(rows, 4, &data_rng));
+    Var h(Matrix::Randn(rows, 5, &data_rng));
+    Backward(MeanAll(Tanh(cell.Forward(x, h))));
+    std::vector<Matrix> grads;
+    for (const Var& p : store.params()) grads.push_back(p.grad());
+    tape->Clear();
+    return grads;
+  };
+  Tape reused;
+  size_t largest = 0;
+  for (size_t rows : {6, 1, 3, 6, 2, 9, 1}) {
+    Tape fresh;
+    const std::vector<Matrix> want = gradients(&fresh, rows);
+    const std::vector<Matrix> got = gradients(&reused, rows);
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t p = 0; p < want.size(); ++p) ExpectBitEqual(want[p], got[p]);
+    largest = std::max(largest, fresh.BufferBytes());
+    EXPECT_LE(reused.BufferBytes(), largest) << "rows " << rows;
   }
 }
 

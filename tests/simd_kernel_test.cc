@@ -11,6 +11,7 @@
 // plumbing is covered separately, and a final test pins the batched
 // GenerateTopK decode to k independent Generate calls byte-for-byte.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -233,6 +234,76 @@ TEST(SimdKernelTest, ActivationKernelsMatchScalarBitwise) {
       nn::simd::GruCombineN(isa, z.data(), a.data(), b.data(), got.data(),
                             n);
       ExpectBitEqual(ref2, got, isa, "gru combine n=" + std::to_string(n));
+    }
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SimdKernelTest, TrainingKernelsMatchScalarBitwise) {
+  // The activation backward and Adam kernels that training runs on; the
+  // scalar Adam kernel must also equal nn::Adam's per-element update
+  // written out in plain C++.
+  const std::vector<Isa> levels = TestableSimdLevels();
+  Rng rng(16);
+  nn::simd::AdamCoeffs c;
+  c.scale = 0.7;
+  c.beta1 = 0.9;
+  c.beta2 = 0.999;
+  c.one_minus_beta1 = 1.0 - c.beta1;
+  c.one_minus_beta2 = 1.0 - c.beta2;
+  c.bc1 = 1.0 - std::pow(c.beta1, 3.0);
+  c.bc2 = 1.0 - std::pow(c.beta2, 3.0);
+  c.lr = 3e-3;
+  c.eps = 1e-8;
+  for (size_t n : kShapeSweep) {
+    const std::vector<double> dy = RandomBuffer(n, &rng);
+    const std::vector<double> y = RandomBuffer(n, &rng);
+    const std::vector<double> g0 = RandomBuffer(n, &rng);
+
+    std::vector<double> ref = g0;
+    nn::simd::SigmoidGradN(Isa::kScalar, dy.data(), y.data(), ref.data(), n);
+    for (Isa isa : levels) {
+      std::vector<double> got = g0;
+      nn::simd::SigmoidGradN(isa, dy.data(), y.data(), got.data(), n);
+      ExpectBitEqual(ref, got, isa, "sigmoid grad n=" + std::to_string(n));
+    }
+    ref = g0;
+    nn::simd::TanhGradN(Isa::kScalar, dy.data(), y.data(), ref.data(), n);
+    for (Isa isa : levels) {
+      std::vector<double> got = g0;
+      nn::simd::TanhGradN(isa, dy.data(), y.data(), got.data(), n);
+      ExpectBitEqual(ref, got, isa, "tanh grad n=" + std::to_string(n));
+    }
+
+    const std::vector<double> grad = RandomBuffer(n, &rng);
+    const std::vector<double> m0 = RandomBuffer(n, &rng);
+    std::vector<double> v0 = RandomBuffer(n, &rng);
+    for (double& v : v0) v = std::fabs(v);
+    const std::vector<double> p0 = RandomBuffer(n, &rng);
+    std::vector<double> want_m = m0;
+    std::vector<double> want_v = v0;
+    std::vector<double> want_p = p0;
+    for (size_t k = 0; k < n; ++k) {
+      double g = grad[k] * c.scale;
+      double& m = want_m[k];
+      double& v = want_v[k];
+      m = c.beta1 * m + (1.0 - c.beta1) * g;
+      v = c.beta2 * v + (1.0 - c.beta2) * g * g;
+      double m_hat = m / c.bc1;
+      double v_hat = v / c.bc2;
+      want_p[k] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
+    }
+    std::vector<Isa> all = levels;
+    all.insert(all.begin(), Isa::kScalar);
+    for (Isa isa : all) {
+      std::vector<double> m = m0;
+      std::vector<double> v = v0;
+      std::vector<double> p = p0;
+      nn::simd::AdamN(isa, c, grad.data(), m.data(), v.data(), p.data(), n);
+      const std::string what = "adam n=" + std::to_string(n);
+      ExpectBitEqual(want_m, m, isa, what + " m");
+      ExpectBitEqual(want_v, v, isa, what + " v");
+      ExpectBitEqual(want_p, p, isa, what + " value");
     }
     if (HasFatalFailure()) return;
   }
