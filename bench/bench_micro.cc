@@ -130,25 +130,9 @@ void BM_SimIndexSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimIndexSearch);
 
-void BM_GeneratorSample(benchmark::State& state) {
-  gen::GeneratorConfig config;
-  config.vocab_size = graph4ml::PipelineVocab::Get().size();
-  config.hidden = 32;
-  gen::GraphGenerator generator(config, 7);
-  graph4ml::TypedGraph seed;
-  seed.node_types = {0, 1};
-  seed.edges = {{0, 1}};
-  Rng rng(3);
-  for (auto _ : state) {
-    auto g = generator.Generate(seed, {}, &rng, 0.9);
-    benchmark::DoNotOptimize(g.graph.num_nodes());
-  }
-}
-BENCHMARK(BM_GeneratorSample);
-
 void BM_GenGenerate(benchmark::State& state) {
   // Tape (range(0) == 1) vs tape-free (range(0) == 0) decode at a given
-  // generation cap; the pair quantifies the inference-engine speedup
+  // generation cap; the pair quantifies the tape-free decoder's speedup
   // recorded in BENCH_gen.json.
   gen::GeneratorConfig config;
   config.vocab_size = graph4ml::PipelineVocab::Get().size();
@@ -175,7 +159,8 @@ BENCHMARK(BM_GenGenerate)
     ->Args({1, 30});
 
 void BM_GenGenerateTopK(benchmark::State& state) {
-  // Batched candidate generation over the pool (one engine per lane).
+  // Batched candidate generation over the pool (one multi-lane decoder
+  // per pool lane).
   ScopedPool pool(state);
   gen::GeneratorConfig config;
   config.vocab_size = graph4ml::PipelineVocab::Get().size();

@@ -24,7 +24,7 @@ cmake --build build-sanitize -j "$(nproc)" \
 echo "" | tee -a "$out"
 
 # Focused decode benches: the tape-vs-tape-free pairs land in their own
-# JSON so the inference-engine speedup is a first-class artifact. The
+# JSON so the tape-free decode speedup is a first-class artifact. The
 # fresh report is then gated against the checked-in baseline — a decode
 # latency regression past 15% fails the whole run (and the CI
 # bench-regression job runs the same comparison).

@@ -81,7 +81,6 @@ embed::SimIndex::Options Kgpip::IndexOptions() const {
   options.num_cells = config_.index_cells;
   options.num_probes = config_.index_nprobe;
   options.rerank_k = config_.index_rerank_k;
-  options.quantize = config_.index_quantize;
   return options;
 }
 

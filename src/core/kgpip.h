@@ -51,9 +51,6 @@ struct KgpipConfig {
   int index_nprobe = 8;
   /// IVF candidates exact-reranked per query.
   int index_rerank_k = 64;
-  /// SQ8-quantize IVF cell residuals (scanned with the SIMD int8
-  /// kernels); false scans probed cells over the exact f64 rows.
-  bool index_quantize = true;
   /// Fault-tolerance policy applied to every trial during Fit (NaN
   /// quarantine, bounded retry on transient failures, per-trial deadline,
   /// per-skeleton circuit breaking). See hpo::TrialGuard.

@@ -248,7 +248,6 @@ Status SimIndex::Build() {
   centroid_sq_norms_.clear();
   cells_.clear();
   segments_.clear();
-  quantized_ = false;
   const size_t k = EffectiveCells(n);
   size_gauge->Set(static_cast<double>(n));
   if (k == 0) {
@@ -349,10 +348,10 @@ Status SimIndex::Build() {
   });
   cells_.assign(k, {});
   for (size_t i = 0; i < n; ++i) cells_[full_assignment[i]].push_back(i);
-  if (options_.quantize) BuildSegments();
+  BuildSegments();
   built_ = true;
   cells_gauge->Set(static_cast<double>(cells_.size()));
-  quantized_gauge->Set(quantized_ ? 1.0 : 0.0);
+  quantized_gauge->Set(1.0);
   build_seconds->Record(watch.ElapsedSeconds());
   return Status::Ok();
 }
@@ -410,7 +409,6 @@ void SimIndex::BuildSegments() {
   });
   double max_err = 0.0;
   for (double e : cell_errs) max_err = std::max(max_err, e);
-  quantized_ = true;
   err_gauge->Set(max_err);
 }
 
@@ -511,17 +509,6 @@ Result<std::vector<SearchHit>> SimIndex::Search(
   const size_t probes = std::min<size_t>(
       static_cast<size_t>(std::max(1, options_.num_probes)), num_centroids);
   cells_probed->Increment(static_cast<int64_t>(probes));
-  if (!quantized_) {
-    EnsureSize(&scratch.candidates, 0);
-    size_t out_n = 0;
-    for (size_t p = 0; p < probes; ++p) {
-      const std::vector<size_t>& ids = cells_[scratch.cell_ranked[p].index];
-      EnsureSize(&scratch.candidates, out_n + ids.size());
-      for (size_t i : ids) scratch.candidates[out_n++] = i;
-    }
-    candidates_scanned->Increment(static_cast<int64_t>(out_n));
-    return TopK(query, q_sq, scratch.candidates, k, cancel);
-  }
   // Quantized scan: per probed cell, the approximate dot against row r
   // decomposes over the residual codec —
   //   dot(q, row) ~= dot(q, centroid) + dot(q, mins)
@@ -634,7 +621,7 @@ Status SimIndex::SaveSegments(const std::string& path) const {
   AppendU64(&payload, dims_);
   AppendU64(&payload, n);
   AppendU64(&payload, cells_.size());
-  AppendU64(&payload, quantized_ ? 1 : 0);
+  AppendU64(&payload, quantized() ? 1 : 0);
   for (const std::string& key : keys_) {
     AppendU64(&payload, key.size());
     payload.append(key);
@@ -649,14 +636,12 @@ Status SimIndex::SaveSegments(const std::string& path) const {
       AppendU64(&payload, ids.size());
       for (size_t id : ids) AppendU64(&payload, id);
     }
-    if (quantized_) {
-      for (const CellSegment& seg : segments_) {
-        AppendF64s(&payload, seg.mins.data(), seg.mins.size());
-        AppendF64s(&payload, seg.steps.data(), seg.steps.size());
-        AppendU64(&payload, seg.padded);
-        payload.append(reinterpret_cast<const char*>(seg.codes.data()),
-                       seg.codes.size());
-      }
+    for (const CellSegment& seg : segments_) {
+      AppendF64s(&payload, seg.mins.data(), seg.mins.size());
+      AppendF64s(&payload, seg.steps.data(), seg.steps.size());
+      AppendU64(&payload, seg.padded);
+      payload.append(reinterpret_cast<const char*>(seg.codes.data()),
+                     seg.codes.size());
     }
   }
   const std::string header =
@@ -751,8 +736,10 @@ Status SimIndex::LoadSegments(const std::string& path) {
   KGPIP_RETURN_IF_ERROR(r.ReadU64(&n));
   KGPIP_RETURN_IF_ERROR(r.ReadU64(&num_cells));
   KGPIP_RETURN_IF_ERROR(r.ReadU64(&quantized));
-  if ((n > 0 && dims == 0) || quantized > 1 || num_cells > n ||
-      (dims > 0 && n > payload.size() / dims)) {
+  // Every IVF index carries SQ8 segments and a flat one none, so the
+  // quantized word must say exactly whether there are cells.
+  if ((n > 0 && dims == 0) || quantized != (num_cells > 0 ? 1u : 0u) ||
+      num_cells > n || (dims > 0 && n > payload.size() / dims)) {
     return Status::ParseError(StrFormat(
         "segment '%s': implausible geometry (dims=%llu rows=%llu "
         "cells=%llu quantized=%llu) in bytes [%llu, %llu)",
@@ -821,35 +808,32 @@ Status SimIndex::LoadSegments(const std::string& path) {
           path.c_str(), static_cast<unsigned long long>(assigned),
           static_cast<unsigned long long>(n)));
     }
-    if (quantized != 0) {
-      fresh.segments_.resize(num_cells);
-      for (uint64_t c = 0; c < num_cells; ++c) {
-        CellSegment& seg = fresh.segments_[c];
-        KGPIP_RETURN_IF_ERROR(r.ReadF64s(&seg.mins, dims));
-        KGPIP_RETURN_IF_ERROR(r.ReadF64s(&seg.steps, dims));
-        uint64_t padded = 0;
-        KGPIP_RETURN_IF_ERROR(r.ReadU64(&padded));
-        const uint64_t expect =
-            fresh.cells_[c].empty() ? 0 : RoundUp8(fresh.cells_[c].size());
-        if (padded != expect) {
-          return Status::ParseError(StrFormat(
-              "segment '%s': cell %llu declares padded row count %llu at "
-              "byte offset %llu (expected %llu)",
-              path.c_str(), static_cast<unsigned long long>(c),
-              static_cast<unsigned long long>(padded),
-              static_cast<unsigned long long>(payload_offset + r.pos - 8),
-              static_cast<unsigned long long>(expect)));
-        }
-        seg.padded = padded;
-        const size_t code_bytes = static_cast<size_t>(dims) * padded;
-        if (payload.size() - r.pos < code_bytes) {
-          return r.Truncated(code_bytes);
-        }
-        seg.codes.resize(code_bytes);
-        std::memcpy(seg.codes.data(), payload.data() + r.pos, code_bytes);
-        r.pos += code_bytes;
+    fresh.segments_.resize(num_cells);
+    for (uint64_t c = 0; c < num_cells; ++c) {
+      CellSegment& seg = fresh.segments_[c];
+      KGPIP_RETURN_IF_ERROR(r.ReadF64s(&seg.mins, dims));
+      KGPIP_RETURN_IF_ERROR(r.ReadF64s(&seg.steps, dims));
+      uint64_t padded = 0;
+      KGPIP_RETURN_IF_ERROR(r.ReadU64(&padded));
+      const uint64_t expect =
+          fresh.cells_[c].empty() ? 0 : RoundUp8(fresh.cells_[c].size());
+      if (padded != expect) {
+        return Status::ParseError(StrFormat(
+            "segment '%s': cell %llu declares padded row count %llu at "
+            "byte offset %llu (expected %llu)",
+            path.c_str(), static_cast<unsigned long long>(c),
+            static_cast<unsigned long long>(padded),
+            static_cast<unsigned long long>(payload_offset + r.pos - 8),
+            static_cast<unsigned long long>(expect)));
       }
-      fresh.quantized_ = true;
+      seg.padded = padded;
+      const size_t code_bytes = static_cast<size_t>(dims) * padded;
+      if (payload.size() - r.pos < code_bytes) {
+        return r.Truncated(code_bytes);
+      }
+      seg.codes.resize(code_bytes);
+      std::memcpy(seg.codes.data(), payload.data() + r.pos, code_bytes);
+      r.pos += code_bytes;
     }
   }
   if (r.pos != payload.size()) {
@@ -863,7 +847,7 @@ Status SimIndex::LoadSegments(const std::string& path) {
   *this = std::move(fresh);
   size_gauge->Set(static_cast<double>(keys_.size()));
   cells_gauge->Set(static_cast<double>(cells_.size()));
-  quantized_gauge->Set(quantized_ ? 1.0 : 0.0);
+  quantized_gauge->Set(quantized != 0 ? 1.0 : 0.0);
   load_seconds->Record(watch.ElapsedSeconds());
   return Status::Ok();
 }

@@ -71,9 +71,6 @@ class SimIndex {
     int num_probes = 2;
     /// IVF candidates exact-reranked per query (floor; k wins if larger).
     int rerank_k = 64;
-    /// SQ8-quantize cell residuals (IVF mode). When false, probed cells
-    /// are scanned exactly over the f64 rows like the flat path.
-    bool quantize = true;
     uint64_t seed = 17;
   };
 
@@ -124,7 +121,8 @@ class SimIndex {
   size_t dims() const { return dims_; }
   /// Coarse cells actually built (0 until Build in IVF mode; 0 for flat).
   size_t num_cells_built() const { return cells_.size(); }
-  bool quantized() const { return quantized_; }
+  /// True once IVF-built: every IVF index scans SQ8 cell segments.
+  bool quantized() const { return !segments_.empty(); }
   /// Row i of the contiguous buffer (valid while the index is unchanged).
   const double* RowData(size_t i) const { return data_.data() + i * dims_; }
   std::vector<double> VectorOf(size_t i) const {
@@ -173,8 +171,7 @@ class SimIndex {
   std::vector<double> centroids_;  // num_cells x dims_, row-major
   std::vector<double> centroid_sq_norms_;
   std::vector<std::vector<size_t>> cells_;
-  bool quantized_ = false;
-  std::vector<CellSegment> segments_;  // parallel to cells_ when quantized_
+  std::vector<CellSegment> segments_;  // parallel to cells_
 };
 
 }  // namespace kgpip::embed

@@ -199,7 +199,7 @@ double GraphGenerator::TrainEpoch(const std::vector<GraphExample>& examples,
   {
     // Training scratch lives for one epoch; a trained model keeps no
     // tape.
-    util::MutexLock lock(engines_mu_);
+    util::MutexLock lock(scratch_mu_);
     tapes_.clear();
   }
   epochs->Increment();
@@ -281,7 +281,7 @@ double GraphGenerator::Backprop(GraphGenerator& model,
 
 std::unique_ptr<nn::Tape> GraphGenerator::AcquireTape() {
   {
-    util::MutexLock lock(engines_mu_);
+    util::MutexLock lock(scratch_mu_);
     if (!tapes_.empty()) {
       std::unique_ptr<nn::Tape> tape = std::move(tapes_.back());
       tapes_.pop_back();
@@ -292,7 +292,7 @@ std::unique_ptr<nn::Tape> GraphGenerator::AcquireTape() {
 }
 
 void GraphGenerator::ReleaseTape(std::unique_ptr<nn::Tape> tape) {
-  util::MutexLock lock(engines_mu_);
+  util::MutexLock lock(scratch_mu_);
   tapes_.push_back(std::move(tape));
 }
 
@@ -338,7 +338,8 @@ GeneratedGraph GraphGenerator::GenerateTape(
 
     // Edge loop: Bernoulli "add edge" then categorical "to which node".
     // The heads are re-run every iteration on purpose — this is the
-    // naive reference the inference engine's caching is checked against.
+    // naive reference the decoder's once-per-step heads are checked
+    // against.
     int edge_budget = new_index;  // at most one edge per earlier node
     while (edge_budget-- > 0) {
       nn::Matrix edge_logit =
@@ -370,63 +371,45 @@ GeneratedGraph GraphGenerator::GenerateTape(
   return out;
 }
 
-std::unique_ptr<InferenceEngine> GraphGenerator::AcquireEngine() const {
+size_t GraphGenerator::DecodeOnFreeList(
+    const graph4ml::TypedGraph& seed, const std::vector<double>& condition,
+    Rng* rngs, GeneratedGraph* results, size_t k, double temperature) const {
+  std::unique_ptr<MultiLaneDecoder> decoder;
   {
-    util::MutexLock lock(engines_mu_);
-    if (!engines_.empty()) {
-      std::unique_ptr<InferenceEngine> engine = std::move(engines_.back());
-      engines_.pop_back();
-      return engine;
+    util::MutexLock lock(scratch_mu_);
+    if (!decoders_.empty()) {
+      decoder = std::move(decoders_.back());
+      decoders_.pop_back();
     }
   }
   // Construction happens outside the lock: it allocates the full decode
   // scratch and only touches this generator's (immutable-here) weights.
-  return std::make_unique<InferenceEngine>(this);
-}
-
-void GraphGenerator::ReleaseEngine(
-    std::unique_ptr<InferenceEngine> engine) const {
-  util::MutexLock lock(engines_mu_);
-  engines_.push_back(std::move(engine));
-}
-
-std::unique_ptr<MultiLaneDecoder> GraphGenerator::AcquireMultiDecoder(
-    size_t lanes) const {
-  {
-    util::MutexLock lock(engines_mu_);
-    if (!multi_engines_.empty()) {
-      std::unique_ptr<MultiLaneDecoder> decoder =
-          std::move(multi_engines_.back());
-      multi_engines_.pop_back();
-      return decoder;
-    }
+  if (decoder == nullptr) {
+    decoder = std::make_unique<MultiLaneDecoder>(this, k);
   }
-  return std::make_unique<MultiLaneDecoder>(this, lanes);
+  const size_t allocs_before = decoder->alloc_events();
+  decoder->DecodeLanes(seed, condition, rngs, results, k, temperature);
+  const size_t grown = decoder->alloc_events() - allocs_before;
+  util::MutexLock lock(scratch_mu_);
+  decoders_.push_back(std::move(decoder));
+  return grown;
 }
 
-void GraphGenerator::ReleaseMultiDecoder(
-    std::unique_ptr<MultiLaneDecoder> decoder) const {
-  util::MutexLock lock(engines_mu_);
-  multi_engines_.push_back(std::move(decoder));
-}
-
-GeneratedGraph GraphGenerator::GenerateWithEngine(
-    InferenceEngine& engine, const graph4ml::TypedGraph& seed,
-    const std::vector<double>& condition, Rng* rng,
-    double temperature) const {
-  if (!config_.cross_check) {
-    return engine.Decode(seed, condition, rng, temperature);
-  }
-  Rng tape_rng = *rng;  // identical stream for the reference decode
-  GeneratedGraph out = engine.Decode(seed, condition, rng, temperature);
-  GeneratedGraph ref = GenerateTape(seed, condition, &tape_rng, temperature);
-  KGPIP_CHECK(out.graph.node_types == ref.graph.node_types)
-      << "tape-free decode diverged from tape (node types)";
-  KGPIP_CHECK(out.graph.edges == ref.graph.edges)
-      << "tape-free decode diverged from tape (edges)";
-  KGPIP_CHECK(out.log_prob == ref.log_prob)
-      << "tape-free decode diverged from tape (log-prob)";
-  return out;
+void GraphGenerator::CheckAgainstTape(const graph4ml::TypedGraph& seed,
+                                      const std::vector<double>& condition,
+                                      Rng* tape_rngs,
+                                      const GeneratedGraph* results,
+                                      size_t k, double temperature) const {
+  util::ThreadPool::Global().ParallelFor(k, [&](size_t i) {
+    GeneratedGraph ref =
+        GenerateTape(seed, condition, &tape_rngs[i], temperature);
+    KGPIP_CHECK(results[i].graph.node_types == ref.graph.node_types)
+        << "tape-free decode diverged from tape (node types)";
+    KGPIP_CHECK(results[i].graph.edges == ref.graph.edges)
+        << "tape-free decode diverged from tape (edges)";
+    KGPIP_CHECK(results[i].log_prob == ref.log_prob)
+        << "tape-free decode diverged from tape (log-prob)";
+  });
 }
 
 GeneratedGraph GraphGenerator::Generate(const graph4ml::TypedGraph& seed,
@@ -445,13 +428,13 @@ GeneratedGraph GraphGenerator::Generate(const graph4ml::TypedGraph& seed,
     Stopwatch* watch;
     ~RecordOnExit() { hist->Record(watch->ElapsedSeconds()); }
   } record{generate_seconds, &watch};
-  std::unique_ptr<InferenceEngine> engine = AcquireEngine();
-  const size_t allocs_before = engine->alloc_events();
-  GeneratedGraph out =
-      GenerateWithEngine(*engine, seed, condition, rng, temperature);
-  generate_allocs->Increment(
-      static_cast<int64_t>(engine->alloc_events() - allocs_before));
-  ReleaseEngine(std::move(engine));
+  Rng tape_rng = *rng;  // identical stream for the cross-check decode
+  GeneratedGraph out;
+  generate_allocs->Increment(static_cast<int64_t>(
+      DecodeOnFreeList(seed, condition, rng, &out, 1, temperature)));
+  if (config_.cross_check) {
+    CheckAgainstTape(seed, condition, &tape_rng, &out, 1, temperature);
+  }
   return out;
 }
 
@@ -473,7 +456,7 @@ std::vector<GeneratedGraph> GraphGenerator::GenerateTopK(
   // shard decodes on a MultiLaneDecoder that batches the network
   // evaluations of lanes whose decision histories are still identical.
   // Batching is bitwise output-neutral and lane i consumes only rngs[i]
-  // in single-lane draw order, so the shard boundaries — which change
+  // in the tape's draw order, so the shard boundaries — which change
   // with the pool size — cannot change any byte of the output.
   std::vector<Rng> rngs = util::ForkRngs(rng, k);
   std::vector<Rng> tape_rngs;
@@ -484,76 +467,19 @@ std::vector<GeneratedGraph> GraphGenerator::GenerateTopK(
   pool.ParallelFor(shards, [&](size_t s) {
     const size_t begin = s * k / shards;
     const size_t end = (s + 1) * k / shards;
-    std::unique_ptr<MultiLaneDecoder> decoder =
-        AcquireMultiDecoder(end - begin);
-    const size_t allocs_before = decoder->alloc_events();
-    decoder->DecodeLanes(seed, condition, &rngs[begin], &results[begin],
-                         end - begin, temperature);
-    alloc_delta.fetch_add(decoder->alloc_events() - allocs_before,
-                          std::memory_order_relaxed);
-    ReleaseMultiDecoder(std::move(decoder));
+    alloc_delta.fetch_add(
+        DecodeOnFreeList(seed, condition, &rngs[begin], &results[begin],
+                         end - begin, temperature),
+        std::memory_order_relaxed);
   });
   if (config_.cross_check) {
-    pool.ParallelFor(k, [&](size_t i) {
-      GeneratedGraph ref =
-          GenerateTape(seed, condition, &tape_rngs[i], temperature);
-      KGPIP_CHECK(results[i].graph.node_types == ref.graph.node_types)
-          << "batched decode diverged from tape (node types)";
-      KGPIP_CHECK(results[i].graph.edges == ref.graph.edges)
-          << "batched decode diverged from tape (edges)";
-      KGPIP_CHECK(results[i].log_prob == ref.log_prob)
-          << "batched decode diverged from tape (log-prob)";
-    });
+    CheckAgainstTape(seed, condition, tape_rngs.data(), results.data(), k,
+                     temperature);
   }
   generate_allocs->Increment(
       static_cast<int64_t>(alloc_delta.load(std::memory_order_relaxed)));
   topk_seconds->Record(watch.ElapsedSeconds());
   return results;
-}
-
-nn::Matrix GraphGenerator::ReferencePropagate(
-    const nn::Matrix& states,
-    const std::vector<std::pair<int, int>>& edges) const {
-  nn::Tape tape;
-  nn::TapeScope scope(&tape);
-  return Propagate(Var(states), edges).value();
-}
-
-nn::Matrix GraphGenerator::ReferenceReadout(const nn::Matrix& states) const {
-  nn::Tape tape;
-  nn::TapeScope scope(&tape);
-  return Readout(Var(states)).value();
-}
-
-nn::Matrix GraphGenerator::ReferenceInitNode(
-    int type, const std::vector<double>& condition) const {
-  nn::Tape tape;
-  nn::TapeScope scope(&tape);
-  return InitNode(type, condition).value();
-}
-
-nn::Matrix GraphGenerator::ReferenceNodeLogits(
-    const nn::Matrix& states) const {
-  nn::Tape tape;
-  nn::TapeScope scope(&tape);
-  return add_node_.Forward(Readout(Var(states))).value();
-}
-
-double GraphGenerator::ReferenceEdgeLogit(const nn::Matrix& states,
-                                          const nn::Matrix& h_new) const {
-  nn::Tape tape;
-  nn::TapeScope scope(&tape);
-  Var h_graph = Readout(Var(states));
-  return add_edge_.Forward(ConcatCols(h_graph, Var(h_new))).value()(0, 0);
-}
-
-nn::Matrix GraphGenerator::ReferenceChooseScores(
-    const nn::Matrix& states, const nn::Matrix& h_new) const {
-  nn::Tape tape;
-  nn::TapeScope scope(&tape);
-  Var tiled = MatMul(Var::Constant(states.rows(), 1, 1.0), Var(h_new));
-  return choose_node_.Forward(ConcatCols(Var(states), tiled)).value()
-      .Transposed();
 }
 
 Json GraphGenerator::ToJson() const {

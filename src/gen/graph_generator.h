@@ -12,7 +12,6 @@
 
 namespace kgpip::gen {
 
-class InferenceEngine;
 class MultiLaneDecoder;
 
 /// Configuration of the deep graph generative model (Li et al. 2018,
@@ -25,9 +24,10 @@ struct GeneratorConfig {
   int max_nodes = 12;      // generation cap
   int condition_dims = 0;  // dataset content-embedding width (0 = off)
   double learning_rate = 3e-3;
-  /// Debug mode: every tape-free Generate also runs the tape path on a
-  /// copy of the RNG and checks the outputs are identical. Also enabled
-  /// by setting the KGPIP_GEN_CROSSCHECK environment variable.
+  /// Debug mode: every tape-free decode (each Generate, each GenerateTopK
+  /// candidate) also runs the tape path on a copy of its RNG stream and
+  /// checks the outputs are identical. Also enabled by setting the
+  /// KGPIP_GEN_CROSSCHECK environment variable.
   bool cross_check = false;
   /// Examples per optimizer step. 1 reproduces the classic per-example
   /// SGD loop exactly; >1 computes the per-example gradients of each
@@ -69,50 +69,38 @@ class GraphGenerator {
   double TrainEpoch(const std::vector<GraphExample>& examples, Rng* rng);
 
   /// Generates one graph conditioned on a seed subgraph. `temperature`
-  /// scales sampling entropy (0 = greedy argmax). Runs on the tape-free
-  /// inference engine — byte-identical to GenerateTape but without
-  /// autograd bookkeeping. Engines are checked out of a shared free
-  /// list per call, so concurrent calls on the *same* generator are
-  /// safe (each caller decodes on private scratch).
+  /// scales sampling entropy (0 = greedy argmax). Runs the tape-free
+  /// MultiLaneDecoder as one lane on `rng` itself: the graph, its
+  /// log-prob, and the draws taken from `rng` are byte-identical to
+  /// GenerateTape. Decoders are checked out of a free list shared with
+  /// GenerateTopK, so concurrent Generate and GenerateTopK calls on the
+  /// *same* generator are safe (each caller decodes on private
+  /// scratch).
   GeneratedGraph Generate(const graph4ml::TypedGraph& seed,
                           const std::vector<double>& condition, Rng* rng,
                           double temperature = 1.0) const;
 
-  /// Reference decode on the autograd tape. Slow; kept as the
-  /// ground-truth the inference engine is verified against (and for
-  /// cross_check mode).
+  /// Reference decode on the autograd tape. Slow; kept as the ground
+  /// truth the tape-free decoder is verified against (the equivalence
+  /// tests, cross_check mode, and the tape rows of BENCH_gen).
   GeneratedGraph GenerateTape(const graph4ml::TypedGraph& seed,
                               const std::vector<double>& condition,
                               Rng* rng, double temperature = 1.0) const;
 
-  /// Batched generation: decodes `k` candidates cooperatively. The k
-  /// lanes are split into one contiguous shard per thread-pool lane;
-  /// each shard runs a MultiLaneDecoder that batches the GRU panels and
-  /// decision heads of every lane whose decision history is still
-  /// identical (lanes peel off into their own groups as they diverge).
-  /// RNG streams are forked from `rng` by candidate index before
-  /// dispatch, each lane consumes only its own stream in single-lane
-  /// order, and cross-lane batching is bitwise output-neutral, so the
-  /// result is byte-identical to k independent Generate calls at any
+  /// Batched generation: decodes `k` candidates cooperatively. RNG
+  /// streams are forked from `rng` by candidate index before dispatch.
+  /// The k lanes are split into one contiguous shard per thread-pool
+  /// lane; each shard runs a MultiLaneDecoder that batches the GRU
+  /// panels and decision heads of every lane whose decision history is
+  /// still identical (lanes peel off into their own groups as they
+  /// diverge). Each lane consumes only its own stream, in the tape's
+  /// order, and cross-lane batching is bitwise output-neutral, so
+  /// candidate i is byte-identical to GenerateTape on fork i at any
   /// thread count and ISA level.
   std::vector<GeneratedGraph> GenerateTopK(
       const graph4ml::TypedGraph& seed,
       const std::vector<double>& condition, size_t k, Rng* rng,
       double temperature = 1.0) const;
-
-  // --- Reference forwards (naive tape recomputes, exposed so the
-  // equivalence tests can check every inference-engine cache) ---
-  nn::Matrix ReferencePropagate(
-      const nn::Matrix& states,
-      const std::vector<std::pair<int, int>>& edges) const;
-  nn::Matrix ReferenceReadout(const nn::Matrix& states) const;
-  nn::Matrix ReferenceInitNode(int type,
-                               const std::vector<double>& condition) const;
-  nn::Matrix ReferenceNodeLogits(const nn::Matrix& states) const;
-  double ReferenceEdgeLogit(const nn::Matrix& states,
-                            const nn::Matrix& h_new) const;
-  nn::Matrix ReferenceChooseScores(const nn::Matrix& states,
-                                   const nn::Matrix& h_new) const;
 
   /// Log-probability the model assigns to a complete graph (teacher
   /// forcing without learning) — used for ranking and tests.
@@ -126,9 +114,7 @@ class GraphGenerator {
   Status LoadWeights(const Json& json);
 
  private:
-  struct StepState;
-  friend class InferenceEngine;  // reads weights for tape-free forwards
-  friend class MultiLaneDecoder;  // same, for the batched top-k decode
+  friend class MultiLaneDecoder;  // reads weights for tape-free forwards
 
   /// Runs propagation rounds over node states given current edges.
   nn::Var Propagate(const nn::Var& states,
@@ -161,38 +147,37 @@ class GraphGenerator {
   std::unique_ptr<nn::Tape> AcquireTape();
   void ReleaseTape(std::unique_ptr<nn::Tape> tape);
 
-  /// Checks a warm engine out of the free list (or builds one when the
-  /// list is empty). Pairs with ReleaseEngine; checkout means two
-  /// threads can never share decode scratch, no matter how many
-  /// concurrent Generate/GenerateTopK calls are in flight.
-  std::unique_ptr<InferenceEngine> AcquireEngine() const;
-  void ReleaseEngine(std::unique_ptr<InferenceEngine> engine) const;
-  /// Same free-list checkout for the batched top-k decoders. `lanes`
-  /// only sizes a freshly built decoder; a reused one grows on demand.
-  std::unique_ptr<MultiLaneDecoder> AcquireMultiDecoder(size_t lanes) const;
-  void ReleaseMultiDecoder(std::unique_ptr<MultiLaneDecoder> decoder) const;
-  /// Decode via `engine`, optionally cross-checked against the tape.
-  GeneratedGraph GenerateWithEngine(InferenceEngine& engine,
-                                    const graph4ml::TypedGraph& seed,
-                                    const std::vector<double>& condition,
-                                    Rng* rng, double temperature) const;
+  /// Decodes `k` lanes (lane i reads rngs[i], writes results[i]) on a
+  /// decoder checked out of the free list, or built when the list is
+  /// empty; checkout means two threads never share decode scratch, no
+  /// matter how many Generate/GenerateTopK calls are in flight. A reused
+  /// decoder sized for fewer lanes grows. Returns the buffer growths.
+  size_t DecodeOnFreeList(const graph4ml::TypedGraph& seed,
+                          const std::vector<double>& condition, Rng* rngs,
+                          GeneratedGraph* results, size_t k,
+                          double temperature) const;
+  /// cross_check mode: re-decodes lane i on the tape from `tape_rngs[i]`
+  /// (a copy of its stream taken before the decode) and aborts unless
+  /// results[i] matches byte for byte.
+  void CheckAgainstTape(const graph4ml::TypedGraph& seed,
+                        const std::vector<double>& condition, Rng* tape_rngs,
+                        const GeneratedGraph* results, size_t k,
+                        double temperature) const;
 
   GeneratorConfig config_;
   Rng init_rng_;
   nn::ParamStore store_;
   /// Built by the first TrainEpoch; replicas never get one.
   std::unique_ptr<nn::Adam> optimizer_;
-  /// Free lists of training tapes and inference engines (mutable decode
-  /// scratch), guarded by engines_mu_. Each grows lazily to the peak
-  /// number of concurrent users and keeps its buffers across calls.
-  mutable util::Mutex engines_mu_{util::LockRank::kGenEngines,
+  /// Free lists of training tapes and decoders (mutable scratch),
+  /// guarded by scratch_mu_. Each grows lazily to the peak number of
+  /// concurrent users and keeps its buffers across calls.
+  mutable util::Mutex scratch_mu_{util::LockRank::kGenEngines,
                                   "gen.engines"};
   std::vector<std::unique_ptr<nn::Tape>> tapes_
-      KGPIP_GUARDED_BY(engines_mu_);
-  mutable std::vector<std::unique_ptr<InferenceEngine>> engines_
-      KGPIP_GUARDED_BY(engines_mu_);
-  mutable std::vector<std::unique_ptr<MultiLaneDecoder>> multi_engines_
-      KGPIP_GUARDED_BY(engines_mu_);
+      KGPIP_GUARDED_BY(scratch_mu_);
+  mutable std::vector<std::unique_ptr<MultiLaneDecoder>> decoders_
+      KGPIP_GUARDED_BY(scratch_mu_);
 
   nn::Var type_embedding_;  // (vocab) x hidden
   nn::Linear init_node_;    // hidden -> hidden (over the type embedding)

@@ -1,7 +1,7 @@
 #ifndef KGPIP_GEN_INFERENCE_ENGINE_H_
 #define KGPIP_GEN_INFERENCE_ENGINE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -54,197 +54,40 @@ class DecisionDist {
   size_t alloc_events_ = 0;
 };
 
-/// Every buffer one decode needs, kept alive across decode steps AND
-/// across decodes so the steady state performs zero heap allocations.
-/// Matrices shrink and regrow via Matrix::Reshape (capacity-preserving);
-/// `alloc_events` counts the times any buffer actually had to grow past
-/// its reserved capacity — exported as the `gen.generate_allocs` metric
-/// and asserted zero on warm decodes by the equivalence tests.
-struct GenWorkspace {
-  // Propagation.
-  nn::Matrix states;       // n x h current node states
-  nn::Matrix next_states;  // n x h GRU output per round
-  nn::Matrix zero_input;   // n x h zeros for edge-free rounds
-  nn::Matrix msg_concat;   // E x 2h gathered [h_a, h_b] pairs
-  nn::Matrix msg_rows;     // E x h transformed messages
-  nn::Matrix acc_fwd;      // n x h scatter accumulator (messages to dst)
-  nn::Matrix acc_bwd;      // n x h scatter accumulator (messages to src)
-  nn::GruScratch gru;
-  // Fused GRU gate panels (packed per decode by GruCell::PackFused) and
-  // the wide affine outputs they produce (see nn::GruFusedForward).
-  nn::Matrix gru_wx;   // input x 3h  [xz|xr|xn]
-  nn::Matrix gru_bx;   // 1 x 3h
-  nn::Matrix gru_wh2;  // h x 2h  [hz|hr]
-  nn::Matrix gru_bh2;  // 1 x 2h
-  nn::Matrix gru_xg;   // n x 3h x-side affine output
-  nn::Matrix gru_hg;   // n x 2h h-side affine output
-  // Readout and decision heads.
-  nn::Matrix gates;          // n x h readout gate
-  nn::Matrix content;        // n x h readout content (reused as product)
-  nn::Matrix h_graph;        // 1 x h graph readout
-  nn::Matrix node_logits;    // 1 x (vocab + 1)
-  nn::Matrix h_new;          // 1 x h staged node state
-  nn::Matrix edge_concat;    // 1 x 2h [h_graph, h_new]
-  nn::Matrix edge_logit;     // 1 x 1
-  nn::Matrix choose_concat;  // n x 2h [states, tiled h_new]
-  nn::Matrix choose_scores;  // 1 x n (flat transpose of the n x 1 head)
-  // Per-decode caches.
-  nn::Matrix emb_row;   // 1 x h gathered type embedding
-  nn::Matrix init_tmp;  // 1 x h InitNode staging row
-  nn::Matrix type_init; // vocab x h per-type initial states
-  std::vector<char> type_init_valid;
-  nn::Matrix cond_in;   // 1 x condition_dims
-  nn::Matrix cond_row;  // 1 x h projected condition
-  bool cond_row_valid = false;
-  std::vector<double> condition;  // copy of the caller's condition
-  // Sampling.
-  DecisionDist node_dist;
-  DecisionDist choose_dist;
-  // Topology.
-  std::vector<std::pair<int, int>> edges;
-  std::vector<size_t> srcs, dsts;
-
-  size_t alloc_events = 0;
-
-  /// Reshapes `m`, counting a growth past capacity as an alloc event.
-  void Shape(nn::Matrix* m, size_t rows, size_t cols) {
-    if (rows * cols > m->CapacityElems()) ++alloc_events;
-    m->Reshape(rows, cols);
-  }
-
-  /// Capacity-counted resize for index/scalar scratch vectors.
-  template <typename T>
-  void Size(std::vector<T>* v, size_t n) {
-    if (n > v->capacity()) ++alloc_events;
-    v->resize(n);
-  }
-
-  /// Workspace growths plus the sampling distributions' growths.
-  size_t total_alloc_events() const {
-    return alloc_events + node_dist.alloc_events() +
-           choose_dist.alloc_events();
-  }
-};
-
-/// Tape-free decoder for GraphGenerator: runs the exact forward
-/// arithmetic of the autograd path on raw matrices in a reusable arena,
-/// never constructing a `Var`. Outputs are byte-identical to
-/// `GraphGenerator::GenerateTape` (test-enforced).
+/// The tape-free decoder behind GraphGenerator::Generate (one lane) and
+/// GenerateTopK (k lanes): runs the forward arithmetic of the autograd
+/// path on raw matrices in a reusable arena, never constructing a `Var`.
+/// Every buffer is reserved at construction for `lane_capacity` lanes at
+/// the generation cap, so warm decodes allocate nothing; growth past
+/// capacity is counted in alloc_events (the `gen.generate_allocs`
+/// metric).
 ///
-/// Incremental propagation cache: decision heads (readout, add-node
-/// logits, edge logit, choose-node scores) are memoized against a pair of
-/// version counters. *Edge-only* edits (`AddEdge`) leave every cached
-/// value valid — the recompute set is empty, which is what turns the
-/// O(n^3) per-node edge loop of the tape path into O(n^2). *State* edits
-/// (`Begin`, `RunPropagation`, `CommitStagedNode`) bump the state version
-/// and invalidate all derived caches; the next query recomputes from
-/// scratch into the kept-alive buffers (the exact fallback — the GRU
-/// rewrites every row each round, so nothing finer-grained is
-/// bit-exactly reusable across propagation calls).
+/// Structure of arrays: lanes whose full decision histories are
+/// identical share one *group* (one graph, one set of node states); each
+/// step, ALL groups' rows are stacked into tall matrices so the message,
+/// GRU-gate, readout, and decision-head panels run as one GEMM per
+/// weight no matter how many groups are live. Lanes peel off into new
+/// groups only when their sampled decisions diverge (different node
+/// type, or a different ordered source sequence in the edge loop);
+/// greedy decodes never split, and a single lane is one group
+/// throughout.
 ///
-/// Not reentrant: one engine decodes one graph at a time. For concurrent
-/// generation use GraphGenerator::GenerateTopK, which runs one engine per
-/// thread-pool lane.
-class InferenceEngine {
- public:
-  explicit InferenceEngine(const GraphGenerator* model);
-
-  /// Full conditional decode; the drop-in replacement for the tape path.
-  GeneratedGraph Decode(const graph4ml::TypedGraph& seed,
-                        const std::vector<double>& condition, Rng* rng,
-                        double temperature);
-
-  // --- Stepwise API (used by Decode and by the equivalence tests) ---
-
-  /// Resets to the seed subgraph: per-type init cache cleared, seed node
-  /// states materialized, seed edges installed. Bumps the state version.
-  void Begin(const graph4ml::TypedGraph& seed,
-             const std::vector<double>& condition);
-
-  /// Runs all `prop_rounds` message-passing rounds over the current
-  /// states and edges. Bumps the state version.
-  void RunPropagation();
-
-  /// Gated-sum graph readout (cached per state version).
-  const nn::Matrix& GraphReadout();
-
-  /// Add-node head logits, 1 x (vocab + 1) (cached per state version).
-  const nn::Matrix& AddNodeLogits();
-
-  /// Stages a prospective node of `type` (its initial state becomes
-  /// `h_new`). Bumps the staged-node version.
-  void StageNode(int type);
-
-  /// Add-edge head logit for (graph readout, staged node); cached
-  /// against both versions.
-  double EdgeLogitValue();
-
-  /// Choose-node head scores, 1 x n; cached against both versions.
-  const nn::Matrix& ChooseScores();
-
-  /// Appends edge (src -> staged node). Edge-only edit: decision caches
-  /// stay valid; the edge participates in the next RunPropagation.
-  void AddEdge(int src);
-
-  /// Appends the staged node's state as a new row of `states`. Bumps the
-  /// state version (all decision caches invalidated).
-  void CommitStagedNode();
-
-  const nn::Matrix& states() const { return ws_.states; }
-  const std::vector<std::pair<int, int>>& edges() const { return ws_.edges; }
-  size_t num_nodes() const { return ws_.states.rows(); }
-  uint64_t state_version() const { return state_version_; }
-
-  /// Cumulative buffer growths; a warm decode adds zero.
-  size_t alloc_events() const { return ws_.total_alloc_events(); }
-
- private:
-  /// Cached initial state row for `type` (tape InitNode semantics).
-  const double* InitRow(int type);
-  void EnsureCondRow();
-
-  const GraphGenerator* model_;
-  GenWorkspace ws_;
-  int staged_type_ = -1;
-  uint64_t state_version_ = 0;
-  uint64_t hnew_version_ = 0;
-  // Cache stamps: the versions each derived value was computed at.
-  uint64_t readout_state_ = UINT64_MAX;
-  uint64_t logits_state_ = UINT64_MAX;
-  uint64_t edge_state_ = UINT64_MAX, edge_hnew_ = UINT64_MAX;
-  uint64_t choose_state_ = UINT64_MAX, choose_hnew_ = UINT64_MAX;
-  double edge_logit_value_ = 0.0;
-};
-
-/// Structure-of-arrays multi-lane decoder: decodes k candidate lanes at
-/// once with every weight GEMM batched across lanes, for
-/// GraphGenerator::GenerateTopK.
-///
-/// Lanes whose full decision histories are identical share one *group*
-/// (one graph, one set of node states); each step, ALL groups' rows are
-/// stacked into tall matrices so the message, GRU-gate, readout, and
-/// decision-head panels run as one GEMM per weight no matter how many
-/// groups are live. Lanes peel off into new groups only when their
-/// sampled decisions diverge (different node type, or a different
-/// ordered source sequence in the edge loop); greedy decodes never
-/// split.
-///
-/// Output is byte-identical to running k independent
-/// InferenceEngine::Decode calls on the same forked RNG streams:
+/// Lane i's output is byte-identical to GraphGenerator::GenerateTape on
+/// the stream rngs[i] (graph, log-prob, and RNG draws consumed):
 ///   - every batched GEMM/GRU/readout kernel is row-independent, so
 ///     stacking group rows cannot change any row's bytes;
-///   - per-group row sums (readout) run in the same ascending order;
+///   - per-group row sums (readout) run in the tape's ascending order;
 ///   - groups without edges get +0.0 accumulator rows, bitwise the
-///     single-lane zero-input path;
+///     tape's zero-message round;
 ///   - the edge logit and choose scores are constant within a step's
-///     edge loop (they read states and h_new, not edges), so computing
-///     them once per (group, staged type) replays the single-lane
-///     cache;
-///   - lane L consumes draws only from rngs[L], in the single-lane
-///     order (node pick, then bernoulli/choose per edge iteration).
-/// The equivalence suite enforces this against the tape decode.
+///     edge loop (they read states, readout and h_new, not edges), so
+///     one evaluation per (group, staged type) replays the tape's
+///     per-iteration recompute;
+///   - lane L consumes draws only from rngs[L], in the tape's order
+///     (node pick, then bernoulli/choose per edge iteration).
+/// The equivalence suite and cross_check mode enforce this.
 ///
-/// Not reentrant; GenerateTopK checks decoders out of a free list.
+/// Not reentrant; GraphGenerator checks decoders out of a free list.
 class MultiLaneDecoder {
  public:
   /// `lane_capacity` pre-sizes every buffer; DecodeLanes may exceed it

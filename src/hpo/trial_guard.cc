@@ -107,7 +107,12 @@ std::string RunReport::Summary() const {
 GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
                                   uint64_t seed, const std::string& group) {
   GuardedTrial out;
-  if (CircuitOpen(group)) {
+  util::CircuitBreaker& breaker =
+      breakers_
+          .try_emplace(group, options_.circuit_breaker_threshold,
+                       kNeverCoolsDown)
+          .first->second;
+  if (!breaker.Admit()) {
     out.failure = TrialFailure::kCircuitOpen;
     out.code = StatusCode::kFailedPrecondition;
     return out;
@@ -214,7 +219,7 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
 
   evaluator_->Record(spec, out.ok() ? out.score : -1e18);
   if (out.ok()) {
-    breaker_.RecordSuccess(group);
+    breaker.RecordSuccess();
     if (out.score > sr->best_score) sr->best_score = out.score;
     return out;
   }
@@ -223,7 +228,7 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
   ++report_.total_failures;
   ++report_.failures_by_code[out.code];
   failures->Increment();
-  if (breaker_.RecordFailure(group)) {
+  if (breaker.RecordFailure()) {
     sr->abandoned = true;
     ++report_.circuit_breaker_trips;
     breaker_trips->Increment();

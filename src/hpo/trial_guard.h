@@ -1,13 +1,14 @@
 #ifndef KGPIP_HPO_TRIAL_GUARD_H_
 #define KGPIP_HPO_TRIAL_GUARD_H_
 
+#include <limits>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "hpo/evaluator.h"
 #include "obs/stage_profile.h"
+#include "util/circuit_breaker.h"
 #include "util/json.h"
 
 namespace kgpip::hpo {
@@ -45,47 +46,6 @@ struct TrialGuardOptions {
   /// Consecutive failures (per group) that open the circuit breaker and
   /// abandon the skeleton; <= 0 disables breaking.
   int circuit_breaker_threshold = 3;
-};
-
-/// Consecutive-failure circuit breaker over string-keyed groups (PR 1's
-/// per-skeleton breaker, factored out so the serve daemon can reuse the
-/// identical policy per tenant). Not thread-safe on its own; TrialGuard
-/// runs single-threaded and serve wraps it in its tenant-state mutex.
-class CircuitBreaker {
- public:
-  /// `threshold` consecutive failures open the circuit; <= 0 disables
-  /// breaking entirely.
-  explicit CircuitBreaker(int threshold) : threshold_(threshold) {}
-
-  bool Open(const std::string& key) const { return open_.count(key) > 0; }
-
-  /// Records one failure; returns true when this failure tripped the
-  /// breaker (the open transition, not merely "is open").
-  bool RecordFailure(const std::string& key) {
-    if (Open(key)) return false;
-    int streak = ++consecutive_[key];
-    if (threshold_ > 0 && streak >= threshold_) {
-      open_.insert(key);
-      return true;
-    }
-    return false;
-  }
-
-  void RecordSuccess(const std::string& key) { consecutive_[key] = 0; }
-
-  /// Half-open probe support: forgets the open state (and the streak) so
-  /// the next request through gets one real attempt.
-  void Reset(const std::string& key) {
-    open_.erase(key);
-    consecutive_[key] = 0;
-  }
-
-  int threshold() const { return threshold_; }
-
- private:
-  int threshold_;
-  std::map<std::string, int> consecutive_;
-  std::set<std::string> open_;
 };
 
 /// Per-skeleton (or per-learner) slice of a run's failure accounting.
@@ -155,9 +115,7 @@ struct RunReport {
 class TrialGuard {
  public:
   TrialGuard(TrialEvaluator* evaluator, TrialGuardOptions options)
-      : evaluator_(evaluator),
-        options_(options),
-        breaker_(options.circuit_breaker_threshold) {}
+      : evaluator_(evaluator), options_(options) {}
 
   /// Evaluates `spec` under the guard. Never propagates an error: every
   /// outcome is a `GuardedTrial`. A trial against an open circuit returns
@@ -168,7 +126,8 @@ class TrialGuard {
 
   /// True once `group` has been abandoned by the circuit breaker.
   bool CircuitOpen(const std::string& group) const {
-    return breaker_.Open(group);
+    auto it = breakers_.find(group);
+    return it != breakers_.end() && it->second.open();
   }
 
   /// Records budget trials an abandoned group released back to the pool.
@@ -181,10 +140,15 @@ class TrialGuard {
   RunReport TakeReport() { return std::move(report_); }
 
  private:
+  /// An abandoned group stays abandoned for the rest of the run: its
+  /// breaker's half-open cooldown never elapses.
+  static constexpr double kNeverCoolsDown =
+      std::numeric_limits<double>::infinity();
+
   TrialEvaluator* evaluator_;
   TrialGuardOptions options_;
   RunReport report_;
-  CircuitBreaker breaker_;
+  std::map<std::string, util::CircuitBreaker> breakers_;  // per group
 };
 
 }  // namespace kgpip::hpo

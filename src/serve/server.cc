@@ -251,19 +251,14 @@ Status Server::AdmitLocked(Pending& pending) {
       stopping_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server is draining; not admitting");
   }
-  TenantState& tenant = tenants_[request.tenant];
+  TenantState& tenant = TenantLocked(request.tenant);
 
-  if (tenant.breaker_open) {
-    if (tenant.breaker_opened.ElapsedSeconds() <
-        options_.breaker_cooldown_seconds) {
-      return Status::ResourceExhausted(
-          "tenant '" + request.tenant +
-          "' circuit breaker is open (cooling down)");
-    }
-    // Half-open: admit one probe. One more failure re-opens immediately.
-    tenant.breaker_open = false;
-    tenant.consecutive_failures = std::max(0, options_.breaker_threshold - 1);
-    pending.breaker_half_open = true;
+  // After the cooldown the breaker admits one half-open probe; one more
+  // failure re-opens it immediately.
+  if (!tenant.breaker.Admit(&pending.breaker_half_open)) {
+    return Status::ResourceExhausted(
+        "tenant '" + request.tenant +
+        "' circuit breaker is open (cooling down)");
   }
 
   if (options_.tenant_tokens_per_second > 0.0) {
@@ -420,22 +415,23 @@ void Server::WorkerLoop(int worker_index) {
   }
 }
 
+Server::TenantState& Server::TenantLocked(const std::string& tenant) {
+  return tenants_.try_emplace(tenant, options_).first->second;
+}
+
 void Server::RecordOutcomeForTenant(const std::string& tenant, bool ok) {
   static obs::Counter* trips = ServeCounter("serve.breaker_trips");
   util::MutexLock lock(mu_);
-  TenantState& state = tenants_[tenant];
+  util::CircuitBreaker& breaker = TenantLocked(tenant).breaker;
   if (ok) {
-    state.consecutive_failures = 0;
+    breaker.RecordSuccess();
     return;
   }
-  ++state.consecutive_failures;
-  if (!state.breaker_open && options_.breaker_threshold > 0 &&
-      state.consecutive_failures >= options_.breaker_threshold) {
-    state.breaker_open = true;
-    state.breaker_opened.Reset();
+  if (breaker.RecordFailure()) {
     trips->Increment();
     KGPIP_LOG(Warning) << "serve: circuit breaker opened for tenant '"
-                       << tenant << "' after " << state.consecutive_failures
+                       << tenant << "' after "
+                       << breaker.consecutive_failures()
                        << " consecutive failures";
   }
 }
@@ -787,10 +783,9 @@ Json Server::DebugStatus() const {
     tenants.reserve(tenants_.size());
     for (const auto& [name, state] : tenants_) {
       tenants.push_back({name, state.tokens, state.bucket_started,
-                         state.consecutive_failures, state.breaker_open,
-                         state.breaker_open
-                             ? state.breaker_opened.ElapsedSeconds()
-                             : 0.0});
+                         state.breaker.consecutive_failures(),
+                         state.breaker.open(),
+                         state.breaker.open_seconds()});
     }
     draining = draining_.load(std::memory_order_acquire);
     stopping = stopping_.load(std::memory_order_acquire);

@@ -18,6 +18,7 @@
 #include "serve/audit_log.h"
 #include "serve/cache.h"
 #include "util/cancel.h"
+#include "util/circuit_breaker.h"
 #include "util/mutex.h"
 #include "util/stopwatch.h"
 
@@ -235,12 +236,13 @@ class Server {
   };
 
   struct TenantState {
+    explicit TenantState(const ServeOptions& options)
+        : breaker(options.breaker_threshold,
+                  options.breaker_cooldown_seconds) {}
     double tokens = 0.0;
     bool bucket_started = false;
     Stopwatch since_refill;
-    int consecutive_failures = 0;
-    bool breaker_open = false;
-    Stopwatch breaker_opened;
+    util::CircuitBreaker breaker;
   };
 
   /// Fulfils the promise exactly once; later calls are no-ops. The
@@ -263,6 +265,8 @@ class Server {
   /// Stamps the admission-time breaker/bucket observations into
   /// `pending` for the audit line.
   Status AdmitLocked(Pending& pending) KGPIP_REQUIRES(mu_);
+  /// `tenant`'s state, created on first use.
+  TenantState& TenantLocked(const std::string& tenant) KGPIP_REQUIRES(mu_);
   void RecordOutcomeForTenant(const std::string& tenant, bool ok)
       KGPIP_EXCLUDES(mu_);
 

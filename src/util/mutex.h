@@ -48,7 +48,7 @@ enum class LockRank : int {
   /// Per-lane steal-deque locks. Pop and steal are sequential, never
   /// nested in one another.
   kPoolDeque = 60,
-  /// gen::GraphGenerator engine-checkout free list.
+  /// gen::GraphGenerator decoder and training-tape free lists.
   kGenEngines = 50,
   /// util::FaultInjector decision state. Taken from pool lanes and serve
   /// workers with no other kgpip lock held.

@@ -1,11 +1,12 @@
 // IVF-SQ8 SimIndex suite: the approximate index's contracts against
 // the exact flat scan — recall@10 floor on clustered corpora, byte-
 // identity of the full-probe configuration, KGSEG1 segment round-trip
-// and corruption rejection (truncation, bit flips, bad magic: reject
-// with kParseError and byte offsets, never serve corrupt data), the
-// zero-allocation steady state of Search's scratch, and hit-list
-// byte-identity across thread counts and ISA levels. Its own binary so
-// the sanitizer and isa-determinism CI jobs can run exactly this suite.
+// and corruption rejection (truncation, bit flips, bad magic, an IVF
+// file without SQ8 segments: reject with kParseError and byte offsets,
+// never serve corrupt data), the zero-allocation steady state of
+// Search's scratch, and hit-list byte-identity across thread counts and
+// ISA levels. Its own binary so the sanitizer and isa-determinism CI
+// jobs can run exactly this suite.
 
 #include <cstdint>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace kgpip::embed {
@@ -317,6 +319,23 @@ TEST(SimIndexSegmentTest, CorruptSegmentsAreRejectedWithoutDamage) {
   EXPECT_NE(bitflip.message().find("checksum"), std::string::npos)
       << bitflip.ToString();
   EXPECT_EQ(fresh.size(), 0u);  // left unchanged, never serves corrupt data
+
+  // An IVF file whose quantized word is zeroed (cells but no SQ8
+  // segments) fails the geometry check even under a valid checksum.
+  std::string payload = good.substr(good.find('\n') + 1);
+  std::memset(&payload[24], 0, 8);  // after the dims, rows and cells words
+  unsigned version = 0;
+  ASSERT_EQ(std::sscanf(good.c_str(), "KGSEG1 %u", &version), 1);
+  WriteAll(path, StrFormat("KGSEG1 %u %016llx %llu\n", version,
+                           static_cast<unsigned long long>(Fnv1a64(payload)),
+                           static_cast<unsigned long long>(payload.size())) +
+                     payload);
+  Status unquantized = fresh.LoadSegments(path);
+  EXPECT_EQ(unquantized.code(), StatusCode::kParseError)
+      << unquantized.ToString();
+  EXPECT_NE(unquantized.message().find("quantized"), std::string::npos)
+      << unquantized.ToString();
+  EXPECT_EQ(fresh.size(), 0u);
 
   // Wrong magic and a missing file are distinct failures.
   WriteAll(path, "KGSEGX 1 0000000000000000 4\nabcd");

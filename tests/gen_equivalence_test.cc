@@ -1,18 +1,16 @@
-// Equivalence suite for the tape-free inference engine: every path the
-// serve-time decoder takes must be byte-identical to the autograd tape
-// reference, deterministic across thread counts, and allocation-free in
-// steady state.
+// Equivalence suite for the tape-free decoder: every path the serve-time
+// decoder takes must be byte-identical to the autograd tape reference,
+// deterministic across thread counts, safe under concurrent callers, and
+// allocation-free in steady state.
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gen/graph_generator.h"
-#include "gen/inference_engine.h"
 #include "graph4ml/graph4ml.h"
 #include "nn/simd_kernels.h"
 #include "obs/metrics.h"
@@ -70,14 +68,6 @@ TypedGraph SeedGraph() {
   return seed;
 }
 
-void ExpectMatricesByteIdentical(const nn::Matrix& a, const nn::Matrix& b,
-                                 const char* what) {
-  ASSERT_EQ(a.rows(), b.rows()) << what;
-  ASSERT_EQ(a.cols(), b.cols()) << what;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-      << what << " values diverged";
-}
-
 void ExpectSameGenerated(const GeneratedGraph& a, const GeneratedGraph& b) {
   EXPECT_EQ(a.graph.node_types, b.graph.node_types);
   EXPECT_EQ(a.graph.edges, b.graph.edges);
@@ -85,108 +75,54 @@ void ExpectSameGenerated(const GeneratedGraph& a, const GeneratedGraph& b) {
 }
 
 TEST(GenEquivalenceTest, TapeFreeDecodeIsByteIdenticalToTape) {
-  GraphGenerator generator(SmallConfig(), 7);
-  // A few epochs so the weights are trained, not just Xavier noise.
-  auto examples = TwoModeExamples(2);
-  Rng train_rng(1);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    generator.TrainEpoch(examples, &train_rng);
-  }
-  const TypedGraph seed = SeedGraph();
-  const std::vector<double> condition = {1.0, 0.0};
-  // Greedy, tempered-below-1, exactly-1, and tempered-above-1 all take
-  // different sampling code paths; every one must agree bit-for-bit.
-  for (double temperature : {0.0, 0.7, 1.0, 1.5}) {
-    for (uint64_t s = 0; s < 8; ++s) {
-      Rng fast_rng(s * 13 + 5);
-      Rng tape_rng(s * 13 + 5);
-      GeneratedGraph fast =
-          generator.Generate(seed, condition, &fast_rng, temperature);
-      GeneratedGraph tape =
-          generator.GenerateTape(seed, condition, &tape_rng, temperature);
-      ExpectSameGenerated(fast, tape);
-      // Both paths must consume the same number of RNG draws, or later
-      // callers sharing the stream would silently diverge.
-      EXPECT_EQ(fast_rng.Next(), tape_rng.Next())
-          << "RNG consumption diverged at t=" << temperature
-          << " seed=" << s;
+  // Seeds of one node (the raw-graph decode of bench_table3), two and
+  // three nodes; conditions empty, shorter than and as long as
+  // condition_dims (2).
+  TypedGraph one_node;
+  one_node.node_types = {PipelineVocab::kDatasetType};
+  TypedGraph three_nodes = SeedGraph();
+  three_nodes.node_types.push_back(
+      PipelineVocab::Get().TypeOf("standard_scaler"));
+  three_nodes.edges.emplace_back(1, 2);
+  const std::vector<TypedGraph> seeds = {one_node, SeedGraph(), three_nodes};
+  const std::vector<std::vector<double>> conditions = {{}, {1.0}, {1.0, 0.0}};
+  // hidden 18 is ragged against both vector widths.
+  for (int hidden : {24, 18}) {
+    GeneratorConfig config = SmallConfig();
+    config.hidden = hidden;
+    GraphGenerator generator(config, 7);
+    // A few epochs so the weights are trained, not just Xavier noise.
+    auto examples = TwoModeExamples(2);
+    Rng train_rng(1);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      generator.TrainEpoch(examples, &train_rng);
     }
-  }
-}
-
-TEST(GenEquivalenceTest, EngineCachesMatchNaiveRecomputeOnEditSequences) {
-  GraphGenerator generator(SmallConfig(), 11);
-  InferenceEngine engine(&generator);
-  const std::vector<double> condition = {0.5, -0.25};
-  Rng rng(99);
-  const int vocab = generator.config().vocab_size;
-  for (int round = 0; round < 6; ++round) {
-    TypedGraph seed = SeedGraph();
-    engine.Begin(seed, condition);
-    // Seed states must match naive InitNode per row.
-    for (size_t i = 0; i < seed.node_types.size(); ++i) {
-      nn::Matrix ref =
-          generator.ReferenceInitNode(seed.node_types[i], condition);
-      EXPECT_EQ(std::memcmp(engine.states().data() + i * ref.cols(),
-                            ref.data(), ref.cols() * sizeof(double)),
-                0)
-          << "seed row " << i;
-    }
-    // A randomized decode-shaped edit sequence. Each propagation is
-    // checked against a from-scratch recompute of the previous states;
-    // each decision cache is checked against the naive head forward,
-    // *re-queried after edge-only edits* to prove the invalidation rule
-    // (edges alone must not stale the caches).
-    for (int step = 0; step < 4; ++step) {
-      nn::Matrix before = engine.states();
-      auto edges_before = engine.edges();
-      engine.RunPropagation();
-      nn::Matrix ref_states =
-          generator.ReferencePropagate(before, edges_before);
-      ExpectMatricesByteIdentical(engine.states(), ref_states, "states");
-      ExpectMatricesByteIdentical(engine.GraphReadout(),
-                                  generator.ReferenceReadout(ref_states),
-                                  "readout");
-      ExpectMatricesByteIdentical(engine.AddNodeLogits(),
-                                  generator.ReferenceNodeLogits(ref_states),
-                                  "node logits");
-
-      const int type = static_cast<int>(rng.UniformInt(
-          static_cast<uint64_t>(vocab)));
-      engine.StageNode(type);
-      nn::Matrix h_new = generator.ReferenceInitNode(type, condition);
-      EXPECT_EQ(engine.EdgeLogitValue(),
-                generator.ReferenceEdgeLogit(ref_states, h_new));
-      ExpectMatricesByteIdentical(
-          engine.ChooseScores(),
-          generator.ReferenceChooseScores(ref_states, h_new),
-          "choose scores");
-
-      const int num_edges =
-          static_cast<int>(rng.UniformInt(engine.num_nodes()));
-      for (int e = 0; e < num_edges; ++e) {
-        engine.AddEdge(static_cast<int>(rng.UniformInt(engine.num_nodes())));
-        // Edge-only edit: every cached decision value stays valid and
-        // identical to the reference (which never saw the new edge —
-        // the heads don't read edges).
-        EXPECT_EQ(engine.EdgeLogitValue(),
-                  generator.ReferenceEdgeLogit(ref_states, h_new));
-        ExpectMatricesByteIdentical(
-            engine.ChooseScores(),
-            generator.ReferenceChooseScores(ref_states, h_new),
-            "choose scores after AddEdge");
-        ExpectMatricesByteIdentical(engine.GraphReadout(),
-                                    generator.ReferenceReadout(ref_states),
-                                    "readout after AddEdge");
+    for (const TypedGraph& seed : seeds) {
+      for (const std::vector<double>& condition : conditions) {
+        // Greedy, tempered-below-1, exactly-1, and tempered-above-1 all
+        // take different sampling code paths; every one must agree
+        // bit-for-bit.
+        for (double temperature : {0.0, 0.7, 1.0, 1.5}) {
+          for (uint64_t s = 0; s < 8; ++s) {
+            SCOPED_TRACE(testing::Message()
+                         << "hidden=" << hidden
+                         << " seed_nodes=" << seed.node_types.size()
+                         << " condition=" << condition.size()
+                         << " t=" << temperature << " s=" << s);
+            Rng fast_rng(s * 13 + 5);
+            Rng tape_rng(s * 13 + 5);
+            GeneratedGraph fast =
+                generator.Generate(seed, condition, &fast_rng, temperature);
+            GeneratedGraph tape = generator.GenerateTape(
+                seed, condition, &tape_rng, temperature);
+            ExpectSameGenerated(fast, tape);
+            // Both paths must consume the same number of RNG draws, or
+            // later callers sharing the stream would silently diverge.
+            EXPECT_EQ(fast_rng.Next(), tape_rng.Next())
+                << "RNG consumption diverged";
+          }
+        }
       }
-      const uint64_t version_before_commit = engine.state_version();
-      engine.CommitStagedNode();
-      EXPECT_GT(engine.state_version(), version_before_commit);
-      // The committed row is exactly h_new.
-      const size_t n = engine.num_nodes();
-      EXPECT_EQ(std::memcmp(engine.states().data() + (n - 1) * h_new.cols(),
-                            h_new.data(), h_new.cols() * sizeof(double)),
-                0);
     }
   }
 }
@@ -219,6 +155,50 @@ TEST(GenEquivalenceTest, GenerateTopKIsDeterministicAcrossThreadCounts) {
     ASSERT_GE(g.graph.node_types.size(), seed.node_types.size());
     EXPECT_EQ(g.graph.node_types[0], seed.node_types[0]);
     EXPECT_EQ(g.graph.node_types[1], seed.node_types[1]);
+  }
+}
+
+// Generate and GenerateTopK check decoders of different lane capacities
+// out of one free list. Four outside threads mixing both calls on one
+// generator (over a two-lane pool) must each get what a serial run gets.
+TEST(GenEquivalenceTest, ConcurrentDecodesOnOneGeneratorMatchSerialRuns) {
+  util::ThreadPool::Configure(2);
+  const TypedGraph seed = SeedGraph();
+  const std::vector<double> condition = {1.0, 0.0};
+  constexpr int kThreads = 4;
+  auto run = [&](const GraphGenerator& generator, int thread,
+                 std::vector<GeneratedGraph>* out) {
+    Rng rng(100 + static_cast<uint64_t>(thread));
+    for (int round = 0; round < 6; ++round) {
+      if ((round + thread) % 2 == 0) {
+        out->push_back(generator.Generate(seed, condition, &rng, 0.9));
+        continue;
+      }
+      for (GeneratedGraph& g :
+           generator.GenerateTopK(seed, condition, 5, &rng, 0.9)) {
+        out->push_back(std::move(g));
+      }
+    }
+  };
+  GraphGenerator serial_generator(SmallConfig(), 7);
+  std::vector<std::vector<GeneratedGraph>> serial(kThreads);
+  for (int t = 0; t < kThreads; ++t) run(serial_generator, t, &serial[t]);
+
+  GraphGenerator shared(SmallConfig(), 7);
+  std::vector<std::vector<GeneratedGraph>> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { run(shared, t, &concurrent[t]); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  util::ThreadPool::Configure(0);
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(concurrent[t].size(), serial[t].size()) << "thread " << t;
+    for (size_t i = 0; i < serial[t].size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "thread " << t << " result " << i);
+      ExpectSameGenerated(concurrent[t][i], serial[t][i]);
+    }
   }
 }
 

@@ -602,7 +602,7 @@ TEST_F(ServeFixture, SoakIsCleanUnderLockRankChecking) {
     GTEST_SKIP() << "built with KGPIP_NO_LOCK_RANK";
   }
   // The whole daemon — admission, workers, watchdog, cache, generator
-  // engines, pool, metrics — under the runtime rank checker: any lock
+  // decoders, pool, metrics — under the runtime rank checker: any lock
   // acquired against the documented order fails the test via the handler
   // (equivalent to running the soak with KGPIP_CHECK_LOCKS=1, but with a
   // recording handler instead of the aborting default).

@@ -379,10 +379,12 @@ TEST(SimdKernelTest, KgpipIsaEnvOverridesDispatch) {
 }
 
 TEST(SimdKernelTest, BatchedTopKMatchesIndependentGenerates) {
-  // The cross-lane batched decode must be invisible: GenerateTopK(k)
-  // and k independent Generate calls on the same forked streams produce
-  // byte-identical graphs and log-probs. This is the contract that lets
-  // the shard boundaries (and therefore the thread count) vary freely.
+  // The cross-lane batched decode must be invisible: GenerateTopK(k),
+  // k independent Generate calls, and k tape decodes on the same forked
+  // streams produce byte-identical graphs and log-probs. This is the
+  // contract that lets the shard boundaries (and therefore the thread
+  // count) vary freely. Generate runs the same decoder as GenerateTopK,
+  // so the tape is the independent oracle here.
   gen::GeneratorConfig config;
   config.vocab_size = graph4ml::PipelineVocab::Get().size();
   config.hidden = 24;
@@ -406,18 +408,25 @@ TEST(SimdKernelTest, BatchedTopKMatchesIndependentGenerates) {
 
     Rng single_rng(42);
     std::vector<Rng> lanes = util::ForkRngs(&single_rng, k);
+    std::vector<Rng> tape_lanes = lanes;
     for (size_t i = 0; i < k; ++i) {
       const gen::GeneratedGraph solo =
           generator.Generate(seed, condition, &lanes[i], temperature);
-      EXPECT_EQ(batched[i].graph.node_types, solo.graph.node_types)
-          << "lane " << i << " t=" << temperature;
-      EXPECT_EQ(batched[i].graph.edges, solo.graph.edges)
-          << "lane " << i << " t=" << temperature;
+      const gen::GeneratedGraph tape = generator.GenerateTape(
+          seed, condition, &tape_lanes[i], temperature);
       uint64_t bb = 0;
-      uint64_t sb = 0;
       std::memcpy(&bb, &batched[i].log_prob, sizeof(bb));
-      std::memcpy(&sb, &solo.log_prob, sizeof(sb));
-      EXPECT_EQ(bb, sb) << "lane " << i << " log-prob t=" << temperature;
+      for (const gen::GeneratedGraph* other : {&solo, &tape}) {
+        const char* what = other == &solo ? "Generate" : "GenerateTape";
+        EXPECT_EQ(batched[i].graph.node_types, other->graph.node_types)
+            << what << " lane " << i << " t=" << temperature;
+        EXPECT_EQ(batched[i].graph.edges, other->graph.edges)
+            << what << " lane " << i << " t=" << temperature;
+        uint64_t ob = 0;
+        std::memcpy(&ob, &other->log_prob, sizeof(ob));
+        EXPECT_EQ(bb, ob) << what << " lane " << i << " log-prob t="
+                          << temperature;
+      }
     }
   }
 }
