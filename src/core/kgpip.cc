@@ -1,7 +1,9 @@
 #include "core/kgpip.h"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -27,6 +29,18 @@ namespace {
 
 /// Artifact header: magic, FNV-1a checksum of the payload, payload size.
 constexpr char kArtifactMagic[] = "KGPIP1";
+
+/// One skeleton's search in `Kgpip::RunSearch`.
+struct SkeletonSlice {
+  hpo::SkeletonSearch search;
+  /// Its own guard, or the guard of the earlier skeleton it repeats.
+  hpo::TrialGuard* guard;
+  /// The trials it runs side by side with the others (none for a repeat
+  /// or when the trial budget runs out before it).
+  hpo::Budget planned;
+  /// Repeats an earlier skeleton's group: it runs only in the replay.
+  bool repeat;
+};
 
 }  // namespace
 
@@ -330,34 +344,89 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
     if (!created.ok()) return created.status();
     evaluator.emplace(std::move(*created));
   }
-  hpo::TrialGuard guard(
-      &*evaluator,
-      overrides.guard != nullptr ? *overrides.guard : config_.guard);
+  const hpo::TrialGuardOptions& guard_options =
+      overrides.guard != nullptr ? *overrides.guard : config_.guard;
+  hpo::TrialGuard guard(&*evaluator, guard_options);
 
   for (const gen::ScoredSkeleton& s : skeletons) {
     result.skeletons.push_back(s.spec);
   }
 
-  // The remaining budget is divided equally between the K graphs — the
-  // paper's (T - t) / K rule. A skeleton abandoned by the circuit
-  // breaker (or cut short by the wall clock) leaves its unconsumed slice
-  // in the shared budget, so the next SplitRemaining redistributes it to
-  // the surviving skeletons.
+  // The paper's (T - t) / K rule, with the K searches side by side and
+  // the result of searching them one after another (DESIGN.md §9): plan
+  // each skeleton's slice as if every earlier one spends its own (14
+  // trials over 3 skeletons → 5/5/4), run the planned slices as pool
+  // items, each on its own guard, then replay the one-after-another
+  // split in skeleton order. There a skeleton continues its own search
+  // for the trials an earlier breaker left, and results merge in order.
+  // Wall clock and cancel: every slice keeps the Fit budget's deadline,
+  // and the cancel token is checked when a slice starts and before each
+  // continuation. A skeleton that the deadline or a cancel stops short
+  // of its share, or that the trial budget never reaches, leaves the Fit
+  // returning best-so-far with `returned_best_so_far` set.
   const int k = static_cast<int>(skeletons.size());
   bool stopped_early = false;
   {
     obs::StageTimer timer(&profile, "fit.hpo_search");
+    std::vector<std::unique_ptr<hpo::TrialGuard>> guards;  // one per group
+    std::vector<SkeletonSlice> slices;
+    slices.reserve(skeletons.size());
+    hpo::Budget plan = budget;
     for (int i = 0; i < k; ++i) {
-      if (budget.Exhausted() || util::Cancelled(overrides.cancel)) {
+      SkeletonSlice slice{
+          hp_optimizer_->StartSkeleton(skeletons[static_cast<size_t>(i)].spec,
+                                       seed + static_cast<uint64_t>(i) * 977),
+          nullptr, hpo::Budget(0, 0.0), false};
+      for (const SkeletonSlice& earlier : slices) {
+        if (earlier.search.group() == slice.search.group()) {
+          slice.guard = earlier.guard;
+          slice.repeat = true;
+          break;
+        }
+      }
+      if (slice.guard == nullptr) {
+        guards.push_back(
+            std::make_unique<hpo::TrialGuard>(&*evaluator, guard_options));
+        slice.guard = guards.back().get();
+      }
+      if (plan.remaining_trials() > 0) {
+        slice.planned = plan.SplitRemaining(k - i);
+        plan.Charge(slice.planned.max_trials());
+      }
+      slices.push_back(std::move(slice));
+    }
+
+    // Items claim slices in skeleton order, whichever item the pool
+    // starts first. Planned shares never grow along that order, so with
+    // fewer lanes than skeletons the largest slices start first.
+    std::atomic<size_t> next_slice{0};
+    util::ThreadPool::Global().ParallelFor(slices.size(), [&](size_t) {
+      SkeletonSlice& slice = slices[next_slice.fetch_add(1)];
+      if (slice.repeat || util::Cancelled(overrides.cancel)) return;
+      slice.search.Run(slice.guard, &slice.planned);
+    });
+
+    for (int i = 0; i < k; ++i) {
+      if (budget.remaining_trials() == 0) {
         stopped_early = true;  // best-so-far is returned below
         break;
       }
-      hpo::Budget slice = budget.SplitRemaining(k - i);
-      hpo::OptimizeResult optimized = hp_optimizer_->OptimizeSkeleton(
-          skeletons[static_cast<size_t>(i)].spec, &guard, &slice,
-          seed + static_cast<uint64_t>(i) * 977);
-      // Account the slice's trials against the shared budget.
-      for (int t = 0; t < optimized.trials; ++t) budget.ConsumeTrial();
+      SkeletonSlice& slice = slices[static_cast<size_t>(i)];
+      // The share the one-after-another loop gives this skeleton, less
+      // the trials it already ran side by side.
+      hpo::Budget share = budget.SplitRemaining(k - i);
+      share.Charge(slice.search.result().trials);
+      if (!util::Cancelled(overrides.cancel)) {
+        slice.search.Run(slice.guard, &share);
+      }
+      const hpo::OptimizeResult& optimized = slice.search.result();
+      if (optimized.abandoned) {
+        slice.guard->NoteRedistribution(slice.search.group(),
+                                        share.remaining_trials());
+      } else if (share.remaining_trials() > 0) {
+        stopped_early = true;
+      }
+      budget.Charge(optimized.trials);
       result.trials += optimized.trials;
       for (int t = 0; t < optimized.trials; ++t) {
         result.learner_sequence.push_back(
@@ -368,6 +437,9 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
         result.best_spec = optimized.best_spec;
         result.best_skeleton_rank = i + 1;
       }
+    }
+    for (const std::unique_ptr<hpo::TrialGuard>& part : guards) {
+      guard.MergeReport(*part);
     }
   }
 

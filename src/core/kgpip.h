@@ -159,7 +159,11 @@ class Kgpip : public automl::AutoMlSystem {
 
  private:
   /// Shared tail of Fit / FitWithSkeletons: lint gate, per-skeleton HPO
-  /// under the (T - t) / K rule, last-resort pass, report assembly.
+  /// under the (T - t) / K rule, last-resort pass, report assembly. The
+  /// skeleton searches run side by side on the pool with the result of
+  /// running them one after another (DESIGN.md §9); every slice keeps
+  /// the budget's deadline, and a deadline or cancel that stops the
+  /// search early sets `returned_best_so_far` (DESIGN.md §6).
   /// `profile` carries the stages the caller already timed (e.g. skeleton
   /// prediction) and `fit_watch` the whole fit's clock; RunSearch adds
   /// its own stages and attaches the finished profile to the RunReport.

@@ -26,6 +26,9 @@ class Budget {
     ++used_trials_;
     return true;
   }
+  /// Charges `trials` trials spent under a slice of this budget, even if
+  /// the deadline has passed since.
+  void Charge(int trials) { used_trials_ += trials; }
   bool Exhausted() const {
     return used_trials_ >= max_trials_ || deadline_.Expired();
   }
@@ -35,16 +38,19 @@ class Budget {
     return std::max(0, max_trials_ - used_trials_);
   }
 
-  /// Splits the *remaining* budget into `k` near-equal sub-budgets — the
-  /// paper's "(T - t) / K" division across predicted graphs. Uses ceiling
-  /// division so the remainder trials go to the first sub-budgets instead
-  /// of being dropped (10 trials / 3 skeletons → 4, then 3, then 3 when
-  /// callers re-split the remainder after each skeleton).
+  /// The next of `k` skeletons' slice of the *remaining* trials — the
+  /// paper's "(T - t) / K" division across predicted graphs. Ceiling
+  /// division gives the remainder to the first slices instead of dropping
+  /// it (10 trials over 3 skeletons → 4, then 3, then 3 when each slice's
+  /// trials are charged back before the next split). The slice keeps this
+  /// budget's deadline, so slices searched side by side all stop when the
+  /// whole budget's wall clock runs out.
   Budget SplitRemaining(int k) const {
     k = std::max(1, k);
-    int share = std::max(1, (remaining_trials() + k - 1) / k);
-    return Budget(share,
-                  deadline_.RemainingSeconds() / static_cast<double>(k));
+    Budget slice = *this;
+    slice.max_trials_ = std::max(1, (remaining_trials() + k - 1) / k);
+    slice.used_trials_ = 0;
+    return slice;
   }
 
  private:
@@ -53,17 +59,12 @@ class Budget {
   Deadline deadline_;
 };
 
-/// One completed trial.
-struct TrialRecord {
-  ml::PipelineSpec spec;
-  double score = -1e18;
-};
-
 /// Featurizes a training table once (with an internal train/validation
 /// holdout) and evaluates pipeline configurations against the holdout.
 /// Sharing one featurization across every trial is what lets the 1-core
 /// benchmark suite finish; it matches how real AutoML systems cache
-/// data preparation.
+/// data preparation. Read-only after Create, so the skeleton searches of
+/// one Fit call Evaluate from several threads at once.
 class TrialEvaluator {
  public:
   /// `holdout_fraction` rows go to validation.
@@ -77,16 +78,11 @@ class TrialEvaluator {
 
   TaskType task() const { return task_; }
   const ml::LabeledData& fit_data() const { return fit_data_; }
-  const std::vector<TrialRecord>& history() const { return history_; }
-  void Record(const ml::PipelineSpec& spec, double score) {
-    history_.push_back({spec, score});
-  }
 
  private:
   TaskType task_ = TaskType::kBinaryClassification;
   ml::LabeledData fit_data_;
   ml::LabeledData holdout_data_;
-  std::vector<TrialRecord> history_;
 };
 
 }  // namespace kgpip::hpo

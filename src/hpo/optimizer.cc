@@ -64,67 +64,77 @@ void RandomSearch::Tell(const ml::HyperParams& config, double score) {
   }
 }
 
-namespace {
+SkeletonSearch::SkeletonSearch(ml::PipelineSpec skeleton,
+                               std::unique_ptr<Searcher> searcher,
+                               uint64_t seed)
+    : skeleton_(std::move(skeleton)),
+      group_(skeleton_.ToString()),
+      searcher_(std::move(searcher)),
+      trial_seed_(seed) {
+  result_.best_spec = skeleton_;
+}
 
-/// Runs any Propose/Tell searcher through the trial guard until the
-/// budget runs out or the skeleton's circuit breaker opens; shared by
-/// both optimizers.
-template <typename Search>
-OptimizeResult RunSearch(Search* search, const ml::PipelineSpec& skeleton,
-                         TrialGuard* guard, Budget* budget,
-                         uint64_t seed) {
-  OptimizeResult result;
-  result.best_spec = skeleton;
-  const std::string group = skeleton.ToString();
-  uint64_t trial_seed = seed;
-  while (!guard->CircuitOpen(group) && budget->ConsumeTrial()) {
-    ml::HyperParams config = search->Propose();
-    ml::PipelineSpec spec = skeleton;
+void SkeletonSearch::Run(TrialGuard* guard, Budget* budget) {
+  while (!guard->CircuitOpen(group_) && budget->ConsumeTrial()) {
+    ml::HyperParams config = searcher_->Propose();
+    ml::PipelineSpec spec = skeleton_;
     // Merge skeleton params under the proposed configuration.
     for (const auto& [k, v] : config.numeric()) spec.params.SetNum(k, v);
     for (const auto& [k, v] : config.strings()) spec.params.SetStr(k, v);
-    GuardedTrial trial = guard->Evaluate(spec, ++trial_seed, group);
-    ++result.trials;
+    GuardedTrial trial = guard->Evaluate(spec, ++trial_seed_, group_);
+    ++result_.trials;
     if (trial.ok()) {
-      search->Tell(config, trial.score);
-      if (trial.score > result.best_score) {
-        result.best_score = trial.score;
-        result.best_spec = spec;
+      searcher_->Tell(config, trial.score);
+      if (trial.score > result_.best_score) {
+        result_.best_score = trial.score;
+        result_.best_spec = spec;
       }
     } else {
       // Failure signal: NaN shrinks CFO's step without polluting the
       // incumbent (the searchers are NaN-safe by contract).
-      search->Tell(config, std::numeric_limits<double>::quiet_NaN());
-      ++result.failures;
+      searcher_->Tell(config, std::numeric_limits<double>::quiet_NaN());
+      ++result_.failures;
     }
   }
-  if (guard->CircuitOpen(group)) {
-    result.abandoned = true;
-    guard->NoteRedistribution(group, budget->remaining_trials());
-  }
-  return result;
+  result_.abandoned = guard->CircuitOpen(group_);
 }
+
+OptimizeResult HpOptimizer::OptimizeSkeleton(const ml::PipelineSpec& skeleton,
+                                             TrialGuard* guard,
+                                             Budget* budget,
+                                             uint64_t seed) const {
+  SkeletonSearch search = StartSkeleton(skeleton, seed);
+  search.Run(guard, budget);
+  if (search.result().abandoned) {
+    guard->NoteRedistribution(search.group(), budget->remaining_trials());
+  }
+  return search.result();
+}
+
+namespace {
 
 class FlamlOptimizer : public HpOptimizer {
  public:
-  OptimizeResult OptimizeSkeleton(const ml::PipelineSpec& skeleton,
-                                  TrialGuard* guard, Budget* budget,
-                                  uint64_t seed) const override {
-    CfoSearch search(
-        SpaceForSkeleton(skeleton.learner, skeleton.preprocessors), seed);
-    return RunSearch(&search, skeleton, guard, budget, seed);
+  SkeletonSearch StartSkeleton(const ml::PipelineSpec& skeleton,
+                               uint64_t seed) const override {
+    return SkeletonSearch(
+        skeleton,
+        std::make_unique<CfoSearch>(
+            SpaceForSkeleton(skeleton.learner, skeleton.preprocessors), seed),
+        seed);
   }
   std::string name() const override { return "flaml"; }
 };
 
 class AskOptimizer : public HpOptimizer {
  public:
-  OptimizeResult OptimizeSkeleton(const ml::PipelineSpec& skeleton,
-                                  TrialGuard* guard, Budget* budget,
-                                  uint64_t seed) const override {
-    RandomSearch search(
-        SpaceForSkeleton(skeleton.learner, skeleton.preprocessors), seed);
-    return RunSearch(&search, skeleton, guard, budget, seed);
+  SkeletonSearch StartSkeleton(const ml::PipelineSpec& skeleton,
+                               uint64_t seed) const override {
+    return SkeletonSearch(
+        skeleton,
+        std::make_unique<RandomSearch>(
+            SpaceForSkeleton(skeleton.learner, skeleton.preprocessors), seed),
+        seed);
   }
   std::string name() const override { return "autosklearn"; }
 };

@@ -16,9 +16,18 @@ struct OptimizeResult {
   double best_score = -1e18;
   int trials = 0;
   int failures = 0;
-  /// True when the skeleton's circuit breaker tripped and its remaining
-  /// budget was released for redistribution.
+  /// True when the skeleton's circuit breaker opened, which ended its
+  /// search; the rest of its budget goes to the skeletons after it.
   bool abandoned = false;
+};
+
+/// The Propose/Tell loop a skeleton search drives: propose a
+/// configuration, evaluate it, tell the score back.
+class Searcher {
+ public:
+  virtual ~Searcher() = default;
+  virtual ml::HyperParams Propose() = 0;
+  virtual void Tell(const ml::HyperParams& config, double score) = 0;
 };
 
 /// Stateful cost-frugal local search (FLAML's CFO flavour): start from
@@ -27,12 +36,12 @@ struct OptimizeResult {
 /// restarts. Non-finite scores are failure signals: they shrink the step
 /// (FLAML treats failed trials as evidence to search more locally) and
 /// never enter best/incumbent comparisons.
-class CfoSearch {
+class CfoSearch final : public Searcher {
  public:
   CfoSearch(SearchSpace space, uint64_t seed);
 
-  ml::HyperParams Propose();
-  void Tell(const ml::HyperParams& config, double score);
+  ml::HyperParams Propose() override;
+  void Tell(const ml::HyperParams& config, double score) override;
 
   double best_score() const { return best_score_; }
   const ml::HyperParams& best_config() const { return best_config_; }
@@ -54,12 +63,12 @@ class CfoSearch {
 /// Stateful random search with a default-config warm start (the
 /// Auto-Sklearn-style optimizer's inner loop). NaN-score safe like
 /// CfoSearch.
-class RandomSearch {
+class RandomSearch final : public Searcher {
  public:
   RandomSearch(SearchSpace space, uint64_t seed);
 
-  ml::HyperParams Propose();
-  void Tell(const ml::HyperParams& config, double score);
+  ml::HyperParams Propose() override;
+  void Tell(const ml::HyperParams& config, double score) override;
 
   double best_score() const { return best_score_; }
   const ml::HyperParams& best_config() const { return best_config_; }
@@ -74,20 +83,50 @@ class RandomSearch {
   double best_score_ = -1e18;
 };
 
+/// One skeleton's hyper-parameter search, resumable: a Run stops where
+/// the next Run picks up, with the same searcher and trial-seed counter,
+/// so Runs over a trials and then b trials try exactly the configurations
+/// one Run over a + b trials tries. Searchers never read the budget.
+class SkeletonSearch {
+ public:
+  SkeletonSearch(ml::PipelineSpec skeleton,
+                 std::unique_ptr<Searcher> searcher, uint64_t seed);
+
+  /// Runs trials of the skeleton through `guard` (which owns retries,
+  /// quarantine, and the per-skeleton circuit breaker) until `budget`
+  /// runs out or the guard opens the skeleton's circuit, which sets
+  /// `abandoned`.
+  void Run(TrialGuard* guard, Budget* budget);
+
+  /// Totals over every Run so far.
+  const OptimizeResult& result() const { return result_; }
+  /// The guard group of its trials: the skeleton's spec string.
+  const std::string& group() const { return group_; }
+
+ private:
+  ml::PipelineSpec skeleton_;
+  std::string group_;
+  std::unique_ptr<Searcher> searcher_;
+  uint64_t trial_seed_;
+  OptimizeResult result_;
+};
+
 /// A skeleton-level hyper-parameter optimizer (the component KGpip
 /// borrows from FLAML / Auto-Sklearn).
 class HpOptimizer {
  public:
   virtual ~HpOptimizer() = default;
 
-  /// Spends `budget` tuning `skeleton`'s hyper-parameters through
-  /// `guard` (which owns retries, quarantine, and the per-skeleton
-  /// circuit breaker). Stops early — with `abandoned` set — when the
-  /// guard opens the skeleton's circuit.
-  virtual OptimizeResult OptimizeSkeleton(const ml::PipelineSpec& skeleton,
-                                          TrialGuard* guard,
-                                          Budget* budget,
-                                          uint64_t seed) const = 0;
+  /// A fresh search of `skeleton`'s hyper-parameters, seeded by `seed`.
+  virtual SkeletonSearch StartSkeleton(const ml::PipelineSpec& skeleton,
+                                       uint64_t seed) const = 0;
+  /// Spends `budget` on a fresh search of `skeleton` through `guard`.
+  /// When the guard opens the skeleton's circuit, the search stops with
+  /// `abandoned` set and the guard records the budget's unspent trials
+  /// as redistributed.
+  OptimizeResult OptimizeSkeleton(const ml::PipelineSpec& skeleton,
+                                  TrialGuard* guard, Budget* budget,
+                                  uint64_t seed) const;
   virtual std::string name() const = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "hpo/trial_guard.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -138,8 +139,12 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
   trials->Increment();
 
   obs::TraceSpan trial_span("hpo.trial");
-  // Lets a trace split trial time by learner; no string copy untraced.
-  if (trial_span.active()) trial_span.SetAttr("learner", spec.learner);
+  // Lets a trace split trial time by learner and skeleton (the trials of
+  // one Fit's skeletons interleave); no string copy untraced.
+  if (trial_span.active()) {
+    trial_span.SetAttr("learner", spec.learner);
+    trial_span.SetAttr("skeleton", group);
+  }
   util::FaultInjector* inject = util::FaultInjector::Active();
   Stopwatch watch;
   struct RecordOnExit {
@@ -155,9 +160,8 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
         seed + static_cast<uint64_t>(attempt) * 0x9E3779B9ULL;
     Result<double> score = inject != nullptr
                                ? [&]() -> Result<double> {
-                                   if (auto fault =
-                                           inject->EvaluatorFault(
-                                               spec.learner)) {
+                                   if (auto fault = inject->EvaluatorFault(
+                                           spec.learner, group)) {
                                      return *fault;
                                    }
                                    return evaluator_->Evaluate(spec,
@@ -165,12 +169,12 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
                                  }()
                                : evaluator_->Evaluate(spec, attempt_seed);
     if (inject != nullptr) {
-      injected_delay += inject->InjectedDelaySeconds(spec.learner);
+      injected_delay += inject->InjectedDelaySeconds(group);
     }
 
     if (score.ok()) {
       double value = *score;
-      if (inject != nullptr && inject->InjectNanScore(spec.learner)) {
+      if (inject != nullptr && inject->InjectNanScore(group)) {
         value = std::nan("");
       }
       // NaN/Inf quarantine: a non-finite score must never reach the
@@ -208,8 +212,9 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
       ++sr->retries;
       ++report_.total_retries;
       retries->Increment();
-      report_.simulated_backoff_seconds +=
-          options_.retry_backoff_seconds * static_cast<double>(1 << attempt);
+      backoff_units_ += std::ldexp(1.0, attempt);
+      report_.simulated_backoff_seconds =
+          options_.retry_backoff_seconds * backoff_units_;
       continue;
     }
     out.failure = TrialFailure::kError;
@@ -217,7 +222,6 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
     break;
   }
 
-  evaluator_->Record(spec, out.ok() ? out.score : -1e18);
   if (out.ok()) {
     breaker.RecordSuccess();
     if (out.score > sr->best_score) sr->best_score = out.score;
@@ -239,6 +243,35 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
 void TrialGuard::NoteRedistribution(const std::string& group, int trials) {
   if (trials <= 0) return;
   report_.FindOrAdd(group)->redistributed_trials += trials;
+}
+
+void TrialGuard::MergeReport(const TrialGuard& other) {
+  const RunReport& part = other.report_;
+  for (const SkeletonReport& from : part.skeletons) {
+    SkeletonReport* into = report_.FindOrAdd(from.key);
+    into->trials += from.trials;
+    into->failures += from.failures;
+    into->retries += from.retries;
+    into->nan_quarantined += from.nan_quarantined;
+    into->timeouts += from.timeouts;
+    into->abandoned = into->abandoned || from.abandoned;
+    into->redistributed_trials += from.redistributed_trials;
+    into->best_score = std::max(into->best_score, from.best_score);
+  }
+  for (const auto& [code, count] : part.failures_by_code) {
+    report_.failures_by_code[code] += count;
+  }
+  report_.total_trials += part.total_trials;
+  report_.total_failures += part.total_failures;
+  report_.total_retries += part.total_retries;
+  report_.quarantined_scores += part.quarantined_scores;
+  report_.timeouts += part.timeouts;
+  report_.circuit_breaker_trips += part.circuit_breaker_trips;
+  if (other.backoff_units_ > 0.0) {
+    backoff_units_ += other.backoff_units_;
+    report_.simulated_backoff_seconds =
+        options_.retry_backoff_seconds * backoff_units_;
+  }
 }
 
 }  // namespace kgpip::hpo

@@ -111,10 +111,12 @@ struct RunReport {
 /// transient failures, and a per-group circuit breaker. All failure
 /// accounting lands in the embedded `RunReport`. Groups are arbitrary
 /// strings — KGpip uses the skeleton spec, the host-optimizer baselines
-/// use the learner name.
+/// use the learner name. Not thread-safe: searches that run side by side
+/// each take their own guard over the shared evaluator, and their
+/// reports are merged afterwards (`MergeReport`).
 class TrialGuard {
  public:
-  TrialGuard(TrialEvaluator* evaluator, TrialGuardOptions options)
+  TrialGuard(const TrialEvaluator* evaluator, TrialGuardOptions options)
       : evaluator_(evaluator), options_(options) {}
 
   /// Evaluates `spec` under the guard. Never propagates an error: every
@@ -133,6 +135,12 @@ class TrialGuard {
   /// Records budget trials an abandoned group released back to the pool.
   void NoteRedistribution(const std::string& group, int trials);
 
+  /// Adds `other`'s report to this guard's, giving the report one guard
+  /// would have built running this guard's trials and then `other`'s:
+  /// counts add up and group entries keep first-seen order. Breakers are
+  /// not merged; the guards must share options.
+  void MergeReport(const TrialGuard& other);
+
   const TrialEvaluator& evaluator() const { return *evaluator_; }
   const TrialGuardOptions& options() const { return options_; }
   RunReport& report() { return report_; }
@@ -145,9 +153,13 @@ class TrialGuard {
   static constexpr double kNeverCoolsDown =
       std::numeric_limits<double>::infinity();
 
-  TrialEvaluator* evaluator_;
+  const TrialEvaluator* evaluator_;
   TrialGuardOptions options_;
   RunReport report_;
+  /// Simulated backoff in units of `retry_backoff_seconds` (a retry after
+  /// attempt a adds 2^a). The sum is exact, so merged reports give the
+  /// same seconds in any order.
+  double backoff_units_ = 0.0;
   std::map<std::string, util::CircuitBreaker> breakers_;  // per group
 };
 

@@ -43,20 +43,19 @@ bool FaultInjector::Roll(int site, const std::string& key, double rate) {
 }
 
 std::optional<Status> FaultInjector::EvaluatorFault(
-    const std::string& learner) {
+    const std::string& learner, const std::string& key) {
   MutexLock lock(mu_);
   if (config_.fail_learners.count(learner) > 0) {
     ++counters_.evaluator_errors;
     return Status::Internal("injected: learner '" + learner +
                             "' always fails");
   }
-  if (Roll(kSiteEvaluatorError, learner, config_.evaluator_error_rate)) {
+  if (Roll(kSiteEvaluatorError, key, config_.evaluator_error_rate)) {
     ++counters_.evaluator_errors;
     return Status::Internal("injected evaluator error for '" + learner +
                             "'");
   }
-  if (Roll(kSiteResourceExhausted, learner,
-           config_.resource_exhausted_rate)) {
+  if (Roll(kSiteResourceExhausted, key, config_.resource_exhausted_rate)) {
     ++counters_.resource_exhausted;
     return Status::ResourceExhausted("injected transient exhaustion for '" +
                                      learner + "'");
@@ -64,18 +63,18 @@ std::optional<Status> FaultInjector::EvaluatorFault(
   return std::nullopt;
 }
 
-bool FaultInjector::InjectNanScore(const std::string& learner) {
+bool FaultInjector::InjectNanScore(const std::string& key) {
   MutexLock lock(mu_);
-  if (Roll(kSiteNanScore, learner, config_.nan_score_rate)) {
+  if (Roll(kSiteNanScore, key, config_.nan_score_rate)) {
     ++counters_.nan_scores;
     return true;
   }
   return false;
 }
 
-double FaultInjector::InjectedDelaySeconds(const std::string& learner) {
+double FaultInjector::InjectedDelaySeconds(const std::string& key) {
   MutexLock lock(mu_);
-  if (Roll(kSiteSlowTrial, learner, config_.slow_trial_rate)) {
+  if (Roll(kSiteSlowTrial, key, config_.slow_trial_rate)) {
     ++counters_.slow_trials;
     return config_.slow_trial_seconds;
   }

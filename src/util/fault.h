@@ -15,10 +15,12 @@ namespace kgpip::util {
 
 /// Deterministic fault-injection configuration. Rates are probabilities
 /// in [0, 1]. Every injection decision is a pure function of
-/// (config seed, site, key, per-site-and-key call index), so a run with
-/// a fixed seed sees the identical fault sequence regardless of wall
-/// clock or call interleaving — CI can assert on exact degradation
-/// behaviour.
+/// (config seed, site, key, per-site-and-key call index). The trial guard
+/// keys its draws by the trial's guard group (the skeleton for KGpip,
+/// the learner for the baselines), and one group's trials run one after
+/// another, so a run with a fixed seed sees the identical fault sequence
+/// regardless of wall clock or of how concurrent skeleton searches
+/// interleave — CI can assert on exact degradation behaviour.
 struct FaultConfig {
   uint64_t seed = 0;
   /// P(an Evaluate call fails with kInternal) — a *permanent* trial
@@ -60,8 +62,9 @@ struct FaultCounters {
 /// bodies, serve workers — observe the scope installed by the submitting
 /// thread and draw from one shared, coherent call sequence. Per
 /// (site, key) the sequence of decisions is still the fixed function of
-/// the seed; under parallelism only the *assignment* of call indices to
-/// racing callers varies, never the multiset of decisions.
+/// the seed. Callers that draw one key from several threads at once get
+/// call indices in racing order: the multiset of decisions stays fixed,
+/// but not which caller gets which.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig config) : config_(std::move(config)) {}
@@ -69,16 +72,19 @@ class FaultInjector {
   /// Null when no injection scope is active (the production default).
   static FaultInjector* Active();
 
-  /// Fault decision for one Evaluate attempt on `learner`. Returns the
-  /// injected error status, or nullopt to let the real evaluation run.
-  std::optional<Status> EvaluatorFault(const std::string& learner);
+  /// Fault decision for one Evaluate attempt of `learner`, with the
+  /// random draws keyed by `key`; `fail_learners` matches `learner`.
+  /// Returns the injected error status, or nullopt to let the real
+  /// evaluation run.
+  std::optional<Status> EvaluatorFault(const std::string& learner,
+                                       const std::string& key);
 
   /// True if this attempt's score should be replaced with NaN.
-  bool InjectNanScore(const std::string& learner);
+  bool InjectNanScore(const std::string& key);
 
   /// Extra simulated latency (seconds) for this attempt; 0 when the
   /// trial is not selected as slow.
-  double InjectedDelaySeconds(const std::string& learner);
+  double InjectedDelaySeconds(const std::string& key);
 
   /// Corrupts artifact bytes in place per `corrupt_byte_stride`.
   void CorruptArtifact(std::string* payload);

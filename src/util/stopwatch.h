@@ -2,7 +2,6 @@
 #define KGPIP_UTIL_STOPWATCH_H_
 
 #include <chrono>
-#include <limits>
 
 namespace kgpip {
 
@@ -34,17 +33,6 @@ class Deadline {
 
   bool Expired() const {
     return limit_seconds_ > 0.0 && watch_.ElapsedSeconds() >= limit_seconds_;
-  }
-
-  /// Remaining seconds; never negative. "No deadline" reports +infinity
-  /// (which survives arithmetic like the (T - t) / K split: inf / k is
-  /// still inf, and a Deadline built from it never expires).
-  double RemainingSeconds() const {
-    if (limit_seconds_ <= 0.0) {
-      return std::numeric_limits<double>::infinity();
-    }
-    double rem = limit_seconds_ - watch_.ElapsedSeconds();
-    return rem > 0.0 ? rem : 0.0;
   }
 
   double limit_seconds() const { return limit_seconds_; }

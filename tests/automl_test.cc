@@ -94,8 +94,13 @@ TEST(OptimizerTest, CfoImprovesOverDefault) {
       skeleton, &guard, &budget, 5);
   EXPECT_EQ(result.trials, 20);
   EXPECT_GT(result.best_score, 0.6);
-  // The default config is trial 1; the best must be at least as good.
-  EXPECT_GE(result.best_score, evaluator->history()[0].score);
+  // The default config is trial 1, run at seed 5 + 1; the best must be at
+  // least as good.
+  ml::PipelineSpec first = skeleton;
+  first.params = hpo::SpaceForLearner("decision_tree").DefaultConfig();
+  auto default_score = evaluator->Evaluate(first, 6);
+  ASSERT_TRUE(default_score.ok());
+  EXPECT_GE(result.best_score, *default_score);
 }
 
 TEST(OptimizerTest, UnknownOptimizerRejected) {

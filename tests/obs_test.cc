@@ -449,8 +449,8 @@ TEST_F(TracerTest, ChromeJsonRoundTripsThroughUtilJson) {
 }
 
 TEST_F(TracerTest, TrialSpanNamesItsLearner) {
-  // A Chrome trace splits trial time by learner only if each hpo.trial
-  // span says which learner it fit.
+  // A Chrome trace splits trial time by learner and skeleton only if each
+  // hpo.trial span says which learner it fit, under which guard group.
   DatasetSpec data_spec;
   data_spec.name = "trial_span";
   data_spec.rows = 120;
@@ -473,6 +473,7 @@ TEST_F(TracerTest, TrialSpanNamesItsLearner) {
     std::map<std::string, std::string> args(event.args.begin(),
                                             event.args.end());
     EXPECT_EQ(args["learner"], "decision_tree");
+    EXPECT_EQ(args["skeleton"], "traced");
   }
   EXPECT_EQ(trial_spans, 1);
 }

@@ -1,5 +1,3 @@
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "util/json.h"
@@ -16,26 +14,15 @@ TEST(DeadlineTest, NonPositiveLimitMeansNoDeadline) {
   for (double limit : {0.0, -1.0}) {
     Deadline deadline(limit);
     EXPECT_FALSE(deadline.Expired()) << "limit " << limit;
-    EXPECT_TRUE(std::isinf(deadline.RemainingSeconds())) << "limit " << limit;
-    // The remaining budget survives the (T - t) / K split used when a
-    // trial budget is divided across skeletons.
-    EXPECT_TRUE(std::isinf(deadline.RemainingSeconds() / 8.0));
-    Deadline derived(deadline.RemainingSeconds() / 8.0);
-    EXPECT_FALSE(derived.Expired());
   }
 }
 
 TEST(DeadlineTest, PositiveLimitCountsDown) {
   Deadline deadline(3600.0);
   EXPECT_FALSE(deadline.Expired());
-  double remaining = deadline.RemainingSeconds();
-  EXPECT_GT(remaining, 0.0);
-  EXPECT_LE(remaining, 3600.0);
-  EXPECT_FALSE(std::isinf(remaining));
 
   Deadline tiny(1e-9);  // already in the past by the time we check
   EXPECT_TRUE(tiny.Expired());
-  EXPECT_DOUBLE_EQ(tiny.RemainingSeconds(), 0.0);
 }
 
 TEST(StatusTest, OkAndError) {
