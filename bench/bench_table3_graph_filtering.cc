@@ -137,8 +137,10 @@ int Run(int argc, char** argv) {
   RawVocab raw_vocab;
   std::vector<GraphExample> raw_examples;
   std::vector<GraphExample> filtered_examples;
-  AblationArm raw_arm{"Code Graph"};
-  AblationArm filtered_arm{"Filtered Graph"};
+  AblationArm raw_arm;
+  raw_arm.name = "Code Graph";
+  AblationArm filtered_arm;
+  filtered_arm.name = "Filtered Graph";
   for (const auto& script : scripts) {
     auto graph = codegraph::AnalyzeScript(script.name, script.text);
     if (!graph.ok()) continue;

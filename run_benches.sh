@@ -79,10 +79,6 @@ for b in build/bench/*; do
       extra_args=(--json-out=/root/repo/BENCH_table2_main_comparison.json
                   --metrics-out=/root/repo/BENCH_metrics.json)
       ;;
-    bench_serve)
-      # Daemon throughput / latency / cache-hit-rate at 1, 2, 4 tenants.
-      extra_args=(--quick --json-out=/root/repo/BENCH_serve.json)
-      ;;
     bench_micro)
       # The parallel benches register a threads=1 / threads=<hw> pair per
       # case (see ScopedPool in bench_micro.cc), so one run captures the

@@ -4,6 +4,8 @@
 #include <deque>
 #include <set>
 
+#include "obs/trace.h"
+
 namespace kgpip::codegraph::analysis {
 
 bool CallGraphResult::Reaches(int src, int dst) const {
@@ -23,8 +25,8 @@ bool CallGraphResult::Reaches(int src, int dst) const {
   return false;
 }
 
-CallGraphResult CallGraphPass::Run(PassManager& pm) const {
-  const CodeGraph& graph = pm.graph();
+CallGraphResult BuildCallGraph(const CodeGraph& graph) {
+  KGPIP_TRACE_SPAN("codegraph.pass.call-graph");
   CallGraphResult result;
 
   std::vector<std::vector<int>> flow(graph.nodes.size());

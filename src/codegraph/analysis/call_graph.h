@@ -4,7 +4,7 @@
 #include <map>
 #include <vector>
 
-#include "codegraph/analysis/pass_manager.h"
+#include "codegraph/code_graph.h"
 
 namespace kgpip::codegraph::analysis {
 
@@ -22,12 +22,9 @@ struct CallGraphResult {
   bool Reaches(int src, int dst) const;
 };
 
-class CallGraphPass : public AnalysisPass {
- public:
-  using Result = CallGraphResult;
-  const char* name() const override { return "call-graph"; }
-  CallGraphResult Run(PassManager& pm) const;
-};
+/// Builds the call graph of an emitted CodeGraph (traced as the
+/// "codegraph.pass.call-graph" span).
+CallGraphResult BuildCallGraph(const CodeGraph& graph);
 
 }  // namespace kgpip::codegraph::analysis
 

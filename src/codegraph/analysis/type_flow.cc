@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace kgpip::codegraph::analysis {
@@ -127,11 +128,11 @@ const TypeEnv& TypeFlowResult::EnvAt(const Stmt* stmt) const {
   return it == stmt_in.end() ? kEmpty : it->second;
 }
 
-TypeFlowResult TypeFlowPass::Run(PassManager& pm) const {
+TypeFlowResult RunTypeFlow(const Module& module) {
+  KGPIP_TRACE_SPAN("codegraph.pass.type-flow");
   TypeFlowResult result;
-  result.imports = CollectImports(pm.module());
-  WalkBlock(pm.module().statements, TypeEnv(), result.imports, true,
-            &result);
+  result.imports = CollectImports(module);
+  WalkBlock(module.statements, TypeEnv(), result.imports, true, &result);
   return result;
 }
 

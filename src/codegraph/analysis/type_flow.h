@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "codegraph/analysis/pass_manager.h"
+#include "codegraph/python_ast.h"
 
 namespace kgpip::codegraph::analysis {
 
@@ -17,7 +17,7 @@ using TypeSet = std::set<std::string>;
 using TypeEnv = std::map<std::string, TypeSet>;
 using ImportMap = std::map<std::string, std::string>;  // alias -> path
 
-/// Flow-sensitive receiver-type propagation over the statement CFG.
+/// Flow-sensitive receiver-type propagation over the statement tree.
 /// Replaces the analyzer's historical "last assignment wins" map: each
 /// statement gets the type environment that actually reaches it, with
 /// branch joins unioning the candidate sets and loop bodies iterated to
@@ -31,14 +31,12 @@ struct TypeFlowResult {
   const TypeEnv& EnvAt(const Stmt* stmt) const;
 };
 
-class TypeFlowPass : public AnalysisPass {
- public:
-  using Result = TypeFlowResult;
-  const char* name() const override { return "type-flow"; }
-  TypeFlowResult Run(PassManager& pm) const;
-};
+/// Runs the type flow over a parsed module (traced as the
+/// "codegraph.pass.type-flow" span). The analyzer calls it once per
+/// script, before emitting the graph.
+TypeFlowResult RunTypeFlow(const Module& module);
 
-/// ---- Shared resolution helpers (used by the pass and by the graph
+/// ---- Shared resolution helpers (used by the type flow and by the graph
 /// emission walk in analyzer.cc, so both agree on every label). ----
 
 /// Known return types for the APIs the corpus uses; "" when unknown.

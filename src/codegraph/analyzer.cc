@@ -5,10 +5,12 @@
 #include <vector>
 
 #include "codegraph/analysis/call_graph.h"
-#include "codegraph/analysis/pass_manager.h"
 #include "codegraph/analysis/type_flow.h"
 #include "codegraph/analysis/verifier.h"
 #include "codegraph/ml_api.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace kgpip::codegraph {
@@ -17,23 +19,23 @@ namespace {
 
 using analysis::TypeEnv;
 
+/// Location records emitted per import and call node (real graphs carry
+/// several spans).
+constexpr int kLocationFanout = 3;
+
 /// Per-script graph emission. Types come from the flow-sensitive
-/// TypeFlowPass (each statement sees the environment that actually
+/// RunTypeFlow (each statement sees the environment that actually
 /// reaches it); this walk only tracks which graph nodes produce each
 /// variable's value, forking and merging that node environment at
 /// branches so a use after `if/else` draws data flow from both arms.
 class Analysis {
  public:
-  Analysis(const std::string& script_name, const AnalyzerOptions& options,
-           const Module& module)
-      : options_(options), pm_(&module) {
+  Analysis(const std::string& script_name, const Module& module)
+      : module_(module), types_(analysis::RunTypeFlow(module)) {
     graph_.script_name = script_name;
   }
 
-  Status Run() {
-    types_ = &pm_.Get<analysis::TypeFlowPass>();
-    return VisitBlock(pm_.module().statements);
-  }
+  Status Run() { return VisitBlock(module_.statements); }
 
   CodeGraph Take() { return std::move(graph_); }
 
@@ -63,7 +65,7 @@ class Analysis {
         std::string alias = stmt.alias.empty() ? stmt.module : stmt.alias;
         int node = graph_.AddNode(NodeKind::kImport, stmt.module, stmt.line);
         import_nodes_[alias] = node;
-        MaybeLocation(node, stmt.line);
+        AddLocations(node, stmt.line);
         return Status::Ok();
       }
       case StmtKind::kImportFrom: {
@@ -73,7 +75,7 @@ class Analysis {
                                   stmt.module + "." + stmt.imported_name,
                                   stmt.line);
         import_nodes_[alias] = node;
-        MaybeLocation(node, stmt.line);
+        AddLocations(node, stmt.line);
         return Status::Ok();
       }
       case StmtKind::kAssign: {
@@ -115,7 +117,7 @@ class Analysis {
         // The body is emitted once; re-emitting per iteration would both
         // duplicate nodes and thread a value into its own producer,
         // breaking the data-flow DAG invariant. (The type fixpoint still
-        // runs in TypeFlowPass, which has no such constraint.)
+        // runs in RunTypeFlow, which has no such constraint.)
         return VisitBlock(stmt.body);
       }
       case StmtKind::kIf: {
@@ -177,10 +179,10 @@ class Analysis {
   }
 
   std::vector<int> VisitCall(const Expr& call) {
-    const TypeEnv& type_env = types_->EnvAt(current_stmt_);
+    const TypeEnv& type_env = types_.EnvAt(current_stmt_);
     std::string via_alias;
     std::vector<std::string> candidates = analysis::ResolveCalleeNames(
-        *call.value, type_env, types_->imports, &via_alias);
+        *call.value, type_env, types_.imports, &via_alias);
     std::vector<int> receivers = ReceiverNodes(*call.value);
 
     // One call node per candidate qualified name. The primary (first)
@@ -211,15 +213,12 @@ class Analysis {
     int arg_index = 0;
     auto handle_arg = [&](const Expr& arg, const std::string& kw) {
       std::vector<int> arg_nodes = VisitExpr(arg);
-      if (options_.emit_parameter_nodes) {
-        std::string label = kw.empty()
-                                ? "arg" + std::to_string(arg_index)
-                                : kw;
-        int param = graph_.AddNode(NodeKind::kParameter, label, call.line);
-        graph_.AddEdge(primary, param, EdgeKind::kParameter);
-        for (int arg_node : arg_nodes) {
-          graph_.AddEdge(arg_node, param, EdgeKind::kDataFlow);
-        }
+      std::string label =
+          kw.empty() ? "arg" + std::to_string(arg_index) : kw;
+      int param = graph_.AddNode(NodeKind::kParameter, label, call.line);
+      graph_.AddEdge(primary, param, EdgeKind::kParameter);
+      for (int arg_node : arg_nodes) {
+        graph_.AddEdge(arg_node, param, EdgeKind::kDataFlow);
       }
       for (int arg_node : arg_nodes) {
         graph_.AddEdge(arg_node, primary, EdgeKind::kDataFlow);
@@ -229,8 +228,8 @@ class Analysis {
     for (const ExprPtr& arg : call.args) handle_arg(*arg, "");
     for (const KeywordArg& kw : call.keywords) handle_arg(*kw.value, kw.name);
 
-    MaybeLocation(primary, call.line);
-    if (options_.emit_doc_nodes && call.line % 4 == 0) {
+    AddLocations(primary, call.line);
+    if (call.line % 4 == 0) {
       int doc = graph_.AddNode(NodeKind::kDoc, "doc", call.line);
       graph_.AddEdge(primary, doc, EdgeKind::kDoc);
     }
@@ -252,9 +251,8 @@ class Analysis {
     return VisitExpr(*base);
   }
 
-  void MaybeLocation(int node, int line) {
-    if (!options_.emit_location_nodes) return;
-    for (int i = 0; i < options_.location_fanout; ++i) {
+  void AddLocations(int node, int line) {
+    for (int i = 0; i < kLocationFanout; ++i) {
       int loc = graph_.AddNode(
           NodeKind::kLocation,
           "L" + std::to_string(line) + ":" + std::to_string(i), line);
@@ -262,10 +260,9 @@ class Analysis {
     }
   }
 
-  AnalyzerOptions options_;
-  analysis::PassManager pm_;
+  const Module& module_;
+  const analysis::TypeFlowResult types_;
   CodeGraph graph_;
-  const analysis::TypeFlowResult* types_ = nullptr;
   const Stmt* current_stmt_ = nullptr;
   NodeEnv env_;
   std::map<std::string, int> import_nodes_;  // alias -> import node
@@ -275,8 +272,7 @@ class Analysis {
 }  // namespace
 
 Result<CodeGraph> AnalyzeScript(const std::string& script_name,
-                                const std::string& source,
-                                const AnalyzerOptions& options) {
+                                const std::string& source) {
   KGPIP_TRACE_SPAN("codegraph.analyze_script");
   static obs::Counter* analyzed =
       obs::MetricsRegistry::Global().GetCounter("codegraph.scripts_analyzed");
@@ -291,7 +287,7 @@ Result<CodeGraph> AnalyzeScript(const std::string& script_name,
     ~RecordOnExit() { histogram->Record(watch->ElapsedSeconds()); }
   } record{latency, &watch};
   KGPIP_ASSIGN_OR_RETURN(Module module, ParsePython(source));
-  Analysis analysis(script_name, options, module);
+  Analysis analysis(script_name, module);
   KGPIP_RETURN_IF_ERROR(analysis.Run());
   CodeGraph graph = analysis.Take();
   if (analysis::CodeGraphVerifier::enabled()) {
@@ -301,9 +297,7 @@ Result<CodeGraph> AnalyzeScript(const std::string& script_name,
 }
 
 std::string FindReadCsvArgument(const CodeGraph& graph) {
-  analysis::PassManager pm(nullptr, &graph);
-  const analysis::CallGraphResult& calls =
-      pm.Get<analysis::CallGraphPass>();
+  const analysis::CallGraphResult calls = analysis::BuildCallGraph(graph);
 
   // Candidate loaders (alias-resolved labels normally read
   // "pandas.read_csv"; tolerate unresolved spellings) and ML sinks.

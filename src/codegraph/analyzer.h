@@ -8,22 +8,17 @@
 
 namespace kgpip::codegraph {
 
-/// Options controlling auxiliary-node emission. The defaults imitate
-/// GraphGen4Code's density (a 72-line script yields ~1600 nodes / ~3700
-/// edges), which is what makes unfiltered graphs expensive to train on.
-struct AnalyzerOptions {
-  bool emit_parameter_nodes = true;
-  bool emit_location_nodes = true;
-  bool emit_doc_nodes = true;
-  /// Extra location records per call (real graphs carry several spans).
-  int location_fanout = 3;
-};
-
 /// Static analysis of one script: resolves imports and receiver types,
 /// tracks the flow of objects through calls, and emits a code graph with
 /// data-flow, control-flow and auxiliary nodes/edges.
 ///
-/// Receiver types are flow-SENSITIVE (analysis::TypeFlowPass): each
+/// The auxiliary nodes imitate GraphGen4Code's density: one parameter
+/// node per call argument, three location records per import and call,
+/// and a doc node for calls on every fourth line. A 72-line script
+/// yields ~1600 nodes / ~3700 edges, which is what makes unfiltered
+/// graphs expensive to train on.
+///
+/// Receiver types are flow-SENSITIVE (analysis::RunTypeFlow): each
 /// statement sees the type environment reaching it, branch joins union
 /// the candidates, and a receiver with several possible classes emits
 /// one call node per candidate qualified name. Calls are additionally
@@ -32,8 +27,7 @@ struct AnalyzerOptions {
 /// emitted graph is checked against the structural invariants before
 /// being returned.
 Result<CodeGraph> AnalyzeScript(const std::string& script_name,
-                                const std::string& source,
-                                const AnalyzerOptions& options = {});
+                                const std::string& source);
 
 /// The dataset file argument of the pandas.read_csv call feeding the
 /// fitted pipeline ("" if none). Aliased imports are already resolved in

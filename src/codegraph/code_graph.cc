@@ -48,12 +48,4 @@ size_t CodeGraph::CountNodes(NodeKind kind) const {
   return n;
 }
 
-size_t CodeGraph::CountEdges(EdgeKind kind) const {
-  size_t n = 0;
-  for (const CodeEdge& edge : edges) {
-    if (edge.kind == kind) ++n;
-  }
-  return n;
-}
-
 }  // namespace kgpip::codegraph

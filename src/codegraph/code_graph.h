@@ -61,7 +61,6 @@ struct CodeGraph {
     edges.push_back({src, dst, kind});
   }
   size_t CountNodes(NodeKind kind) const;
-  size_t CountEdges(EdgeKind kind) const;
 };
 
 }  // namespace kgpip::codegraph

@@ -13,6 +13,14 @@ namespace kgpip::codegraph {
 
 namespace {
 
+/// Probability a pipeline's read_csv hides the dataset name (the paper:
+/// "in some cases, the code ... does not explicitly mention the dataset
+/// name"), forcing the portal association to supply it.
+constexpr double kImplicitDatasetProb = 0.15;
+/// Probability a pipeline uses an off-profile estimator (real
+/// leaderboards are biased toward what works, not unanimous).
+constexpr double kOffProfileProb = 0.15;
+
 /// Short module alias for a Python class path, e.g.
 /// "sklearn.ensemble.RandomForestClassifier" -> import line + usable name.
 struct ImportPlan {
@@ -76,7 +84,7 @@ NotebookScript CorpusGenerator::GeneratePipeline(const DatasetSpec& spec,
   std::vector<std::string> affine =
       FamilyAffineLearners(spec.family, spec.task);
   std::string estimator;
-  if (rng->Bernoulli(options_.off_profile_prob)) {
+  if (rng->Bernoulli(kOffProfileProb)) {
     // Off-profile: any supported learner.
     std::vector<std::string> all;
     for (const auto& info : ml::LearnerRegistry()) {
@@ -142,7 +150,7 @@ NotebookScript CorpusGenerator::GeneratePipeline(const DatasetSpec& spec,
   lines.push_back("");
 
   // Load the dataset (sometimes with an anonymous file name).
-  std::string csv = rng->Bernoulli(options_.implicit_dataset_prob)
+  std::string csv = rng->Bernoulli(kImplicitDatasetProb)
                         ? "data.csv"
                         : spec.name + ".csv";
   lines.push_back("df = pd.read_csv('" + csv + "')");

@@ -30,13 +30,6 @@ struct CorpusOptions {
   /// of a real portal dump, which the filter must discard (the paper kept
   /// 2,046 of 11.7K scripts).
   int noise_scripts_per_dataset = 8;
-  /// Probability a pipeline's read_csv hides the dataset name (the paper:
-  /// "in some cases, the code ... does not explicitly mention the dataset
-  /// name"), forcing the portal association to supply it.
-  double implicit_dataset_prob = 0.15;
-  /// Probability a pipeline uses an off-profile estimator (real
-  /// leaderboards are biased toward what works, not unanimous).
-  double off_profile_prob = 0.15;
   uint64_t seed = 42;
 };
 

@@ -543,33 +543,4 @@ Result<Module> ParsePython(const std::string& source) {
   return Parser(std::move(tokens)).Run();
 }
 
-std::string ExprToString(const Expr& expr) {
-  switch (expr.kind) {
-    case ExprKind::kName:
-      return expr.text;
-    case ExprKind::kAttribute:
-      return ExprToString(*expr.value) + "." + expr.text;
-    case ExprKind::kConstant:
-      return expr.is_string ? "'" + expr.text + "'" : expr.text;
-    case ExprKind::kCall: {
-      std::string out = ExprToString(*expr.value) + "(";
-      for (size_t i = 0; i < expr.args.size(); ++i) {
-        if (i > 0) out += ",";
-        out += ExprToString(*expr.args[i]);
-      }
-      out += ")";
-      return out;
-    }
-    case ExprKind::kList:
-      return "[...]";
-    case ExprKind::kSubscript:
-      return ExprToString(*expr.value) + "[" + ExprToString(*expr.index) +
-             "]";
-    case ExprKind::kBinOp:
-      return ExprToString(*expr.value) + expr.text +
-             ExprToString(*expr.index);
-  }
-  return "?";
-}
-
 }  // namespace kgpip::codegraph

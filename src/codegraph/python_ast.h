@@ -84,9 +84,6 @@ struct Module {
 /// Parses a script; reports the first syntax error with its line.
 Result<Module> ParsePython(const std::string& source);
 
-/// Renders an expression back to compact Python-ish text (diagnostics).
-std::string ExprToString(const Expr& expr);
-
 }  // namespace kgpip::codegraph
 
 #endif  // KGPIP_CODEGRAPH_PYTHON_AST_H_

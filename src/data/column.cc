@@ -7,18 +7,6 @@
 
 namespace kgpip {
 
-const char* ColumnTypeName(ColumnType type) {
-  switch (type) {
-    case ColumnType::kNumeric:
-      return "numeric";
-    case ColumnType::kCategorical:
-      return "categorical";
-    case ColumnType::kText:
-      return "text";
-  }
-  return "?";
-}
-
 Column Column::Numeric(std::string name, std::vector<double> values) {
   Column c;
   c.name_ = std::move(name);

@@ -11,8 +11,6 @@ namespace kgpip {
 /// (§3.6) distinguishes numerical, categorical and textual columns.
 enum class ColumnType { kNumeric, kCategorical, kText };
 
-const char* ColumnTypeName(ColumnType type);
-
 /// A single named, typed column with an explicit missing-value mask.
 ///
 /// Numeric columns store doubles; categorical and text columns store

@@ -64,15 +64,6 @@ Table Table::TakeRows(const std::vector<size_t>& indices) const {
   return out;
 }
 
-Table Table::DropTarget() const {
-  Table out(name_);
-  for (const Column& c : columns_) {
-    if (c.name() == target_name_) continue;
-    out.columns_.push_back(c);
-  }
-  return out;
-}
-
 size_t Table::CountType(ColumnType type) const {
   size_t n = 0;
   for (const Column& c : columns_) {
@@ -95,16 +86,6 @@ TrainTestSplit SplitTable(const Table& table, double test_fraction,
   out.train = table.TakeRows(train_idx);
   out.test = table.TakeRows(test_idx);
   return out;
-}
-
-std::vector<int> KFoldAssignment(size_t num_rows, int k, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<size_t> perm = rng.Permutation(num_rows);
-  std::vector<int> fold(num_rows, 0);
-  for (size_t i = 0; i < num_rows; ++i) {
-    fold[perm[i]] = static_cast<int>(i % static_cast<size_t>(k));
-  }
-  return fold;
 }
 
 }  // namespace kgpip

@@ -53,9 +53,6 @@ class Table {
   /// Copies the rows in `indices` (feature + target columns alike).
   Table TakeRows(const std::vector<size_t>& indices) const;
 
-  /// Returns a table with only the feature columns (target dropped).
-  Table DropTarget() const;
-
   /// Column type counts, used for meta-features and Table 4.
   size_t CountType(ColumnType type) const;
 
@@ -72,9 +69,6 @@ struct TrainTestSplit {
 };
 TrainTestSplit SplitTable(const Table& table, double test_fraction,
                           uint64_t seed);
-
-/// K-fold index assignment (fold id per row), shuffled with `seed`.
-std::vector<int> KFoldAssignment(size_t num_rows, int k, uint64_t seed);
 
 }  // namespace kgpip
 

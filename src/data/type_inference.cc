@@ -9,6 +9,16 @@ namespace kgpip {
 
 namespace {
 
+/// Minimum fraction of non-missing cells that must parse as numbers for
+/// a column to become numeric.
+constexpr double kNumericThreshold = 0.95;
+/// A string column whose distinct/total ratio is at most this (or whose
+/// distinct count is tiny) is categorical rather than text.
+constexpr double kCategoricalDistinctRatio = 0.3;
+constexpr size_t kCategoricalMaxDistinct = 64;
+/// Mean token count at or above which a string column is text.
+constexpr double kTextMinMeanTokens = 4.0;
+
 size_t CountTokens(const std::string& s) {
   size_t tokens = 0;
   bool in_token = false;
@@ -25,7 +35,7 @@ size_t CountTokens(const std::string& s) {
 }
 
 /// Re-types one string column according to the heuristics.
-Column RetypeColumn(const Column& col, const TypeInferenceOptions& options) {
+Column RetypeColumn(const Column& col) {
   const size_t n = col.size();
   size_t non_missing = 0;
   size_t numeric_ok = 0;
@@ -43,7 +53,7 @@ Column RetypeColumn(const Column& col, const TypeInferenceOptions& options) {
   }
   const double numeric_frac =
       static_cast<double>(numeric_ok) / static_cast<double>(non_missing);
-  if (numeric_frac >= options.numeric_threshold) {
+  if (numeric_frac >= kNumericThreshold) {
     std::vector<double> values(n, std::numeric_limits<double>::quiet_NaN());
     for (size_t i = 0; i < n; ++i) {
       if (col.IsMissing(i)) continue;
@@ -58,9 +68,9 @@ Column RetypeColumn(const Column& col, const TypeInferenceOptions& options) {
   const double distinct_ratio =
       static_cast<double>(distinct) / static_cast<double>(non_missing);
   const bool looks_categorical =
-      distinct <= options.categorical_max_distinct ||
-      distinct_ratio <= options.categorical_distinct_ratio;
-  if (mean_tokens >= options.text_min_mean_tokens || !looks_categorical) {
+      distinct <= kCategoricalMaxDistinct ||
+      distinct_ratio <= kCategoricalDistinctRatio;
+  if (mean_tokens >= kTextMinMeanTokens || !looks_categorical) {
     return Column::Text(col.name(), col.string_values());
   }
   return Column::Categorical(col.name(), col.string_values());
@@ -68,12 +78,12 @@ Column RetypeColumn(const Column& col, const TypeInferenceOptions& options) {
 
 }  // namespace
 
-Status InferColumnTypes(Table* table, const TypeInferenceOptions& options) {
+Status InferColumnTypes(Table* table) {
   if (table == nullptr) return Status::InvalidArgument("null table");
   for (size_t i = 0; i < table->num_columns(); ++i) {
     const Column& col = table->column(i);
     if (col.type() == ColumnType::kNumeric) continue;
-    table->mutable_column(i) = RetypeColumn(col, options);
+    table->mutable_column(i) = RetypeColumn(col);
   }
   return Status::Ok();
 }

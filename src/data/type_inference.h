@@ -6,27 +6,17 @@
 
 namespace kgpip {
 
-/// Heuristics for inferring column types from string data and for
-/// detecting the supervised task from the target column — the paper's
-/// §3.6 preprocessing steps 1 ("detecting task type ... automatically
-/// based on the distribution of the target column") and 2 ("automatically
-/// inferring accurate data types of columns").
-struct TypeInferenceOptions {
-  /// Minimum fraction of non-missing cells that must parse as numbers for
-  /// a column to become numeric.
-  double numeric_threshold = 0.95;
-  /// A string column whose distinct/total ratio is below this (or whose
-  /// distinct count is tiny) is categorical rather than text.
-  double categorical_distinct_ratio = 0.3;
-  size_t categorical_max_distinct = 64;
-  /// Mean token count at or above which a string column is text.
-  double text_min_mean_tokens = 4.0;
-};
+// Heuristics for inferring column types from string data and for
+// detecting the supervised task from the target column — the paper's
+// §3.6 preprocessing steps 1 ("detecting task type ... automatically
+// based on the distribution of the target column") and 2 ("automatically
+// inferring accurate data types of columns").
 
 /// Converts string columns in-place into numeric / categorical / text
-/// columns according to the heuristics above.
-Status InferColumnTypes(Table* table,
-                        const TypeInferenceOptions& options = {});
+/// columns: numeric when almost every present cell parses as a number,
+/// text when cells carry several tokens or too many distinct values,
+/// categorical otherwise (thresholds in type_inference.cc).
+Status InferColumnTypes(Table* table);
 
 /// Decides the task from the target column: a non-numeric target or a
 /// numeric target with few distinct integer values is classification.

@@ -72,8 +72,8 @@ void EnsureSize(std::vector<T>* v, size_t n) {
 }
 
 /// Per-thread query workspace, reused across searches (the fix for the
-/// per-call cell_sims allocation). Thread-local so SearchBatch lanes
-/// never share one.
+/// per-call cell_sims allocation). Thread-local because serve workers
+/// search one index concurrently.
 struct SearchScratch {
   std::vector<RankedSim> cell_ranked;  // centroid ranking
   std::vector<RankedSim> approx;       // quantized candidate scores
@@ -581,30 +581,6 @@ Result<std::vector<SearchHit>> SimIndex::Search(
     hits.push_back({keys_[exact[i].index], exact[i].sim});
   }
   return hits;
-}
-
-Result<std::vector<std::vector<SearchHit>>> SimIndex::SearchBatch(
-    const std::vector<std::vector<double>>& queries, size_t k,
-    const util::CancelToken* cancel) const {
-  KGPIP_TRACE_SPAN("embed.index_search_batch");
-  util::ThreadPool& pool = util::ThreadPool::Global();
-  std::vector<std::vector<SearchHit>> out(queries.size());
-  std::vector<Status> statuses(queries.size(), Status::Ok());
-  pool.ParallelFor(queries.size(), [&](size_t q) {
-    // Per-query poll: queries not yet started when the token flips are
-    // skipped outright instead of each scanning to completion.
-    Result<std::vector<SearchHit>> r = Search(queries[q], k, cancel);
-    if (r.ok()) {
-      out[q] = std::move(*r);
-    } else {
-      statuses[q] = r.status();
-    }
-  });
-  // Lowest-index failure wins, independent of which lane hit it first.
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return out;
 }
 
 Status SimIndex::SaveSegments(const std::string& path) const {

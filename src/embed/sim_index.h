@@ -52,9 +52,9 @@ double CosineFromParts(double dot, double na, double nb);
 ///
 /// Storage is one contiguous row-major buffer (not vector-of-vectors),
 /// so scans stream linearly through memory and the blocked dot kernel
-/// sees dense rows. The k-means build and `SearchBatch` fan out over the
-/// global util::ThreadPool; results are index-ordered and bit-identical
-/// at any thread count.
+/// sees dense rows. The k-means build fans out over the global
+/// util::ThreadPool; results are index-ordered and bit-identical at any
+/// thread count.
 ///
 /// Segments persist via SaveSegments/LoadSegments in the versioned
 /// `KGSEG1` format (magic + version + FNV-1a checksum over the payload,
@@ -98,13 +98,6 @@ class SimIndex {
   /// watchdog's lever against deadline-exceeded requests.
   Result<std::vector<SearchHit>> Search(
       const std::vector<double>& query, size_t k,
-      const util::CancelToken* cancel = nullptr) const;
-
-  /// Batched queries: out[i] == Search(queries[i], k). Queries run in
-  /// parallel; the first (lowest-index) failure is returned. A cancelled
-  /// token surfaces as kResourceExhausted like in Search.
-  Result<std::vector<std::vector<SearchHit>>> SearchBatch(
-      const std::vector<std::vector<double>>& queries, size_t k,
       const util::CancelToken* cancel = nullptr) const;
 
   /// Writes the built index (rows, norms, centroids, cells, SQ8

@@ -9,6 +9,12 @@ namespace kgpip::embed {
 
 namespace {
 
+/// Early exaggeration: the input affinities are scaled by this factor
+/// for the first kExaggerationIters iterations, so clusters form before
+/// the map settles.
+constexpr double kEarlyExaggeration = 4.0;
+constexpr int kExaggerationIters = 80;
+
 /// Binary-searches the Gaussian bandwidth for one point so that the
 /// conditional distribution's perplexity matches the target.
 void ComputeRow(const std::vector<double>& sq_dists, size_t self,
@@ -94,7 +100,7 @@ std::vector<std::pair<double, double>> Tsne2D(
   std::vector<std::vector<double>> q(n, std::vector<double>(n, 0.0));
   for (int iter = 0; iter < options.iterations; ++iter) {
     const double exaggeration =
-        iter < options.exaggeration_iters ? options.early_exaggeration : 1.0;
+        iter < kExaggerationIters ? kEarlyExaggeration : 1.0;
     // Student-t affinities Q.
     double q_sum = 0.0;
     for (size_t i = 0; i < n; ++i) {

@@ -11,8 +11,6 @@ struct TsneOptions {
   double perplexity = 8.0;
   int iterations = 400;
   double learning_rate = 100.0;
-  double early_exaggeration = 4.0;
-  int exaggeration_iters = 80;
   uint64_t seed = 29;
 };
 

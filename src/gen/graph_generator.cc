@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "gen/inference_engine.h"
+#include "gen/multi_lane_decoder.h"
 #include "nn/fastmath.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -107,7 +107,6 @@ class GraphGenerator {
   double LogProb(const GraphExample& example) const;
 
   const GeneratorConfig& config() const { return config_; }
-  size_t num_parameters() const { return store_.TotalSize(); }
 
   /// Model weights as JSON (with config) and back.
   Json ToJson() const;

@@ -1,4 +1,4 @@
-#include "gen/inference_engine.h"
+#include "gen/multi_lane_decoder.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef KGPIP_GEN_INFERENCE_ENGINE_H_
-#define KGPIP_GEN_INFERENCE_ENGINE_H_
+#ifndef KGPIP_GEN_MULTI_LANE_DECODER_H_
+#define KGPIP_GEN_MULTI_LANE_DECODER_H_
 
 #include <cstddef>
 #include <utility>
@@ -182,4 +182,4 @@ class MultiLaneDecoder {
 
 }  // namespace kgpip::gen
 
-#endif  // KGPIP_GEN_INFERENCE_ENGINE_H_
+#endif  // KGPIP_GEN_MULTI_LANE_DECODER_H_

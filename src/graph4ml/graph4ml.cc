@@ -74,13 +74,6 @@ Status Graph4Ml::Build(
   return Status::Ok();
 }
 
-void Graph4Ml::AddPipeline(PipelineGraph pipeline) {
-  ++scripts_analyzed_;
-  if (!pipeline.valid()) return;
-  ++scripts_kept_;
-  by_dataset_[pipeline.dataset_name].push_back(std::move(pipeline));
-}
-
 const std::vector<PipelineGraph>& Graph4Ml::PipelinesFor(
     const std::string& dataset_name) const {
   static const std::vector<PipelineGraph>& kEmpty =

@@ -24,9 +24,6 @@ class Graph4Ml {
   /// valid pipeline to its dataset, and accumulates mining statistics.
   Status Build(const std::vector<codegraph::NotebookScript>& scripts);
 
-  /// Adds one pre-filtered pipeline (used by tests and loaders).
-  void AddPipeline(PipelineGraph pipeline);
-
   /// Pipelines for one dataset (empty if unknown).
   const std::vector<PipelineGraph>& PipelinesFor(
       const std::string& dataset_name) const;

@@ -10,22 +10,6 @@
 
 namespace kgpip::hpo {
 
-const char* TrialFailureName(TrialFailure failure) {
-  switch (failure) {
-    case TrialFailure::kNone:
-      return "none";
-    case TrialFailure::kError:
-      return "error";
-    case TrialFailure::kNanScore:
-      return "nan_score";
-    case TrialFailure::kTimeout:
-      return "timeout";
-    case TrialFailure::kCircuitOpen:
-      return "circuit_open";
-  }
-  return "unknown";
-}
-
 SkeletonReport* RunReport::FindOrAdd(const std::string& key) {
   for (SkeletonReport& s : skeletons) {
     if (s.key == key) return &s;

@@ -21,7 +21,6 @@ enum class TrialFailure {
   kTimeout,        // trial ran past the per-trial deadline
   kCircuitOpen,    // the skeleton's circuit breaker is open; not evaluated
 };
-const char* TrialFailureName(TrialFailure failure);
 
 /// Outcome of one guarded evaluation.
 struct GuardedTrial {

@@ -9,6 +9,11 @@ namespace kgpip::ml {
 
 namespace {
 
+/// Dimensionality of the hashed text embedding per text column.
+constexpr size_t kTextDims = 32;
+/// Categorical levels beyond this cap collapse into the "other" slot.
+constexpr size_t kMaxOneHot = 16;
+
 /// Splits text into lowercase whitespace tokens.
 std::vector<std::string> Tokenize(const std::string& text) {
   std::vector<std::string> tokens;
@@ -81,15 +86,7 @@ Status Featurizer::Fit(const Table& train, TaskType task) {
         for (size_t r = 0; r < col.size(); ++r) {
           if (!col.IsMissing(r)) present.push_back(col.NumericAt(r));
         }
-        if (options_.median_impute) {
-          plan.impute_value = Median(std::move(present));
-        } else {
-          double mean = 0.0;
-          for (double v : present) mean += v;
-          plan.impute_value =
-              present.empty() ? 0.0
-                              : mean / static_cast<double>(present.size());
-        }
+        plan.impute_value = Median(std::move(present));
         plan.width = 1;
         break;
       }
@@ -104,8 +101,7 @@ Status Featurizer::Fit(const Table& train, TaskType task) {
           ordered.emplace_back(count, level);
         }
         std::sort(ordered.rbegin(), ordered.rend());
-        size_t keep = std::min<size_t>(
-            ordered.size(), static_cast<size_t>(options_.max_one_hot));
+        size_t keep = std::min(ordered.size(), kMaxOneHot);
         for (size_t i = 0; i < keep; ++i) {
           plan.levels[ordered[i].second] = i;
         }
@@ -114,7 +110,7 @@ Status Featurizer::Fit(const Table& train, TaskType task) {
         break;
       }
       case ColumnType::kText: {
-        const size_t dims = static_cast<size_t>(options_.text_dims);
+        const size_t dims = kTextDims;
         plan.idf.assign(dims, 0.0);
         size_t docs = 0;
         std::vector<bool> seen(dims);
@@ -130,7 +126,7 @@ Status Featurizer::Fit(const Table& train, TaskType task) {
           }
         }
         for (double& df : plan.idf) {
-          df = options_.text_tfidf && docs > 0
+          df = docs > 0
                    ? std::log((1.0 + static_cast<double>(docs)) /
                               (1.0 + df)) +
                          1.0

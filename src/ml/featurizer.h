@@ -11,33 +11,19 @@
 
 namespace kgpip::ml {
 
-/// Options for automatic dataset preparation (paper §3.6: "KGpip applies
-/// different preprocessing techniques on the given dataset (D) and
-/// produces a pre-processed dataset (D')").
-struct FeaturizerOptions {
-  /// Dimensionality of the hashed text embedding per text column.
-  int text_dims = 32;
-  /// Weight text token counts by inverse document frequency.
-  bool text_tfidf = true;
-  /// Categorical levels beyond this cap collapse into an "other" bucket.
-  int max_one_hot = 16;
-  /// Impute numerics with the median (otherwise mean).
-  bool median_impute = true;
-};
-
-/// Turns typed Tables into dense numeric LabeledData:
-///   - numeric columns: missing values imputed (median/mean)
-///   - categorical columns: one-hot with rare-level collapsing, missing as
-///     its own level
-///   - text columns: hashed bag-of-words with optional tf-idf weighting
+/// Automatic dataset preparation (paper §3.6: "KGpip applies different
+/// preprocessing techniques on the given dataset (D) and produces a
+/// pre-processed dataset (D')"). Turns typed Tables into dense numeric
+/// LabeledData:
+///   - numeric columns: missing values imputed with the median
+///   - categorical columns: one-hot over the 16 most frequent levels,
+///     with rarer levels and missing sharing an "other" slot
+///   - text columns: 32-bucket hashed bag-of-words with tf-idf weighting
 ///     (the paper's "vectoring textual columns using word embeddings")
 ///   - target: class-name dictionary (classification) or raw value
 /// Fit on the training split; Transform applies the frozen encoding.
 class Featurizer {
  public:
-  explicit Featurizer(FeaturizerOptions options = {})
-      : options_(options) {}
-
   /// Learns the encoding from `train`. `task` fixes target handling.
   Status Fit(const Table& train, TaskType task);
 
@@ -71,7 +57,6 @@ class Featurizer {
                  const std::vector<size_t>& column_indices, size_t row,
                  double* out) const;
 
-  FeaturizerOptions options_;
   TaskType task_ = TaskType::kBinaryClassification;
   std::vector<ColumnPlan> plans_;
   std::vector<std::string> class_names_;

@@ -7,17 +7,6 @@
 
 namespace kgpip::ml {
 
-double Accuracy(const std::vector<double>& y_true,
-                const std::vector<double>& y_pred) {
-  KGPIP_CHECK(y_true.size() == y_pred.size());
-  if (y_true.empty()) return 0.0;
-  size_t hits = 0;
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    if (std::lround(y_true[i]) == std::lround(y_pred[i])) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(y_true.size());
-}
-
 double MacroF1(const std::vector<double>& y_true,
                const std::vector<double>& y_pred, int num_classes) {
   KGPIP_CHECK(y_true.size() == y_pred.size());
@@ -64,28 +53,6 @@ double R2Score(const std::vector<double>& y_true,
   }
   if (ss_tot <= 0.0) return ss_res <= 0.0 ? 1.0 : 0.0;
   return 1.0 - ss_res / ss_tot;
-}
-
-double MeanSquaredError(const std::vector<double>& y_true,
-                        const std::vector<double>& y_pred) {
-  KGPIP_CHECK(y_true.size() == y_pred.size());
-  if (y_true.empty()) return 0.0;
-  double s = 0.0;
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    s += (y_true[i] - y_pred[i]) * (y_true[i] - y_pred[i]);
-  }
-  return s / static_cast<double>(y_true.size());
-}
-
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred) {
-  KGPIP_CHECK(y_true.size() == y_pred.size());
-  if (y_true.empty()) return 0.0;
-  double s = 0.0;
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    s += std::fabs(y_true[i] - y_pred[i]);
-  }
-  return s / static_cast<double>(y_true.size());
 }
 
 }  // namespace kgpip::ml

@@ -5,10 +5,6 @@
 
 namespace kgpip::ml {
 
-/// Fraction of exact matches between integer class predictions and truth.
-double Accuracy(const std::vector<double>& y_true,
-                const std::vector<double>& y_pred);
-
 /// Macro-averaged F1 over the classes present in `y_true` — the paper's
 /// classification metric ("We used Macro F1 for classification tasks to
 /// account for data imbalance").
@@ -18,12 +14,6 @@ double MacroF1(const std::vector<double>& y_true,
 /// Coefficient of determination — the paper's regression metric.
 double R2Score(const std::vector<double>& y_true,
                const std::vector<double>& y_pred);
-
-double MeanSquaredError(const std::vector<double>& y_true,
-                        const std::vector<double>& y_pred);
-
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred);
 
 }  // namespace kgpip::ml
 

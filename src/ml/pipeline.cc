@@ -41,12 +41,11 @@ Status Pipeline::FitTransformersAndLearner(const LabeledData& train,
 
 Result<Pipeline> Pipeline::FitOnTable(const PipelineSpec& spec,
                                       const Table& train, TaskType task,
-                                      uint64_t seed,
-                                      FeaturizerOptions options) {
+                                      uint64_t seed) {
   Pipeline p;
   p.spec_ = spec;
   p.task_ = task;
-  p.featurizer_ = std::make_shared<Featurizer>(options);
+  p.featurizer_ = std::make_shared<Featurizer>();
   KGPIP_RETURN_IF_ERROR(p.featurizer_->Fit(train, task));
   KGPIP_ASSIGN_OR_RETURN(LabeledData data, p.featurizer_->Transform(train));
   KGPIP_RETURN_IF_ERROR(p.FitTransformersAndLearner(data, seed));
@@ -73,17 +72,6 @@ Result<std::vector<double>> Pipeline::PredictData(
     current = transformer->Transform(current);
   }
   return learner_->Predict(current);
-}
-
-Result<std::vector<double>> Pipeline::PredictTable(
-    const Table& table) const {
-  if (featurizer_ == nullptr) {
-    return Status::FailedPrecondition(
-        "pipeline was fitted on featurized data; use PredictData");
-  }
-  KGPIP_ASSIGN_OR_RETURN(FeatureMatrix x,
-                         featurizer_->TransformFeatures(table));
-  return PredictData(x);
 }
 
 Result<double> Pipeline::ScoreData(const LabeledData& test) const {

@@ -31,18 +31,13 @@ class Pipeline {
   /// `spec.preprocessors`, then the learner.
   static Result<Pipeline> FitOnTable(const PipelineSpec& spec,
                                      const Table& train, TaskType task,
-                                     uint64_t seed,
-                                     FeaturizerOptions options = {});
+                                     uint64_t seed);
 
   /// Fits on already-featurized data reusing an external featurizer
   /// (shared across HPO trials to avoid recomputation).
   static Result<Pipeline> FitOnData(const PipelineSpec& spec,
                                     const LabeledData& train, TaskType task,
                                     uint64_t seed);
-
-  /// Predicts class indices / values for a raw table. Requires the
-  /// pipeline to have been fitted with FitOnTable.
-  Result<std::vector<double>> PredictTable(const Table& table) const;
 
   /// Predicts from featurized data.
   Result<std::vector<double>> PredictData(const FeatureMatrix& x) const;

@@ -79,7 +79,7 @@ void GruFusedForward(const Matrix& x, const Matrix& h, const Matrix& wx,
   z->Reshape(n, hd);
   r->Reshape(n, hd);
   // Gate j of row i sums its x- and h-side affine parts in the same
-  // order as ForwardValue's AddInPlace (x part first), then squashes.
+  // order as GruCell::Forward's Add (x part first), then squashes.
   for (size_t i = 0; i < n; ++i) {
     const double* xrow = xg->data() + i * 3 * hd;
     const double* hrow = hg->data() + i * 2 * hd;

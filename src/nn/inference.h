@@ -52,10 +52,10 @@ void SoftmaxRow(const double* logits, size_t n, double* out);
 /// Fused-panel GRU forward: `*out = GRU(x, h)` given the packed gate
 /// panels from GruCell::PackFused (`wx`/`bx` = [xz|xr|xn], `wh2`/`bh2`
 /// = [hz|hr]) plus the candidate hidden projection `whn`/`bhn`. Runs
-/// two wide GEMMs instead of five narrow ones; bit-identical to
-/// GruCell::ForwardValue (and therefore to the tape GRU) because every
-/// output column's accumulation chain and every elementwise expression
-/// is unchanged. `xg` (rows x 3h), `hg` (rows x 2h), and `scratch`-like
+/// two wide GEMMs instead of five narrow ones; bit-identical to the
+/// value of GruCell::Forward (the tape GRU) because every output
+/// column's accumulation chain and every elementwise expression is
+/// unchanged. `xg` (rows x 3h), `hg` (rows x 2h), and `scratch`-like
 /// buffers `z`, `r`, `rh`, `tmp`, `cand` are caller-owned temporaries;
 /// none may alias `x`, `h`, or `out`.
 void GruFusedForward(const Matrix& x, const Matrix& h, const Matrix& wx,

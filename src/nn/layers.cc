@@ -23,12 +23,6 @@ void ParamStore::ZeroGrads() {
   for (Var& p : params_) p.ZeroGrad();
 }
 
-size_t ParamStore::TotalSize() const {
-  size_t n = 0;
-  for (const Var& p : params_) n += p.value().size();
-  return n;
-}
-
 Json ParamStore::ToJson() const {
   Json out = Json::Object();
   for (size_t i = 0; i < params_.size(); ++i) {
@@ -98,36 +92,6 @@ Var GruCell::Forward(const Var& x, const Var& h) const {
   Var n = Tanh(Add(xn_.Forward(x), hn_.Forward(Mul(r, h))));
   // h' = (1 - z) * n + z * h  ==  n - z*n + z*h
   return Add(Sub(n, Mul(z, n)), Mul(z, h));
-}
-
-void GruCell::ForwardValue(const Matrix& x, const Matrix& h,
-                           GruScratch* scratch, Matrix* out) const {
-  GruScratch& s = *scratch;
-  xz_.ForwardValue(x, &s.z);
-  hz_.ForwardValue(h, &s.tmp);
-  s.z.AddInPlace(s.tmp);
-  SigmoidInPlace(&s.z);
-  xr_.ForwardValue(x, &s.r);
-  hr_.ForwardValue(h, &s.tmp);
-  s.r.AddInPlace(s.tmp);
-  SigmoidInPlace(&s.r);
-  MulInto(s.r, h, &s.rh);
-  xn_.ForwardValue(x, &s.cand);
-  hn_.ForwardValue(s.rh, &s.tmp);
-  s.cand.AddInPlace(s.tmp);
-  TanhInPlace(&s.cand);
-  out->Reshape(h.rows(), h.cols());
-  const double* zp = s.z.data();
-  const double* np = s.cand.data();
-  const double* hp = h.data();
-  double* op = out->data();
-  // Same association as the tape expression Add(Sub(n, Mul(z, n)), Mul(z, h)):
-  // (n + (-1)*(z*n)) + z*h, where x + (-1)*y is exactly x - y in IEEE754.
-  for (size_t k = 0; k < h.size(); ++k) {
-    const double zn = zp[k] * np[k];
-    const double a = np[k] + (-1.0) * zn;
-    op[k] = a + zp[k] * hp[k];
-  }
 }
 
 void GruCell::PackFused(Matrix* wx, Matrix* bx, Matrix* wh2,

@@ -24,9 +24,6 @@ class ParamStore {
 
   void ZeroGrads();
 
-  /// Total number of scalar parameters.
-  size_t TotalSize() const;
-
   /// Serializes all parameter values to JSON (name -> flat array + shape).
   Json ToJson() const;
 
@@ -64,8 +61,9 @@ class Linear {
   Var bias_;
 };
 
-/// Caller-owned temporaries for GruCell::ForwardValue; sized lazily and
-/// reused across calls so steady-state propagation allocates nothing.
+/// Caller-owned temporaries for GruFusedForward (nn/inference.h); sized
+/// lazily and reused across calls so steady-state propagation allocates
+/// nothing.
 struct GruScratch {
   Matrix z;     // update gate
   Matrix r;     // reset gate
@@ -84,12 +82,6 @@ class GruCell {
           size_t hidden, Rng* rng);
 
   Var Forward(const Var& x, const Var& h) const;
-
-  /// Tape-free forward: `*out = GRU(x, h)` using caller-owned scratch.
-  /// Bit-identical to `Forward(Var(x), Var(h)).value()`. `out` must not
-  /// alias `x`, `h`, or the scratch buffers.
-  void ForwardValue(const Matrix& x, const Matrix& h, GruScratch* scratch,
-                    Matrix* out) const;
 
   /// Packs the gate weights into column-concatenated panels for
   /// GruFusedForward: `wx = [Wxz | Wxr | Wxn]` (input x 3h) with bias

@@ -108,7 +108,7 @@ class SlidingWindowCounter;
 ///   hits->Increment();
 ///
 /// Metric names follow the span convention `subsystem.noun[_unit]`
-/// (e.g. "hpo.trial_seconds", "codegraph.pass.cache_miss").
+/// (e.g. "hpo.trial_seconds", "codegraph.scripts_analyzed").
 class MetricsRegistry {
  public:
   /// The process-wide registry every subsystem reports into.

@@ -33,21 +33,6 @@ double Percentile(std::vector<double>* sorted, double p) {
 
 }  // namespace
 
-Json SoakSummary::ToJson() const {
-  Json out = Json::Object();
-  out.Set("submitted", submitted);
-  out.Set("ok", ok);
-  out.Set("shed", shed);
-  out.Set("failed", failed);
-  out.Set("cache_hits", cache_hits);
-  out.Set("degraded", degraded);
-  out.Set("stuck", stuck);
-  out.Set("p50_latency_seconds", p50_latency_seconds);
-  out.Set("p99_latency_seconds", p99_latency_seconds);
-  out.Set("max_latency_seconds", max_latency_seconds);
-  return out;
-}
-
 std::string SoakSummary::ToString() const {
   return StrFormat(
       "submitted=%lld ok=%lld shed=%lld failed=%lld cache_hits=%lld "
@@ -114,7 +99,6 @@ Result<SoakSummary> SoakHarness::Run() {
       uint64_t rng = Mix(options_.seed ^ (0x5151ULL * (t + 1)));
       const std::string tenant = StrFormat("tenant-%d", t);
       Deadline run_deadline(options_.duration_seconds);
-      int request_index = 0;
       while (!run_deadline.Expired()) {
         rng = Mix(rng);
         const bool poisoned =
@@ -129,7 +113,6 @@ Result<SoakSummary> SoakHarness::Run() {
         request.max_trials = options_.max_trials;
         request.deadline_seconds = options_.request_deadline_seconds;
         request.seed = rng;
-        ++request_index;
 
         std::future<ServeResponse> future =
             server_->Submit(std::move(request));
@@ -161,12 +144,7 @@ Result<SoakSummary> SoakHarness::Run() {
           }
           latencies.push_back(response.latency_seconds);
         }
-        if (options_.think_time_seconds > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(options_.think_time_seconds));
-        }
       }
-      (void)request_index;
     });
   }
   for (std::thread& tenant : tenants) tenant.join();

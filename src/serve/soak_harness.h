@@ -6,7 +6,6 @@
 
 #include "serve/server.h"
 #include "util/fault.h"
-#include "util/json.h"
 
 namespace kgpip::serve {
 
@@ -28,9 +27,6 @@ struct SoakOptions {
   /// inside one — scopes do not nest).
   bool inject_faults = false;
   util::FaultConfig fault_config;
-  /// Pause between a tenant's submissions; 0 hammers as fast as the
-  /// previous future resolves.
-  double think_time_seconds = 0.0;
   uint64_t seed = 42;
 };
 
@@ -50,7 +46,6 @@ struct SoakSummary {
   double p99_latency_seconds = 0.0;
   double max_latency_seconds = 0.0;
 
-  Json ToJson() const;
   std::string ToString() const;
 };
 

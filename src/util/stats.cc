@@ -23,14 +23,6 @@ double StdDev(const std::vector<double>& v) {
   return std::sqrt(ss / static_cast<double>(v.size() - 1));
 }
 
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t n = v.size();
-  if (n % 2 == 1) return v[n / 2];
-  return 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y) {
   KGPIP_CHECK(x.size() == y.size());
@@ -152,32 +144,6 @@ TTestResult PairedTTest(const std::vector<double>& x,
     return out;
   }
   out.t_statistic = md / (sd / std::sqrt(static_cast<double>(n)));
-  out.p_value = StudentTTwoTailedPValue(out.t_statistic,
-                                        out.degrees_of_freedom);
-  return out;
-}
-
-TTestResult WelchTTest(const std::vector<double>& x,
-                       const std::vector<double>& y) {
-  TTestResult out;
-  if (x.size() < 2 || y.size() < 2) return out;
-  double mx = Mean(x);
-  double my = Mean(y);
-  double vx = StdDev(x);
-  double vy = StdDev(y);
-  vx *= vx;
-  vy *= vy;
-  double nx = static_cast<double>(x.size());
-  double ny = static_cast<double>(y.size());
-  double se2 = vx / nx + vy / ny;
-  if (se2 <= 0.0) {
-    out.p_value = mx == my ? 1.0 : 0.0;
-    return out;
-  }
-  out.t_statistic = (mx - my) / std::sqrt(se2);
-  out.degrees_of_freedom =
-      se2 * se2 /
-      (vx * vx / (nx * nx * (nx - 1.0)) + vy * vy / (ny * ny * (ny - 1.0)));
   out.p_value = StudentTTwoTailedPValue(out.t_statistic,
                                         out.degrees_of_freedom);
   return out;

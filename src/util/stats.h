@@ -12,8 +12,6 @@ double Mean(const std::vector<double>& v);
 /// Sample standard deviation (n-1 denominator); 0 if fewer than 2 items.
 double StdDev(const std::vector<double>& v);
 
-double Median(std::vector<double> v);
-
 /// Pearson product-moment correlation; 0 if either side is constant.
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);
@@ -33,10 +31,6 @@ struct TTestResult {
 /// systems over the same datasets). Requires x.size() == y.size() >= 2.
 TTestResult PairedTTest(const std::vector<double>& x,
                         const std::vector<double>& y);
-
-/// Welch's two-sample two-tailed t-test.
-TTestResult WelchTTest(const std::vector<double>& x,
-                       const std::vector<double>& y);
 
 /// Mean Reciprocal Rank for 1-based ranks; rank <= 0 counts as a miss (0).
 double MeanReciprocalRank(const std::vector<int>& ranks);

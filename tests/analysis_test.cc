@@ -1,18 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "codegraph/analysis/call_graph.h"
-#include "codegraph/analysis/dataflow.h"
 #include "codegraph/analysis/diagnostic.h"
-#include "codegraph/analysis/pass_manager.h"
 #include "codegraph/analysis/type_flow.h"
 #include "codegraph/analysis/verifier.h"
 #include "codegraph/analyzer.h"
+#include "codegraph/corpus.h"
 #include "codegraph/python_ast.h"
+#include "data/benchmark_registry.h"
 #include "gen/linter.h"
 #include "graph4ml/verify.h"
 #include "graph4ml/vocab.h"
+#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace kgpip::codegraph::analysis {
 namespace {
@@ -85,175 +85,6 @@ TEST(DiagnosticTest, ParserEmitsStructuredCodes) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass manager
-
-TEST(PassManagerTest, CachesResultsAndRecordsRunOrder) {
-  Module module = Parse("x = 1\ny = x\n");
-  PassManager pm(&module);
-  EXPECT_FALSE(pm.Cached<CfgPass>());
-  EXPECT_FALSE(pm.Cached<LivenessPass>());
-
-  // Liveness pulls in the CFG as a dependency; both get cached.
-  const LivenessResult& live = pm.Get<LivenessPass>();
-  EXPECT_TRUE(pm.Cached<CfgPass>());
-  EXPECT_TRUE(pm.Cached<LivenessPass>());
-
-  // Dependencies land in the trace before their dependents.
-  ASSERT_EQ(pm.run_order().size(), 2u);
-  EXPECT_EQ(pm.run_order()[0], "cfg");
-  EXPECT_EQ(pm.run_order()[1], "liveness");
-
-  // Repeat requests return the identical cached object; no re-run.
-  const LivenessResult& again = pm.Get<LivenessPass>();
-  EXPECT_EQ(&live, &again);
-  const Cfg& cfg = pm.Get<CfgPass>();
-  EXPECT_EQ(&cfg, &pm.Get<CfgPass>());
-  EXPECT_EQ(pm.run_order().size(), 2u);
-}
-
-TEST(PassManagerTest, SharedDependencyComputedOnce) {
-  Module module = Parse("x = 1\n");
-  PassManager pm(&module);
-  pm.Get<ReachingDefsPass>();
-  pm.Get<LivenessPass>();
-  // cfg appears exactly once in the trace even though both passes use it.
-  int cfg_runs = static_cast<int>(
-      std::count(pm.run_order().begin(), pm.run_order().end(), "cfg"));
-  EXPECT_EQ(cfg_runs, 1);
-}
-
-// ---------------------------------------------------------------------------
-// CFG
-
-TEST(CfgTest, BranchForksAndJoins) {
-  Module module = Parse(
-      "x = 1\n"
-      "if x:\n"
-      "    y = 2\n"
-      "else:\n"
-      "    y = 3\n"
-      "print(y)\n");
-  PassManager pm(&module);
-  const Cfg& cfg = pm.Get<CfgPass>();
-  // Pre-order ids: 0 x=1, 1 if, 2 y=2, 3 y=3, 4 print(y).
-  ASSERT_EQ(cfg.stmts.size(), 5u);
-  auto has_succ = [&](int from, int to) {
-    const auto& s = cfg.succ[static_cast<size_t>(from)];
-    return std::find(s.begin(), s.end(), to) != s.end();
-  };
-  EXPECT_TRUE(has_succ(0, 1));
-  EXPECT_TRUE(has_succ(1, 2));  // then arm
-  EXPECT_TRUE(has_succ(1, 3));  // else arm
-  EXPECT_TRUE(has_succ(2, 4));  // join
-  EXPECT_TRUE(has_succ(3, 4));
-  EXPECT_TRUE(has_succ(4, cfg.exit_id));
-  EXPECT_EQ(cfg.IdOf(cfg.stmts[4]), 4);
-  EXPECT_EQ(cfg.IdOf(nullptr), -1);
-}
-
-TEST(CfgTest, LoopHasBackEdgeAndZeroIterationExit) {
-  Module module = Parse(
-      "xs = [1]\n"
-      "for x in xs:\n"
-      "    y = x\n"
-      "print(y)\n");
-  PassManager pm(&module);
-  const Cfg& cfg = pm.Get<CfgPass>();
-  // ids: 0 xs=[1], 1 for, 2 y=x, 3 print(y).
-  ASSERT_EQ(cfg.stmts.size(), 4u);
-  auto has_succ = [&](int from, int to) {
-    const auto& s = cfg.succ[static_cast<size_t>(from)];
-    return std::find(s.begin(), s.end(), to) != s.end();
-  };
-  EXPECT_TRUE(has_succ(1, 2));  // into the body
-  EXPECT_TRUE(has_succ(2, 1));  // back edge
-  EXPECT_TRUE(has_succ(1, 3));  // exit (covers the zero-iteration case)
-}
-
-TEST(CfgTest, DefsAndUsesOfStatements) {
-  Module module = Parse(
-      "a, b = f(c)\n"
-      "d[0] = a + b\n");
-  const Stmt& unpack = *module.statements[0];
-  const Stmt& store = *module.statements[1];
-  EXPECT_EQ(Cfg::DefsOf(unpack), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(Cfg::UsesOf(unpack), (std::vector<std::string>{"c", "f"}));
-  // Subscript assignment reads both the stored value and the base.
-  EXPECT_TRUE(Cfg::DefsOf(store).empty());
-  EXPECT_EQ(Cfg::UsesOf(store), (std::vector<std::string>{"a", "b", "d"}));
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions / def-use chains
-
-TEST(ReachingDefsTest, RedefinitionKillsEarlierDef) {
-  Module module = Parse(
-      "x = 1\n"
-      "x = 2\n"
-      "print(x)\n");
-  PassManager pm(&module);
-  const ReachingDefsResult& defs = pm.Get<ReachingDefsPass>();
-  EXPECT_EQ(defs.DefsReaching(2, "x"), (std::set<int>{1}));
-  EXPECT_TRUE(defs.UsesOfDef(0, "x").empty());
-  EXPECT_EQ(defs.UsesOfDef(1, "x"), (std::set<int>{2}));
-}
-
-TEST(ReachingDefsTest, BothBranchDefsReachTheJoin) {
-  Module module = Parse(
-      "x = 1\n"
-      "if x:\n"
-      "    y = 2\n"
-      "else:\n"
-      "    y = 3\n"
-      "print(y)\n");
-  PassManager pm(&module);
-  const ReachingDefsResult& defs = pm.Get<ReachingDefsPass>();
-  // Pre-order ids: 0 x=1, 1 if, 2 y=2, 3 y=3, 4 print(y).
-  EXPECT_EQ(defs.DefsReaching(4, "y"), (std::set<int>{2, 3}));
-  EXPECT_EQ(defs.UsesOfDef(2, "y"), (std::set<int>{4}));
-  EXPECT_EQ(defs.UsesOfDef(3, "y"), (std::set<int>{4}));
-}
-
-TEST(ReachingDefsTest, LoopDefReachesItsOwnBody) {
-  Module module = Parse(
-      "xs = [1]\n"
-      "for x in xs:\n"
-      "    y = y + x\n");
-  PassManager pm(&module);
-  const ReachingDefsResult& defs = pm.Get<ReachingDefsPass>();
-  // Around the back edge, the body's own def of y reaches the body.
-  EXPECT_TRUE(defs.DefsReaching(2, "y").count(2) > 0);
-  EXPECT_TRUE(defs.UsesOfDef(2, "y").count(2) > 0);
-}
-
-// ---------------------------------------------------------------------------
-// Liveness
-
-TEST(LivenessTest, DetectsDeadStore) {
-  Module module = Parse(
-      "x = 1\n"
-      "x = 2\n"
-      "print(x)\n");
-  PassManager pm(&module);
-  const LivenessResult& live = pm.Get<LivenessPass>();
-  EXPECT_FALSE(live.LiveOut(0, "x"));  // overwritten before any read
-  EXPECT_TRUE(live.LiveOut(1, "x"));
-  ASSERT_EQ(live.dead_stores.size(), 1u);
-  EXPECT_EQ(live.dead_stores[0], (std::pair<int, std::string>{0, "x"}));
-}
-
-TEST(LivenessTest, BranchReadKeepsDefAlive) {
-  Module module = Parse(
-      "x = 1\n"
-      "if c:\n"
-      "    print(x)\n");
-  PassManager pm(&module);
-  const LivenessResult& live = pm.Get<LivenessPass>();
-  EXPECT_TRUE(live.LiveOut(0, "x"));
-  EXPECT_TRUE(live.dead_stores.empty());
-}
-
-// ---------------------------------------------------------------------------
 // Flow-sensitive type propagation
 
 TEST(TypeFlowTest, BranchAssignmentsUnionAtTheJoin) {
@@ -265,8 +96,7 @@ TEST(TypeFlowTest, BranchAssignmentsUnionAtTheJoin) {
       "else:\n"
       "    model = tree.DecisionTreeClassifier()\n"
       "model.fit(X, y)\n");
-  PassManager pm(&module);
-  const TypeFlowResult& types = pm.Get<TypeFlowPass>();
+  const TypeFlowResult types = RunTypeFlow(module);
   EXPECT_EQ(types.imports.at("svm"), "sklearn.svm");
   const Stmt* fit_stmt = module.statements.back().get();
   const TypeEnv& env = types.EnvAt(fit_stmt);
@@ -284,8 +114,7 @@ TEST(TypeFlowTest, ReassignmentIsFlowSensitiveNotLastWins) {
       "model.fit(X, y)\n"
       "model = tree.DecisionTreeClassifier()\n"
       "model.fit(X, y)\n");
-  PassManager pm(&module);
-  const TypeFlowResult& types = pm.Get<TypeFlowPass>();
+  const TypeFlowResult types = RunTypeFlow(module);
   // The first fit sees SVC; only the second sees the decision tree. The
   // historical "last assignment wins" map got the first one wrong.
   const TypeEnv& first = types.EnvAt(module.statements[3].get());
@@ -303,8 +132,7 @@ TEST(TypeFlowTest, MethodChainsAndTupleUnpackingKeepFrameTypes) {
       "df = df.dropna()\n"
       "train, test = train_test_split(df)\n"
       "print(train)\n");
-  PassManager pm(&module);
-  const TypeFlowResult& types = pm.Get<TypeFlowPass>();
+  const TypeFlowResult types = RunTypeFlow(module);
   const TypeEnv& env = types.EnvAt(module.statements.back().get());
   EXPECT_EQ(env.at("df"), (TypeSet{"pandas.DataFrame"}));
   EXPECT_EQ(env.at("train"), (TypeSet{"pandas.DataFrame"}));
@@ -338,8 +166,7 @@ TEST(CallGraphTest, ReachabilityFollowsDataFlowThroughVariables) {
                              "model = svm.SVC()\n"
                              "model.fit(df2, y)\n");
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  PassManager pm(nullptr, &*graph);
-  const CallGraphResult& calls = pm.Get<CallGraphPass>();
+  const CallGraphResult calls = BuildCallGraph(*graph);
   auto find = [&](const std::string& label) {
     for (int id : calls.call_nodes) {
       if (graph->nodes[static_cast<size_t>(id)].label == label) return id;
@@ -356,6 +183,53 @@ TEST(CallGraphTest, ReachabilityFollowsDataFlowThroughVariables) {
   EXPECT_TRUE(calls.Reaches(read_csv, fit));  // transitive, via df2
   EXPECT_FALSE(calls.Reaches(fit, read_csv));
   EXPECT_FALSE(calls.Reaches(dropna, dropna));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned analyzer output
+
+// FNV-1a over every emitted graph of a fixed-seed corpus: each node's
+// kind, label and line, each edge's src, dst and kind, and the script's
+// read_csv argument. Any change to what AnalyzeScript emits moves the
+// digest. The corpus scripts load one file each, so the choice among
+// several loaders is left to
+// AnalyzerTest.FindReadCsvArgumentPrefersThePipelineFeed.
+TEST(AnalyzerDigestTest, CorpusGraphsAndReadCsvArgumentsArePinned) {
+  BenchmarkRegistry registry;
+  std::vector<DatasetSpec> specs = registry.TrainingSpecs();
+  specs.resize(12);
+  CorpusOptions options;
+  options.seed = 2022;
+  std::vector<NotebookScript> scripts =
+      CorpusGenerator(options).GenerateCorpus(specs);
+  ASSERT_EQ(scripts.size(), 12u * 20u);
+
+  std::string bytes;
+  auto put = [&](const std::string& field) {
+    bytes += field;
+    bytes += '\x1f';
+  };
+  size_t nodes = 0;
+  for (const NotebookScript& script : scripts) {
+    auto graph = AnalyzeScript(script.name, script.text);
+    ASSERT_TRUE(graph.ok()) << script.name << ": "
+                            << graph.status().ToString();
+    put(script.name);
+    for (const CodeNode& node : graph->nodes) {
+      put(std::to_string(static_cast<int>(node.kind)));
+      put(node.label);
+      put(std::to_string(node.line));
+    }
+    for (const CodeEdge& edge : graph->edges) {
+      put(std::to_string(edge.src));
+      put(std::to_string(edge.dst));
+      put(std::to_string(static_cast<int>(edge.kind)));
+    }
+    put(FindReadCsvArgument(*graph));
+    nodes += graph->nodes.size();
+  }
+  EXPECT_GT(nodes, scripts.size() * 30);
+  EXPECT_EQ(Fnv1a64(bytes), 0x8b36a865b503ee92ULL) << std::hex << Fnv1a64(bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ struct EnableVerifier {
 } enable_verifier_;
 
 using codegraph::AnalyzeScript;
-using codegraph::AnalyzerOptions;
 using codegraph::CorpusGenerator;
 using codegraph::CorpusOptions;
 using codegraph::NodeKind;

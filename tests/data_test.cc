@@ -46,14 +46,6 @@ TEST(TableTest, SplitPreservesRowCount) {
   EXPECT_EQ(split.test.num_rows(), 25u);
 }
 
-TEST(TableTest, KFoldBalanced) {
-  auto folds = KFoldAssignment(10, 3, 1);
-  std::vector<int> counts(3, 0);
-  for (int f : folds) ++counts[f];
-  EXPECT_EQ(counts[0] + counts[1] + counts[2], 10);
-  for (int c : counts) EXPECT_GE(c, 3);
-}
-
 TEST(CsvTest, ParsesQuotedFields) {
   auto table = ReadCsvText(
       "name,score,notes\n"

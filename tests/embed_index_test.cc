@@ -213,9 +213,9 @@ TEST(SimIndexIvfTest, SteadyStateSearchDoesNotGrowScratch) {
 }
 
 TEST(SimIndexIvfTest, HitListsAreByteIdenticalAcrossThreadCounts) {
-  // Build + search under 1, 2, and 4 pool threads: the k-means build,
-  // the parallel flat scan (corpus is over the parallel-scan threshold),
-  // and SearchBatch must all be invisible in the output.
+  // Build + search under 1, 2, and 4 pool threads: the k-means build
+  // and the parallel flat scan (corpus is over the parallel-scan
+  // threshold) must both be invisible in the output.
   const auto rows = ClusteredCorpus(3000, 16, 24, 13);
   const auto queries = ClusteredCorpus(10, 16, 24, 31);
   auto run = [&]() {
@@ -226,11 +226,6 @@ TEST(SimIndexIvfTest, HitListsAreByteIdenticalAcrossThreadCounts) {
     SimIndex flat = BuildIndex(rows, SimIndex::Options{});
     std::string blob = SearchAllBytes(ivf, queries, 9);
     blob += SearchAllBytes(flat, queries, 9);
-    auto batch = ivf.SearchBatch(queries, 9);
-    EXPECT_TRUE(batch.ok());
-    if (batch.ok()) {
-      for (const auto& hits : *batch) blob += HitBytes(hits);
-    }
     return blob;
   };
   util::ThreadPool::Configure(1);

@@ -127,6 +127,8 @@ TEST(SimIndexTest, IvfModeFindsNearNeighbours) {
   for (const auto& hit : *hits) {
     EXPECT_EQ(hit.key.substr(0, 2), "c1") << hit.key;
   }
+  // A query of the wrong dimensionality fails on the IVF path too.
+  EXPECT_FALSE(ivf.Search({1.0}, 3).ok());
 }
 
 TEST(SimIndexTest, CosineDecompositionMatchesFusedKernelBitwise) {
@@ -212,38 +214,6 @@ TEST(SimIndexTest, TopKMatchesFullSortReference) {
           << "k=" << k << " rank " << i;
     }
   }
-}
-
-TEST(SimIndexTest, SearchBatchMatchesSequentialSearches) {
-  SimIndex index;
-  kgpip::Rng rng(23);
-  for (size_t i = 0; i < 50; ++i) {
-    std::vector<double> v(8);
-    for (double& x : v) x = rng.Normal();
-    ASSERT_TRUE(index.Add("v" + std::to_string(i), v).ok());
-  }
-  ASSERT_TRUE(index.Build().ok());
-  std::vector<std::vector<double>> queries;
-  for (size_t q = 0; q < 12; ++q) {
-    std::vector<double> v(8);
-    for (double& x : v) x = rng.Normal();
-    queries.push_back(v);
-  }
-  auto batch = index.SearchBatch(queries, 3);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto single = index.Search(queries[q], 3);
-    ASSERT_TRUE(single.ok());
-    ASSERT_EQ((*batch)[q].size(), single->size());
-    for (size_t i = 0; i < single->size(); ++i) {
-      EXPECT_EQ((*batch)[q][i].key, (*single)[i].key);
-      EXPECT_EQ((*batch)[q][i].similarity, (*single)[i].similarity);
-    }
-  }
-  // A bad query anywhere in the batch surfaces as the batch's error.
-  queries[4] = {1.0};  // wrong dimensionality
-  EXPECT_FALSE(index.SearchBatch(queries, 3).ok());
 }
 
 TEST(TsneTest, SeparatesObviousClusters) {
