@@ -20,6 +20,7 @@
 #include "embed/sim_index.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace kgpip {
 namespace {
@@ -76,7 +77,7 @@ embed::SimIndex BuildIndex(const Corpus& corpus,
                            const embed::SimIndex::Options& options) {
   embed::SimIndex index(options);
   for (size_t i = 0; i < corpus.rows.size(); ++i) {
-    index.Add("r" + std::to_string(i), corpus.rows[i]);
+    index.Add(StrFormat("r%zu", i), corpus.rows[i]);
   }
   index.Build();
   return index;

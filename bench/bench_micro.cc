@@ -27,6 +27,7 @@
 #include "nn/inference.h"
 #include "nn/matrix.h"
 #include "obs/metrics.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace kgpip {
@@ -119,7 +120,7 @@ void BM_SimIndexSearch(benchmark::State& state) {
   for (int i = 0; i < 200; ++i) {
     std::vector<double> v(embed::TableEmbedder::kDims);
     for (double& x : v) x = rng.Normal();
-    index.Add("d" + std::to_string(i), v);
+    index.Add(StrFormat("d%d", i), v);
   }
   index.Build();
   for (double& x : query) x = rng.Normal();
@@ -380,7 +381,7 @@ void BM_SimIndexBuild(benchmark::State& state) {
   for (auto _ : state) {
     embed::SimIndex index(options);
     for (size_t i = 0; i < vectors.size(); ++i) {
-      index.Add("d" + std::to_string(i), vectors[i]);
+      index.Add(StrFormat("d%zu", i), vectors[i]);
     }
     benchmark::DoNotOptimize(index.Build().ok());
   }

@@ -3,9 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "obs/metrics.h"
+#include "util/file_io.h"
 #include "util/stats.h"
 
 namespace kgpip::bench {
@@ -254,11 +254,11 @@ Json ComparisonToJson(const std::vector<DatasetSpec>& specs,
 void WriteHarnessOutputs(const HarnessOptions& options,
                          const Json* comparison) {
   if (!options.json_out.empty() && comparison != nullptr) {
-    std::ofstream out(options.json_out);
-    if (out) out << comparison->Dump(2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "WARNING: could not write --json-out=%s\n",
-                   options.json_out.c_str());
+    Status written =
+        util::WriteFileAtomic(options.json_out, comparison->Dump(2) + "\n");
+    if (!written.ok()) {
+      std::fprintf(stderr, "WARNING: could not write --json-out=%s: %s\n",
+                   options.json_out.c_str(), written.ToString().c_str());
     } else {
       std::fprintf(stderr, "wrote %s\n", options.json_out.c_str());
     }

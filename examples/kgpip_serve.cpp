@@ -25,6 +25,7 @@
 #include "data/benchmark_registry.h"
 #include "serve/server.h"
 #include "serve/soak_harness.h"
+#include "util/file_io.h"
 #include "util/json.h"
 #include "util/string_util.h"
 
@@ -44,24 +45,13 @@ void HandleStatuszSignal(int) {
   g_statusz_requests.fetch_add(1, std::memory_order_relaxed);
 }
 
-// Writes the statusz JSON atomically (temp + rename) so a reader polling
-// the path never sees a torn document.
+// Replaces the statusz JSON atomically so a reader polling the path
+// never sees a torn document.
 void WriteStatuszFile(const std::string& path, const Json& status) {
-  const std::string temp = path + ".tmp";
-  std::FILE* file = std::fopen(temp.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "kgpip-serve: cannot write statusz to '%s'\n",
-                 temp.c_str());
-    return;
-  }
-  const std::string body = status.Dump(2);
-  std::fwrite(body.data(), 1, body.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "kgpip-serve: statusz rename to '%s' failed\n",
-                 path.c_str());
-    std::remove(temp.c_str());
+  Status written = util::WriteFileAtomic(path, status.Dump(2) + "\n");
+  if (!written.ok()) {
+    std::fprintf(stderr, "kgpip-serve: cannot write statusz: %s\n",
+                 written.ToString().c_str());
   }
 }
 

@@ -1,7 +1,8 @@
 #!/bin/bash
 # Runs every bench binary, teeing combined output. Before the benches,
 # the analysis test suite runs under ASan/UBSan (the sanitize preset) so
-# pointer-heavy pass-manager/CFG code gets exercised with checking on.
+# the lexer, parser, type flow and call graph get exercised with
+# checking on.
 set -u
 out=/root/repo/bench_output.txt
 : > "$out"

@@ -252,10 +252,15 @@ class Analysis {
   }
 
   void AddLocations(int node, int line) {
+    // Labels "L<line>:<i>", appended piecewise: GCC 12 misreports
+    // `"L" + std::string` under -Wrestrict.
+    std::string stem = "L";
+    stem += std::to_string(line);
+    stem += ':';
     for (int i = 0; i < kLocationFanout; ++i) {
-      int loc = graph_.AddNode(
-          NodeKind::kLocation,
-          "L" + std::to_string(line) + ":" + std::to_string(i), line);
+      std::string label = stem;
+      label += std::to_string(i);
+      int loc = graph_.AddNode(NodeKind::kLocation, std::move(label), line);
       graph_.AddEdge(node, loc, EdgeKind::kLocation);
     }
   }

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
-
-#include <cstdio>
 
 #include "data/synthetic.h"
 #include "gen/linter.h"
 #include "ml/learner.h"
 #include "obs/stage_profile.h"
 #include "obs/trace.h"
-#include "util/fault.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -27,7 +23,8 @@ using graph4ml::PipelineVocab;
 
 namespace {
 
-/// Artifact header: magic, FNV-1a checksum of the payload, payload size.
+/// Artifact files are util::WriteChecksummedFile envelopes with this
+/// magic around the ToJson() payload.
 constexpr char kArtifactMagic[] = "KGPIP1";
 
 /// One skeleton's search in `Kgpip::RunSearch`.
@@ -90,11 +87,13 @@ Status Kgpip::Train(const std::vector<DatasetSpec>& training_specs,
   return TrainFromStore(store, tables, seed);
 }
 
-embed::SimIndex::Options Kgpip::IndexOptions() const {
+embed::SimIndex::Options Kgpip::IndexOptions() {
   embed::SimIndex::Options options;
-  options.num_cells = config_.index_cells;
-  options.num_probes = config_.index_nprobe;
-  options.rerank_k = config_.index_rerank_k;
+  // Auto: an exact flat scan below embed::SimIndex::kAutoIvfMinRows
+  // datasets (paper-scale corpora), IVF with ~sqrt(N) cells beyond.
+  options.num_cells = -1;
+  options.num_probes = 8;
+  options.rerank_k = 64;
   return options;
 }
 
@@ -507,33 +506,6 @@ Json Kgpip::ToJson() const {
 }
 
 Status Kgpip::LoadJson(const Json& json) {
-  return LoadJsonImpl(json, /*build_index=*/true);
-}
-
-Status Kgpip::RebuildIndexFromEmbeddings() {
-  index_ = embed::SimIndex(IndexOptions());
-  for (const auto& [name, vec] : embeddings_) {
-    KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
-  }
-  return index_.Build();
-}
-
-bool Kgpip::SegmentsMatchEmbeddings(const embed::SimIndex& index) const {
-  // Keys must match one-to-one; values are not compared because the JSON
-  // embeddings may round-trip differently than the sidecar's exact
-  // binary rows. Sizes equal + every indexed key present == bijection.
-  if (index.size() != embeddings_.size()) return false;
-  if (!embeddings_.empty() &&
-      index.dims() != embeddings_.begin()->second.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < index.size(); ++i) {
-    if (embeddings_.find(index.KeyOf(i)) == embeddings_.end()) return false;
-  }
-  return true;
-}
-
-Status Kgpip::LoadJsonImpl(const Json& json, bool build_index) {
   KGPIP_ASSIGN_OR_RETURN(store_, graph4ml::Graph4Ml::FromJson(
                                      json.Get("store")));
   embeddings_.clear();
@@ -545,14 +517,10 @@ Status Kgpip::LoadJsonImpl(const Json& json, bool build_index) {
     for (size_t i = 0; i < arr.size(); ++i) {
       vec.push_back(arr.at(i).AsDouble());
     }
-    if (build_index) {
-      KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
-    }
+    KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
     embeddings_[name] = std::move(vec);
   }
-  if (build_index) {
-    KGPIP_RETURN_IF_ERROR(index_.Build());
-  }
+  KGPIP_RETURN_IF_ERROR(index_.Build());
 
   gen::GeneratorConfig gen_config;
   gen_config.vocab_size = PipelineVocab::Get().size();
@@ -570,128 +538,22 @@ Status Kgpip::LoadJsonImpl(const Json& json, bool build_index) {
 
 Status Kgpip::SaveFile(const std::string& path) const {
   if (!trained_) return Status::FailedPrecondition("KGpip is not trained");
-  std::string payload = ToJson().Dump();
-  const uint64_t checksum = Fnv1a64(payload);
-  const std::string header =
-      StrFormat("%s %016llx %llu\n", kArtifactMagic,
-                static_cast<unsigned long long>(checksum),
-                static_cast<unsigned long long>(payload.size()));
-  if (util::FaultInjector* inject = util::FaultInjector::Active()) {
-    // Corruption is injected *after* the checksum so LoadFile must
-    // catch it.
-    inject->CorruptArtifact(&payload);
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open '" + path + "' for write");
-  out << header << payload;
-  if (!out) return Status::IoError("write failed for '" + path + "'");
-  // IVF indexes ship a binary segment sidecar so LoadFile can skip the
-  // k-means + quantization rebuild. Flat indexes rebuild instantly and
-  // stay sidecar-free, byte-identical to v0 artifacts on disk. Sidecar
-  // failure is non-fatal: the JSON artifact alone remains loadable.
-  if (index_.num_cells_built() > 0) {
-    const Status seg = index_.SaveSegments(path + ".kgseg");
-    if (!seg.ok()) {
-      KGPIP_LOG(Warning) << "segment sidecar write failed (artifact is "
-                            "still loadable): "
-                         << seg.ToString();
-    }
-  }
-  return Status::Ok();
+  return util::WriteChecksummedFile(path, kArtifactMagic, ToJson().Dump());
 }
 
 Status Kgpip::LoadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string contents = buffer.str();
-
-  // Checksummed artifacts lead with "KGPIP1 <fnv1a> <size>\n"; files
-  // without the magic are treated as legacy raw-JSON artifacts.
-  std::string payload = contents;
-  size_t payload_offset = 0;
-  if (StartsWith(contents, std::string(kArtifactMagic) + " ")) {
-    const size_t eol = contents.find('\n');
-    if (eol == std::string::npos) {
-      return Status::ParseError(StrFormat(
-          "artifact '%s': unterminated header in the first %llu bytes",
-          path.c_str(),
-          static_cast<unsigned long long>(contents.size())));
-    }
-    unsigned long long checksum = 0, declared = 0;
-    if (std::sscanf(contents.c_str(), "KGPIP1 %16llx %llu", &checksum,
-                    &declared) != 2) {
-      return Status::ParseError(StrFormat(
-          "artifact '%s': malformed header in bytes [0, %llu)",
-          path.c_str(), static_cast<unsigned long long>(eol)));
-    }
-    payload_offset = eol + 1;
-    payload = contents.substr(payload_offset);
-    if (payload.size() != declared) {
-      return Status::ParseError(StrFormat(
-          "artifact '%s': truncated or padded payload — header declares "
-          "%llu bytes but %llu are present after byte offset %llu",
-          path.c_str(), declared,
-          static_cast<unsigned long long>(payload.size()),
-          static_cast<unsigned long long>(payload_offset)));
-    }
-    const uint64_t actual = Fnv1a64(payload);
-    if (actual != checksum) {
-      return Status::ParseError(StrFormat(
-          "artifact '%s': checksum mismatch over payload bytes "
-          "[%llu, %llu) — expected %016llx, got %016llx",
-          path.c_str(), static_cast<unsigned long long>(payload_offset),
-          static_cast<unsigned long long>(payload_offset + payload.size()),
-          checksum, static_cast<unsigned long long>(actual)));
-    }
-  }
-  auto json = Json::Parse(payload);
+  KGPIP_ASSIGN_OR_RETURN(
+      util::ChecksummedPayload file,
+      util::ReadChecksummedFile(path, kArtifactMagic, "artifact"));
+  auto json = Json::Parse(file.payload);
   if (!json.ok()) {
     return Status::ParseError(StrFormat(
         "artifact '%s': payload (at byte offset %llu) is not valid "
         "JSON: %s",
-        path.c_str(), static_cast<unsigned long long>(payload_offset),
+        path.c_str(), static_cast<unsigned long long>(file.offset),
         json.status().message().c_str()));
   }
-  // Segment-sidecar fast path: load the prebuilt KGSEG1 index when a
-  // valid one sits next to the artifact, else rebuild from the JSON
-  // embeddings. A corrupt sidecar is rejected (never served) and
-  // repaired in place from the rebuilt index.
-  const std::string seg_path = path + ".kgseg";
-  KGPIP_RETURN_IF_ERROR(LoadJsonImpl(*json, /*build_index=*/false));
-  embed::SimIndex seg_index(IndexOptions());
-  const Status seg = seg_index.LoadSegments(seg_path);
-  bool rejected = false;
-  if (seg.ok()) {
-    if (SegmentsMatchEmbeddings(seg_index)) {
-      index_ = std::move(seg_index);
-      return Status::Ok();
-    }
-    rejected = true;
-    KGPIP_LOG(Warning) << "segment sidecar '" << seg_path
-                       << "' does not cover this artifact's embeddings; "
-                          "rebuilding index";
-  } else if (seg.code() == StatusCode::kParseError) {
-    rejected = true;
-    KGPIP_LOG(Warning) << "rejecting corrupt segment sidecar: "
-                       << seg.ToString() << "; rebuilding index";
-  }
-  // kIoError means no sidecar at all — the v0 flat-artifact layout —
-  // and loads exactly as before, silently.
-  KGPIP_RETURN_IF_ERROR(RebuildIndexFromEmbeddings());
-  if (rejected) {
-    if (index_.num_cells_built() > 0) {
-      const Status repair = index_.SaveSegments(seg_path);
-      if (!repair.ok()) {
-        KGPIP_LOG(Warning) << "segment sidecar repair failed: "
-                           << repair.ToString();
-      }
-    } else {
-      std::remove(seg_path.c_str());
-    }
-  }
-  return Status::Ok();
+  return LoadJson(*json);
 }
 
 }  // namespace kgpip::core

@@ -42,15 +42,6 @@ struct KgpipConfig {
   /// gradients (one Adam step per batch, deterministic at any thread
   /// count); 1 is the classic sequential per-example loop.
   int generator_batch_size = 4;
-  /// Similarity-index shape: -1 = auto (exact flat scan below
-  /// embed::SimIndex::kAutoIvfMinRows datasets — paper-scale corpora are
-  /// untouched — IVF beyond), 0 = always flat, >0 = explicit IVF cell
-  /// count.
-  int index_cells = -1;
-  /// IVF cells probed per query.
-  int index_nprobe = 8;
-  /// IVF candidates exact-reranked per query.
-  int index_rerank_k = 64;
   /// Fault-tolerance policy applied to every trial during Fit (NaN
   /// quarantine, bounded retry on transient failures, per-trial deadline,
   /// per-skeleton circuit breaking). See hpo::TrialGuard.
@@ -148,12 +139,10 @@ class Kgpip : public automl::AutoMlSystem {
   Status LoadJson(const Json& json);
 
   /// Artifact persistence: train once, ship the file, load anywhere.
-  /// When the index is IVF-built, SaveFile also writes a binary
-  /// `<path>.kgseg` segment sidecar (KGSEG1) so LoadFile can skip the
-  /// index rebuild; LoadFile falls back to rebuilding from the JSON
-  /// embeddings when the sidecar is absent (v0 artifacts), corrupt
-  /// (rejected with a logged kParseError, then repaired in place), or
-  /// inconsistent with the artifact.
+  /// The file is the ToJson() payload in a checksummed `KGPIP1`
+  /// envelope (util::WriteChecksummedFile), replaced atomically. LoadFile
+  /// rejects a damaged or header-less file with kParseError and rebuilds
+  /// the similarity index from the embeddings.
   Status SaveFile(const std::string& path) const;
   Status LoadFile(const std::string& path);
 
@@ -173,16 +162,8 @@ class Kgpip : public automl::AutoMlSystem {
       const std::string& fallback_reason, obs::StageProfile profile,
       Stopwatch fit_watch, const FitOverrides& overrides = {}) const;
 
-  /// SimIndex options derived from the config's index_* knobs.
-  embed::SimIndex::Options IndexOptions() const;
-  /// LoadJson body; `build_index` false defers the index to the caller
-  /// (LoadFile's segment-sidecar fast path).
-  Status LoadJsonImpl(const Json& json, bool build_index);
-  /// Re-creates the index from embeddings_ (sidecar fallback).
-  Status RebuildIndexFromEmbeddings();
-  /// Whether a loaded segment index covers exactly this artifact's
-  /// embedding keys (a stale sidecar must never serve).
-  bool SegmentsMatchEmbeddings(const embed::SimIndex& index) const;
+  /// The similarity index's shape, the same for Train and LoadJson.
+  static embed::SimIndex::Options IndexOptions();
 
   KgpipConfig config_;
   bool trained_ = false;

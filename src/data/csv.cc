@@ -1,9 +1,8 @@
 #include "data/csv.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace kgpip {
@@ -139,11 +138,8 @@ Result<Table> ReadCsvText(std::string_view text, const CsvOptions& options) {
 
 Result<Table> ReadCsvFile(const std::string& path,
                           const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  KGPIP_ASSIGN_OR_RETURN(Table table, ReadCsvText(buffer.str(), options));
+  KGPIP_ASSIGN_OR_RETURN(std::string text, util::ReadFile(path));
+  KGPIP_ASSIGN_OR_RETURN(Table table, ReadCsvText(text, options));
   // Derive a dataset name from the file name.
   std::string name = path;
   size_t slash = name.find_last_of('/');
@@ -175,15 +171,6 @@ std::string WriteCsvText(const Table& table, char delimiter) {
     out += '\n';
   }
   return out;
-}
-
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open '" + path + "' for write");
-  out << WriteCsvText(table, delimiter);
-  if (!out) return Status::IoError("write failed for '" + path + "'");
-  return Status::Ok();
 }
 
 }  // namespace kgpip

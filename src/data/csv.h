@@ -29,10 +29,6 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options);
 /// Serializes a table to CSV text (with header).
 std::string WriteCsvText(const Table& table, char delimiter = ',');
 
-/// Writes a table to disk as CSV.
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter = ',');
-
 }  // namespace kgpip
 
 #endif  // KGPIP_DATA_CSV_H_

@@ -330,7 +330,7 @@ Table GenerateDataset(const DatasetSpec& spec) {
 
   for (int j = 0; j < spec.num_numeric; ++j) {
     std::string name = profile.numeric_names[j % 8];
-    if (j >= 8) name += "_" + std::to_string(j / 8);
+    if (j >= 8) name += StrFormat("_%d", j / 8);
     double offset = col_rng.Uniform(profile.offset_lo, profile.offset_hi);
     double scale = col_rng.Uniform(profile.scale_lo, profile.scale_hi);
     std::vector<double> values(static_cast<size_t>(n));
@@ -348,7 +348,7 @@ Table GenerateDataset(const DatasetSpec& spec) {
 
   for (int j = 0; j < spec.num_categorical; ++j) {
     std::string name = profile.categorical_names[j % 4];
-    if (j >= 4) name += "_" + std::to_string(j / 4);
+    if (j >= 4) name += StrFormat("_%d", j / 4);
     int cardinality = profile.cat_cardinality + (j % 3);
     std::vector<std::string> values(static_cast<size_t>(n));
     // First few categorical columns bin a latent so they are informative.
@@ -374,7 +374,7 @@ Table GenerateDataset(const DatasetSpec& spec) {
 
   for (int j = 0; j < spec.num_text; ++j) {
     std::string name = profile.text_name;
-    if (j >= 1) name += "_" + std::to_string(j);
+    if (j >= 1) name += StrFormat("_%d", j);
     std::vector<std::string> values(static_cast<size_t>(n));
     for (int r = 0; r < n; ++r) {
       int len = static_cast<int>(col_rng.UniformInt(5, 12));

@@ -141,7 +141,11 @@ void AddHashed(const std::string& token, double weight, double* block,
 }
 
 void AddNameNgrams(const std::string& name, double* block, size_t dims) {
-  std::string padded = "^" + AsciiToLower(name) + "$";
+  // Appended piecewise: GCC 12 misreports `"^" + std::string` under
+  // -Wrestrict.
+  std::string padded = "^";
+  padded += AsciiToLower(name);
+  padded += '$';
   for (size_t i = 0; i + 3 <= padded.size(); ++i) {
     AddHashed(padded.substr(i, 3), 1.0, block, dims);
   }

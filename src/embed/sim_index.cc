@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "nn/simd_kernels.h"
@@ -13,7 +9,6 @@
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace kgpip::embed {
@@ -28,10 +23,6 @@ constexpr size_t kParallelScanThreshold = 2048;
 /// deadline-exceeded request stops within microseconds of cancellation,
 /// large enough that the relaxed atomic load is amortized away.
 constexpr size_t kCancelPollStride = 512;
-
-/// Segment files lead with "KGSEG1 <version> <fnv1a> <size>\n".
-constexpr char kSegmentMagic[] = "KGSEG1";
-constexpr unsigned kSegmentVersion = 1;
 
 Status CancelledStatus() {
   return Status::ResourceExhausted(
@@ -89,53 +80,6 @@ SearchScratch& GetScratch() {
 }
 
 size_t RoundUp8(size_t n) { return (n + 7) & ~size_t{7}; }
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendF64s(std::string* out, const double* p, size_t n) {
-  out->append(reinterpret_cast<const char*>(p), n * sizeof(double));
-}
-
-/// Bounds-checked cursor over a verified payload. Offsets in errors are
-/// absolute file offsets (header included) so a hexdump lands on the
-/// reported byte.
-struct SegmentReader {
-  const std::string& payload;
-  const std::string& path;
-  size_t header_bytes;
-  size_t pos = 0;
-
-  Status Truncated(size_t need) const {
-    return Status::ParseError(StrFormat(
-        "segment '%s': truncated payload — need %llu bytes at byte "
-        "offset %llu but only %llu remain",
-        path.c_str(), static_cast<unsigned long long>(need),
-        static_cast<unsigned long long>(header_bytes + pos),
-        static_cast<unsigned long long>(payload.size() - pos)));
-  }
-
-  Status ReadBytes(void* dst, size_t n) {
-    if (payload.size() - pos < n) return Truncated(n);
-    std::memcpy(dst, payload.data() + pos, n);
-    pos += n;
-    return Status::Ok();
-  }
-
-  Status ReadU64(uint64_t* v) { return ReadBytes(v, sizeof(*v)); }
-
-  Status ReadF64s(std::vector<double>* out, size_t n) {
-    const size_t bytes = n * sizeof(double);
-    if (payload.size() - pos < bytes) return Truncated(bytes);
-    out->resize(n);
-    std::memcpy(out->data(), payload.data() + pos, bytes);
-    pos += bytes;
-    return Status::Ok();
-  }
-};
 
 }  // namespace
 
@@ -581,251 +525,6 @@ Result<std::vector<SearchHit>> SimIndex::Search(
     hits.push_back({keys_[exact[i].index], exact[i].sim});
   }
   return hits;
-}
-
-Status SimIndex::SaveSegments(const std::string& path) const {
-  static obs::Histogram* save_seconds =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "embed.index.segment_save_seconds");
-  Stopwatch watch;
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "SaveSegments requires a built index (call Build first)");
-  }
-  std::string payload;
-  const size_t n = keys_.size();
-  AppendU64(&payload, dims_);
-  AppendU64(&payload, n);
-  AppendU64(&payload, cells_.size());
-  AppendU64(&payload, quantized() ? 1 : 0);
-  for (const std::string& key : keys_) {
-    AppendU64(&payload, key.size());
-    payload.append(key);
-  }
-  AppendF64s(&payload, data_.data(), data_.size());
-  AppendF64s(&payload, row_sq_norms_.data(), row_sq_norms_.size());
-  if (!cells_.empty()) {
-    AppendF64s(&payload, centroids_.data(), centroids_.size());
-    AppendF64s(&payload, centroid_sq_norms_.data(),
-               centroid_sq_norms_.size());
-    for (const std::vector<size_t>& ids : cells_) {
-      AppendU64(&payload, ids.size());
-      for (size_t id : ids) AppendU64(&payload, id);
-    }
-    for (const CellSegment& seg : segments_) {
-      AppendF64s(&payload, seg.mins.data(), seg.mins.size());
-      AppendF64s(&payload, seg.steps.data(), seg.steps.size());
-      AppendU64(&payload, seg.padded);
-      payload.append(reinterpret_cast<const char*>(seg.codes.data()),
-                     seg.codes.size());
-    }
-  }
-  const std::string header =
-      StrFormat("%s %u %016llx %llu\n", kSegmentMagic, kSegmentVersion,
-                static_cast<unsigned long long>(Fnv1a64(payload)),
-                static_cast<unsigned long long>(payload.size()));
-  // Temp-then-rename: a crash mid-write leaves the previous segment (or
-  // nothing) on disk, never a torn file.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open '" + tmp + "' for write");
-    out << header << payload;
-    out.flush();
-    if (!out) return Status::IoError("write failed for '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  save_seconds->Record(watch.ElapsedSeconds());
-  return Status::Ok();
-}
-
-Status SimIndex::LoadSegments(const std::string& path) {
-  static obs::Histogram* load_seconds =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "embed.index.segment_load_seconds");
-  static obs::Gauge* size_gauge =
-      obs::MetricsRegistry::Global().GetGauge("embed.index.size");
-  static obs::Gauge* cells_gauge =
-      obs::MetricsRegistry::Global().GetGauge("embed.index.cells");
-  static obs::Gauge* quantized_gauge =
-      obs::MetricsRegistry::Global().GetGauge("embed.index.quantized");
-  Stopwatch watch;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-
-  if (!StartsWith(contents, std::string(kSegmentMagic) + " ")) {
-    return Status::ParseError(StrFormat(
-        "segment '%s': bad magic in bytes [0, %llu)", path.c_str(),
-        static_cast<unsigned long long>(
-            std::min<size_t>(contents.size(), sizeof(kSegmentMagic)))));
-  }
-  const size_t eol = contents.find('\n');
-  if (eol == std::string::npos) {
-    return Status::ParseError(StrFormat(
-        "segment '%s': unterminated header in the first %llu bytes",
-        path.c_str(), static_cast<unsigned long long>(contents.size())));
-  }
-  unsigned version = 0;
-  unsigned long long checksum = 0, declared = 0;
-  if (std::sscanf(contents.c_str(), "KGSEG1 %u %16llx %llu", &version,
-                  &checksum, &declared) != 3) {
-    return Status::ParseError(
-        StrFormat("segment '%s': malformed header in bytes [0, %llu)",
-                  path.c_str(), static_cast<unsigned long long>(eol)));
-  }
-  if (version != kSegmentVersion) {
-    return Status::ParseError(StrFormat(
-        "segment '%s': unsupported format version %u (supported: %u)",
-        path.c_str(), version, kSegmentVersion));
-  }
-  const size_t payload_offset = eol + 1;
-  const std::string payload = contents.substr(payload_offset);
-  if (payload.size() != declared) {
-    return Status::ParseError(StrFormat(
-        "segment '%s': truncated or padded payload — header declares %llu "
-        "bytes but %llu are present after byte offset %llu",
-        path.c_str(), declared,
-        static_cast<unsigned long long>(payload.size()),
-        static_cast<unsigned long long>(payload_offset)));
-  }
-  const uint64_t actual = Fnv1a64(payload);
-  if (actual != checksum) {
-    return Status::ParseError(StrFormat(
-        "segment '%s': checksum mismatch over payload bytes [%llu, %llu) — "
-        "expected %016llx, got %016llx",
-        path.c_str(), static_cast<unsigned long long>(payload_offset),
-        static_cast<unsigned long long>(payload_offset + payload.size()),
-        checksum, static_cast<unsigned long long>(actual)));
-  }
-
-  // Parse into a fresh index; *this is replaced only on full success, so
-  // a corrupt file can never leave a half-loaded index serving queries.
-  SimIndex fresh(options_);
-  SegmentReader r{payload, path, payload_offset};
-  uint64_t dims = 0, n = 0, num_cells = 0, quantized = 0;
-  KGPIP_RETURN_IF_ERROR(r.ReadU64(&dims));
-  KGPIP_RETURN_IF_ERROR(r.ReadU64(&n));
-  KGPIP_RETURN_IF_ERROR(r.ReadU64(&num_cells));
-  KGPIP_RETURN_IF_ERROR(r.ReadU64(&quantized));
-  // Every IVF index carries SQ8 segments and a flat one none, so the
-  // quantized word must say exactly whether there are cells.
-  if ((n > 0 && dims == 0) || quantized != (num_cells > 0 ? 1u : 0u) ||
-      num_cells > n || (dims > 0 && n > payload.size() / dims)) {
-    return Status::ParseError(StrFormat(
-        "segment '%s': implausible geometry (dims=%llu rows=%llu "
-        "cells=%llu quantized=%llu) in bytes [%llu, %llu)",
-        path.c_str(), static_cast<unsigned long long>(dims),
-        static_cast<unsigned long long>(n),
-        static_cast<unsigned long long>(num_cells),
-        static_cast<unsigned long long>(quantized),
-        static_cast<unsigned long long>(payload_offset),
-        static_cast<unsigned long long>(payload_offset + 32)));
-  }
-  fresh.dims_ = dims;
-  fresh.keys_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t len = 0;
-    KGPIP_RETURN_IF_ERROR(r.ReadU64(&len));
-    if (payload.size() - r.pos < len) return r.Truncated(len);
-    fresh.keys_.emplace_back(payload.data() + r.pos, len);
-    r.pos += len;
-  }
-  KGPIP_RETURN_IF_ERROR(r.ReadF64s(&fresh.data_, n * dims));
-  KGPIP_RETURN_IF_ERROR(r.ReadF64s(&fresh.row_sq_norms_, n));
-  fresh.row_inv_norms_.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    const double sq = fresh.row_sq_norms_[i];
-    fresh.row_inv_norms_[i] = sq > 0.0 ? 1.0 / std::sqrt(sq) : 0.0;
-  }
-  if (num_cells > 0) {
-    KGPIP_RETURN_IF_ERROR(r.ReadF64s(&fresh.centroids_, num_cells * dims));
-    KGPIP_RETURN_IF_ERROR(
-        r.ReadF64s(&fresh.centroid_sq_norms_, num_cells));
-    fresh.cells_.resize(num_cells);
-    std::vector<uint8_t> seen(n, 0);
-    uint64_t assigned = 0;
-    for (uint64_t c = 0; c < num_cells; ++c) {
-      uint64_t count = 0;
-      KGPIP_RETURN_IF_ERROR(r.ReadU64(&count));
-      if (count > n - assigned) {
-        return Status::ParseError(StrFormat(
-            "segment '%s': cell %llu declares %llu rows at byte offset "
-            "%llu but only %llu remain unassigned",
-            path.c_str(), static_cast<unsigned long long>(c),
-            static_cast<unsigned long long>(count),
-            static_cast<unsigned long long>(payload_offset + r.pos),
-            static_cast<unsigned long long>(n - assigned)));
-      }
-      fresh.cells_[c].resize(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t id = 0;
-        KGPIP_RETURN_IF_ERROR(r.ReadU64(&id));
-        if (id >= n || seen[id]) {
-          return Status::ParseError(StrFormat(
-              "segment '%s': cell %llu holds invalid or duplicate row id "
-              "%llu near byte offset %llu",
-              path.c_str(), static_cast<unsigned long long>(c),
-              static_cast<unsigned long long>(id),
-              static_cast<unsigned long long>(payload_offset + r.pos)));
-        }
-        seen[id] = 1;
-        fresh.cells_[c][i] = id;
-      }
-      assigned += count;
-    }
-    if (assigned != n) {
-      return Status::ParseError(StrFormat(
-          "segment '%s': cells assign %llu of %llu rows (not a partition)",
-          path.c_str(), static_cast<unsigned long long>(assigned),
-          static_cast<unsigned long long>(n)));
-    }
-    fresh.segments_.resize(num_cells);
-    for (uint64_t c = 0; c < num_cells; ++c) {
-      CellSegment& seg = fresh.segments_[c];
-      KGPIP_RETURN_IF_ERROR(r.ReadF64s(&seg.mins, dims));
-      KGPIP_RETURN_IF_ERROR(r.ReadF64s(&seg.steps, dims));
-      uint64_t padded = 0;
-      KGPIP_RETURN_IF_ERROR(r.ReadU64(&padded));
-      const uint64_t expect =
-          fresh.cells_[c].empty() ? 0 : RoundUp8(fresh.cells_[c].size());
-      if (padded != expect) {
-        return Status::ParseError(StrFormat(
-            "segment '%s': cell %llu declares padded row count %llu at "
-            "byte offset %llu (expected %llu)",
-            path.c_str(), static_cast<unsigned long long>(c),
-            static_cast<unsigned long long>(padded),
-            static_cast<unsigned long long>(payload_offset + r.pos - 8),
-            static_cast<unsigned long long>(expect)));
-      }
-      seg.padded = padded;
-      const size_t code_bytes = static_cast<size_t>(dims) * padded;
-      if (payload.size() - r.pos < code_bytes) {
-        return r.Truncated(code_bytes);
-      }
-      seg.codes.resize(code_bytes);
-      std::memcpy(seg.codes.data(), payload.data() + r.pos, code_bytes);
-      r.pos += code_bytes;
-    }
-  }
-  if (r.pos != payload.size()) {
-    return Status::ParseError(StrFormat(
-        "segment '%s': %llu trailing bytes after byte offset %llu",
-        path.c_str(),
-        static_cast<unsigned long long>(payload.size() - r.pos),
-        static_cast<unsigned long long>(payload_offset + r.pos)));
-  }
-  fresh.built_ = true;
-  *this = std::move(fresh);
-  size_gauge->Set(static_cast<double>(keys_.size()));
-  cells_gauge->Set(static_cast<double>(cells_.size()));
-  quantized_gauge->Set(quantized != 0 ? 1.0 : 0.0);
-  load_seconds->Record(watch.ElapsedSeconds());
-  return Status::Ok();
 }
 
 }  // namespace kgpip::embed

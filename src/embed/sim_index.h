@@ -56,11 +56,8 @@ double CosineFromParts(double dot, double na, double nb);
 /// util::ThreadPool; results are index-ordered and bit-identical at any
 /// thread count.
 ///
-/// Segments persist via SaveSegments/LoadSegments in the versioned
-/// `KGSEG1` format (magic + version + FNV-1a checksum over the payload,
-/// temp-then-rename writes). Corrupt or truncated segment files are
-/// rejected with kParseError and byte-offset diagnostics; callers
-/// rebuild from source embeddings instead of serving corrupt data.
+/// The index is not saved: a loaded model rebuilds it from its saved
+/// embeddings, added in the same order, which gives the same index.
 class SimIndex {
  public:
   struct Options {
@@ -100,16 +97,6 @@ class SimIndex {
       const std::vector<double>& query, size_t k,
       const util::CancelToken* cancel = nullptr) const;
 
-  /// Writes the built index (rows, norms, centroids, cells, SQ8
-  /// segments) to `path` in the KGSEG1 format, temp-then-rename.
-  Status SaveSegments(const std::string& path) const;
-
-  /// Replaces this index's contents from a KGSEG1 file. On any parse or
-  /// checksum failure the index is left unchanged and kParseError is
-  /// returned with the failing byte offset; callers rebuild from source
-  /// embeddings (never serve a corrupt segment).
-  Status LoadSegments(const std::string& path);
-
   size_t size() const { return keys_.size(); }
   size_t dims() const { return dims_; }
   /// Coarse cells actually built (0 until Build in IVF mode; 0 for flat).
@@ -118,10 +105,6 @@ class SimIndex {
   bool quantized() const { return !segments_.empty(); }
   /// Row i of the contiguous buffer (valid while the index is unchanged).
   const double* RowData(size_t i) const { return data_.data() + i * dims_; }
-  std::vector<double> VectorOf(size_t i) const {
-    return std::vector<double>(RowData(i), RowData(i) + dims_);
-  }
-  const std::string& KeyOf(size_t i) const { return keys_[i]; }
 
  private:
   /// One coarse cell's SQ8 payload: per-dim residual min + step, and a

@@ -1,13 +1,10 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
-#include <thread>
 
 #include "obs/sliding_window.h"
+#include "util/file_io.h"
 
 namespace kgpip::obs {
 
@@ -219,28 +216,7 @@ Json MetricsRegistry::ToJson() const {
 }
 
 Status MetricsRegistry::WriteJsonFile(const std::string& path) const {
-  // Write-temp-then-rename (the serve::ArtifactCache discipline): the
-  // final name either holds the previous complete snapshot or the new
-  // one, never a torn write from a crash mid-dump. The temp name carries
-  // the thread id so concurrent dumpers of one path cannot collide.
-  std::ostringstream tid;
-  tid << std::this_thread::get_id();
-  const std::string tmp = path + ".tmp." + tid.str();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::IoError("cannot open '" + tmp + "' for write");
-    out << ToJson().Dump(2) << "\n";
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::IoError("write failed for '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  return Status::Ok();
+  return util::WriteFileAtomic(path, ToJson().Dump(2) + "\n");
 }
 
 void MetricsRegistry::Reset() {

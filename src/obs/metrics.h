@@ -145,9 +145,9 @@ class MetricsRegistry {
   /// trailing-window view (count/sum/p50/p90/p99 or count/rate).
   Json ToJson() const;
 
-  /// Snapshot pretty-printed to a file (the bench `--metrics-out` sink).
-  /// Written temp-then-rename, like serve::ArtifactCache entries: a
-  /// crash mid-dump leaves the previous file intact, never a torn one.
+  /// Snapshot pretty-printed to a file (the bench `--metrics-out` sink),
+  /// replaced through util::WriteFileAtomic: a crash mid-dump leaves the
+  /// previous file intact, never a torn one.
   Status WriteJsonFile(const std::string& path) const;
 
   /// Zeroes every metric in place. Registered pointers stay valid —

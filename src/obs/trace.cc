@@ -3,10 +3,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 
 #include "obs/metrics.h"
+#include "util/file_io.h"
 #include "util/request_context.h"
 #include "util/string_util.h"
 
@@ -196,11 +196,7 @@ Json Tracer::ToChromeJson() const {
 }
 
 Status Tracer::WriteChromeTrace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open '" + path + "' for write");
-  out << ToChromeJson().Dump() << "\n";
-  if (!out) return Status::IoError("write failed for '" + path + "'");
-  return Status::Ok();
+  return util::WriteFileAtomic(path, ToChromeJson().Dump() + "\n");
 }
 
 void TraceSpan::Begin(std::string name) {

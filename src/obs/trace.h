@@ -84,6 +84,8 @@ class Tracer {
   /// ("kgpip"). Perfetto/chrome://tracing then shows each request's spans
   /// as one collapsible track group even when workers interleave.
   Json ToChromeJson() const;
+  /// ToChromeJson() replaced atomically at `path` (the KGPIP_TRACE
+  /// export at exit).
   Status WriteChromeTrace(const std::string& path) const;
 
  private:

@@ -3,13 +3,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/fault.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -92,57 +89,15 @@ std::string ArtifactCache::PathForKey(const std::string& key) const {
 }
 
 Result<Json> ArtifactCache::LoadEntryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no cache entry at '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-
-  const std::string prefix = std::string(kEntryMagic) + " ";
-  if (!StartsWith(contents, prefix)) {
-    return Status::ParseError(StrFormat(
-        "cache entry '%s': bad magic in bytes [0, %llu)", path.c_str(),
-        static_cast<unsigned long long>(
-            std::min<size_t>(contents.size(), prefix.size()))));
-  }
-  const size_t eol = contents.find('\n');
-  if (eol == std::string::npos) {
-    return Status::ParseError(StrFormat(
-        "cache entry '%s': unterminated header in the first %llu bytes",
-        path.c_str(), static_cast<unsigned long long>(contents.size())));
-  }
-  unsigned long long checksum = 0, declared = 0;
-  if (std::sscanf(contents.c_str(), "KGCACHE1 %16llx %llu", &checksum,
-                  &declared) != 2) {
-    return Status::ParseError(StrFormat(
-        "cache entry '%s': malformed header in bytes [0, %llu)",
-        path.c_str(), static_cast<unsigned long long>(eol)));
-  }
-  const size_t payload_offset = eol + 1;
-  const std::string payload = contents.substr(payload_offset);
-  if (payload.size() != declared) {
-    return Status::ParseError(StrFormat(
-        "cache entry '%s': truncated or padded payload — header declares "
-        "%llu bytes but %llu are present after byte offset %llu",
-        path.c_str(), declared,
-        static_cast<unsigned long long>(payload.size()),
-        static_cast<unsigned long long>(payload_offset)));
-  }
-  const uint64_t actual = Fnv1a64(payload);
-  if (actual != checksum) {
-    return Status::ParseError(StrFormat(
-        "cache entry '%s': checksum mismatch over payload bytes "
-        "[%llu, %llu) — expected %016llx, got %016llx",
-        path.c_str(), static_cast<unsigned long long>(payload_offset),
-        static_cast<unsigned long long>(payload_offset + payload.size()),
-        checksum, static_cast<unsigned long long>(actual)));
-  }
-  auto json = Json::Parse(payload);
+  KGPIP_ASSIGN_OR_RETURN(
+      util::ChecksummedPayload entry,
+      util::ReadChecksummedFile(path, kEntryMagic, "cache entry"));
+  auto json = Json::Parse(entry.payload);
   if (!json.ok()) {
     return Status::ParseError(StrFormat(
         "cache entry '%s': payload (at byte offset %llu) is not valid "
         "JSON: %s",
-        path.c_str(), static_cast<unsigned long long>(payload_offset),
+        path.c_str(), static_cast<unsigned long long>(entry.offset),
         json.status().message().c_str()));
   }
   return std::move(*json);
@@ -150,38 +105,7 @@ Result<Json> ArtifactCache::LoadEntryFile(const std::string& path) {
 
 Status ArtifactCache::WriteEntryFile(const std::string& path,
                                      const std::string& payload) {
-  std::string body = payload;
-  const uint64_t checksum = Fnv1a64(body);
-  if (util::FaultInjector* inject = util::FaultInjector::Active()) {
-    // Corruption lands *after* the checksum, exactly like artifact
-    // saves: the read path must catch it.
-    inject->CorruptArtifact(&body);
-  }
-  const std::string header =
-      StrFormat("%s %016llx %llu\n", kEntryMagic,
-                static_cast<unsigned long long>(checksum),
-                static_cast<unsigned long long>(body.size()));
-  // Write-temp-then-rename: the final name either holds the old entry or
-  // the complete new one, never a torn write. The temp name includes the
-  // thread id so concurrent writers of one key cannot collide.
-  std::ostringstream tid;
-  tid << std::this_thread::get_id();
-  const std::string tmp = path + ".tmp." + tid.str();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open '" + tmp + "' for write");
-    out << header << body;
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::IoError("write failed for '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  return Status::Ok();
+  return util::WriteChecksummedFile(path, kEntryMagic, payload);
 }
 
 void ArtifactCache::PutMemoryLocked(const std::string& key, Json value) {

@@ -29,12 +29,11 @@ uint64_t TableDigest(const Table& table);
 ///     the steady-state hit path without touching disk;
 ///   * an on-disk entry-per-file store under `dir` surviving restarts.
 ///
-/// Disk entries are written atomically (write to a temp file in the same
-/// directory, then rename over the final name) and carry a checksummed
-/// header `KGCACHE1 <fnv1a> <size>\n`, so a torn write, truncation, or
-/// bit flip is *detected at read time* — the corrupt entry is evicted
-/// (unlinked) and reported as a miss, never served. All methods are
-/// thread-safe; serve workers share one cache.
+/// Disk entries are util::WriteChecksummedFile envelopes with the magic
+/// `KGCACHE1`: replaced atomically, and checksummed so a torn write,
+/// truncation, or bit flip is *detected at read time* — the corrupt
+/// entry is evicted (unlinked) and reported as a miss, never served. All
+/// methods are thread-safe; serve workers share one cache.
 class ArtifactCache {
  public:
   struct Options {
@@ -80,11 +79,12 @@ class ArtifactCache {
 
   /// Parses + verifies one entry file. Exposed for tests and repair
   /// tooling: truncation, header damage, and payload corruption all
-  /// return kParseError with a byte-offset diagnostic.
+  /// return kParseError with a byte-offset diagnostic; a missing file is
+  /// kIoError.
   static Result<Json> LoadEntryFile(const std::string& path);
 
-  /// Atomically writes `payload` (already serialized) with a checksummed
-  /// header: temp file in the target directory, then rename.
+  /// Atomically replaces `path` with `payload` (already serialized) in
+  /// the checksummed `KGCACHE1` envelope.
   static Status WriteEntryFile(const std::string& path,
                                const std::string& payload);
 

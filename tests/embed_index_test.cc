@@ -1,17 +1,14 @@
 // IVF-SQ8 SimIndex suite: the approximate index's contracts against
 // the exact flat scan — recall@10 floor on clustered corpora, byte-
-// identity of the full-probe configuration, KGSEG1 segment round-trip
-// and corruption rejection (truncation, bit flips, bad magic, an IVF
-// file without SQ8 segments: reject with kParseError and byte offsets,
-// never serve corrupt data), the zero-allocation steady state of
-// Search's scratch, and hit-list byte-identity across thread counts and
-// ISA levels. Its own binary so the sanitizer and isa-determinism CI
-// jobs can run exactly this suite.
+// identity of the full-probe configuration, the zero-allocation steady
+// state of Search's scratch, and hit-list byte-identity across thread
+// counts, ISA levels, and a saved model's JSON round trip. Its own
+// binary so the sanitizer and isa-determinism CI jobs can run exactly
+// this suite.
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +18,7 @@
 #include "embed/sim_index.h"
 #include "nn/simd_kernels.h"
 #include "obs/metrics.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -57,7 +55,7 @@ SimIndex BuildIndex(const std::vector<std::vector<double>>& rows,
                     const SimIndex::Options& options) {
   SimIndex index(options);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(index.Add("r" + std::to_string(i), rows[i]).ok());
+    EXPECT_TRUE(index.Add(StrFormat("r%zu", i), rows[i]).ok());
   }
   EXPECT_TRUE(index.Build().ok());
   return index;
@@ -113,16 +111,50 @@ std::string SearchAllBytes(const SimIndex& index,
   return out;
 }
 
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+// Rows keyed "r<i>" in key order, the order Kgpip adds a model's
+// embeddings to its index (from a std::map) when it trains and when it
+// loads a saved model.
+std::map<std::string, std::vector<double>> Keyed(
+    const std::vector<std::vector<double>>& rows) {
+  std::map<std::string, std::vector<double>> keyed;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    keyed[StrFormat("r%zu", i)] = rows[i];
+  }
+  return keyed;
 }
 
-void WriteAll(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+SimIndex BuildKeyed(const std::map<std::string, std::vector<double>>& keyed,
+                    const SimIndex::Options& options) {
+  SimIndex index(options);
+  for (const auto& [key, row] : keyed) {
+    EXPECT_TRUE(index.Add(key, row).ok());
+  }
+  EXPECT_TRUE(index.Build().ok());
+  return index;
+}
+
+// The same rows after a saved model's JSON round trip: one member per key
+// holding %.17g numbers (Kgpip::ToJson), added back in member order
+// (Kgpip::LoadJson).
+SimIndex BuildFromJson(const std::map<std::string, std::vector<double>>& keyed,
+                       const SimIndex::Options& options) {
+  Json saved = Json::Object();
+  for (const auto& [key, row] : keyed) {
+    Json values = Json::Array();
+    for (double v : row) values.Append(Json(v));
+    saved.Set(key, std::move(values));
+  }
+  Result<Json> loaded = Json::Parse(saved.Dump());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  SimIndex index(options);
+  if (!loaded.ok()) return index;
+  for (const auto& [key, values] : loaded->members()) {
+    std::vector<double> row;
+    for (const Json& v : values.items()) row.push_back(v.AsDouble());
+    EXPECT_TRUE(index.Add(key, std::move(row)).ok());
+  }
+  EXPECT_TRUE(index.Build().ok());
+  return index;
 }
 
 TEST(SimIndexIvfTest, RecallAtTenMeetsFloorOnThousandRowCorpora) {
@@ -215,16 +247,22 @@ TEST(SimIndexIvfTest, SteadyStateSearchDoesNotGrowScratch) {
 TEST(SimIndexIvfTest, HitListsAreByteIdenticalAcrossThreadCounts) {
   // Build + search under 1, 2, and 4 pool threads: the k-means build
   // and the parallel flat scan (corpus is over the parallel-scan
-  // threshold) must both be invisible in the output.
-  const auto rows = ClusteredCorpus(3000, 16, 24, 13);
+  // threshold) must both be invisible in the output. A loaded model
+  // rebuilds its IVF index from the saved JSON embeddings, so the index
+  // built from the JSON round trip must return the direct build's bytes.
+  const auto keyed = Keyed(ClusteredCorpus(3000, 16, 24, 13));
   const auto queries = ClusteredCorpus(10, 16, 24, 31);
   auto run = [&]() {
     SimIndex::Options options;
     options.num_cells = 24;
     options.num_probes = 6;
-    SimIndex ivf = BuildIndex(rows, options);
-    SimIndex flat = BuildIndex(rows, SimIndex::Options{});
+    SimIndex ivf = BuildKeyed(keyed, options);
+    SimIndex flat = BuildKeyed(keyed, SimIndex::Options{});
+    SimIndex loaded = BuildFromJson(keyed, options);
+    EXPECT_TRUE(loaded.quantized());
     std::string blob = SearchAllBytes(ivf, queries, 9);
+    EXPECT_EQ(SearchAllBytes(loaded, queries, 9), blob)
+        << "the JSON round trip changed the index";
     blob += SearchAllBytes(flat, queries, 9);
     return blob;
   };
@@ -257,90 +295,6 @@ TEST(SimIndexIvfTest, QuantizedSearchIsByteIdenticalAcrossIsaLevels) {
         << "divergence under " << nn::simd::IsaName(isa);
   }
   nn::simd::ForceIsa(before);
-}
-
-TEST(SimIndexSegmentTest, RoundTripPreservesGeometryAndSearchBits) {
-  const auto rows = ClusteredCorpus(800, 12, 10, 7);
-  SimIndex::Options options;
-  options.num_cells = 10;
-  options.num_probes = 3;
-  SimIndex built = BuildIndex(rows, options);
-  const std::string path = "/tmp/kgpip_embed_segments_roundtrip.kgseg";
-  ASSERT_TRUE(built.SaveSegments(path).ok());
-
-  SimIndex loaded(options);
-  Status status = loaded.LoadSegments(path);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(loaded.size(), built.size());
-  EXPECT_EQ(loaded.dims(), built.dims());
-  EXPECT_EQ(loaded.num_cells_built(), built.num_cells_built());
-  EXPECT_EQ(loaded.quantized(), built.quantized());
-  for (size_t i = 0; i < built.size(); i += 97) {
-    EXPECT_EQ(loaded.KeyOf(i), built.KeyOf(i));
-  }
-  const auto queries = ClusteredCorpus(10, 12, 10, 55);
-  EXPECT_EQ(SearchAllBytes(loaded, queries, 5),
-            SearchAllBytes(built, queries, 5));
-  std::remove(path.c_str());
-}
-
-TEST(SimIndexSegmentTest, CorruptSegmentsAreRejectedWithoutDamage) {
-  const auto rows = ClusteredCorpus(500, 8, 6, 29);
-  SimIndex::Options options;
-  options.num_cells = 6;
-  SimIndex built = BuildIndex(rows, options);
-  const std::string path = "/tmp/kgpip_embed_segments_corrupt.kgseg";
-  ASSERT_TRUE(built.SaveSegments(path).ok());
-  const std::string good = ReadAll(path);
-  ASSERT_GT(good.size(), 200u);
-  const auto queries = ClusteredCorpus(6, 8, 6, 67);
-  const std::string served = SearchAllBytes(built, queries, 4);
-
-  // Truncation: reject with kParseError; the target index is untouched
-  // and keeps serving its previous contents bit for bit.
-  WriteAll(path, good.substr(0, good.size() / 2));
-  Status truncated = built.LoadSegments(path);
-  EXPECT_EQ(truncated.code(), StatusCode::kParseError)
-      << truncated.ToString();
-  EXPECT_EQ(SearchAllBytes(built, queries, 4), served);
-
-  // A flipped payload byte fails the FNV-1a checksum with byte offsets.
-  std::string flipped = good;
-  flipped[good.size() / 2] = static_cast<char>(flipped[good.size() / 2] ^ 0x40);
-  WriteAll(path, flipped);
-  SimIndex fresh(options);
-  Status bitflip = fresh.LoadSegments(path);
-  EXPECT_EQ(bitflip.code(), StatusCode::kParseError) << bitflip.ToString();
-  EXPECT_NE(bitflip.message().find("checksum"), std::string::npos)
-      << bitflip.ToString();
-  EXPECT_EQ(fresh.size(), 0u);  // left unchanged, never serves corrupt data
-
-  // An IVF file whose quantized word is zeroed (cells but no SQ8
-  // segments) fails the geometry check even under a valid checksum.
-  std::string payload = good.substr(good.find('\n') + 1);
-  std::memset(&payload[24], 0, 8);  // after the dims, rows and cells words
-  unsigned version = 0;
-  ASSERT_EQ(std::sscanf(good.c_str(), "KGSEG1 %u", &version), 1);
-  WriteAll(path, StrFormat("KGSEG1 %u %016llx %llu\n", version,
-                           static_cast<unsigned long long>(Fnv1a64(payload)),
-                           static_cast<unsigned long long>(payload.size())) +
-                     payload);
-  Status unquantized = fresh.LoadSegments(path);
-  EXPECT_EQ(unquantized.code(), StatusCode::kParseError)
-      << unquantized.ToString();
-  EXPECT_NE(unquantized.message().find("quantized"), std::string::npos)
-      << unquantized.ToString();
-  EXPECT_EQ(fresh.size(), 0u);
-
-  // Wrong magic and a missing file are distinct failures.
-  WriteAll(path, "KGSEGX 1 0000000000000000 4\nabcd");
-  EXPECT_EQ(fresh.LoadSegments(path).code(), StatusCode::kParseError);
-  std::remove(path.c_str());
-  EXPECT_EQ(fresh.LoadSegments(path).code(), StatusCode::kIoError);
-
-  // The rebuild path after a rejection: re-add + Build, then serve.
-  SimIndex rebuilt = BuildIndex(rows, options);
-  EXPECT_EQ(SearchAllBytes(rebuilt, queries, 4), served);
 }
 
 }  // namespace

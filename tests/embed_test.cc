@@ -10,6 +10,7 @@
 #include "embed/tsne.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/string_util.h"
 
 namespace kgpip::embed {
 namespace {
@@ -117,7 +118,7 @@ TEST(SimIndexTest, IvfModeFindsNearNeighbours) {
       std::vector<double> v = centers[c];
       for (double& x : v) x += rng.Normal() * 0.05;
       ASSERT_TRUE(
-          ivf.Add("c" + std::to_string(c) + "_" + std::to_string(i), v)
+          ivf.Add(StrFormat("c%d_%d", c, i), v)
               .ok());
     }
   }
@@ -186,7 +187,7 @@ TEST(SimIndexTest, TopKMatchesFullSortReference) {
       for (double& x : v) x = rng.Normal();
     }
     vectors.push_back(v);
-    ASSERT_TRUE(index.Add("k" + std::to_string(i), v).ok());
+    ASSERT_TRUE(index.Add(StrFormat("k%zu", i), v).ok());
   }
   ASSERT_TRUE(index.Build().ok());
 

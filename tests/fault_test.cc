@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string_view>
 
 #include "core/kgpip.h"
 #include "data/benchmark_registry.h"
@@ -14,9 +15,12 @@
 #include "hpo/optimizer.h"
 #include "hpo/trial_guard.h"
 #include "ml/learner.h"
+#include "serve/cache.h"
 #include "util/cancel.h"
 #include "util/fault.h"
+#include "util/file_io.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -400,16 +404,174 @@ TEST(ArtifactTest, ChecksumMismatchReportsByteRange) {
   std::remove(path.c_str());
 }
 
-TEST(ArtifactTest, LegacyPayloadWithBadJsonIsAParseError) {
-  const std::string path = "/tmp/kgpip_fault_legacy.bin";
+TEST(ArtifactTest, HeaderlessFileIsAParseErrorNamingTheMagic) {
+  const std::string path = "/tmp/kgpip_fault_headerless.bin";
   {
     std::ofstream out(path, std::ios::binary);
-    out << "this was never json";
+    out << R"({"embeddings":{},"generator":{},"store":{}})";
   }
   core::Kgpip kgpip;
   Status status = kgpip.LoadFile(path);
   EXPECT_EQ(status.code(), StatusCode::kParseError);
-  EXPECT_TRUE(Contains(status.message(), "JSON"));
+  EXPECT_TRUE(Contains(status.message(), "KGPIP1")) << status.ToString();
+  EXPECT_FALSE(kgpip.trained());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The checksummed envelope every saved model and cache entry is read
+// through (util/file_io).
+
+TEST(ChecksummedFileTest, MissingFileIsAnIoErrorAndWrongMagicAParseError) {
+  const std::string path = "/tmp/kgpip_fault_envelope_magic.bin";
+  std::remove(path.c_str());
+  EXPECT_EQ(util::ReadChecksummedFile(path, "KGPIP1", "artifact")
+                .status()
+                .code(),
+            StatusCode::kIoError);
+  ASSERT_TRUE(util::WriteChecksummedFile(path, "KGCACHE1", "{}").ok());
+  Status wrong = util::ReadChecksummedFile(path, "KGPIP1", "artifact").status();
+  EXPECT_EQ(wrong.code(), StatusCode::kParseError);
+  EXPECT_TRUE(Contains(wrong.message(), "bad magic in bytes [0, 7)"))
+      << wrong.ToString();
+  EXPECT_TRUE(Contains(wrong.message(), "KGPIP1")) << wrong.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ChecksummedFileTest, AcceptsOnlyTheHeaderTheWriterEmits) {
+  const std::string path = "/tmp/kgpip_fault_envelope_header.bin";
+  const std::string payload = R"({"a":1})";
+  ASSERT_TRUE(util::WriteChecksummedFile(path, "KGCACHE1", payload).ok());
+  auto read = util::ReadChecksummedFile(path, "KGCACHE1", "cache entry");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->payload, payload);
+  EXPECT_EQ(read->offset, 28u);
+  // Near misses a lenient parser would take: uppercase hex, a 0x prefix,
+  // trailing bytes, leading zeros, signs, other separators, short fields,
+  // and a size past 2^64 - 1 that would wrap to 7 unchecked.
+  for (const char* header : {
+           "KGCACHE1 9C3E82DD6FCAE8B1 7\n",
+           "KGCACHE1 0x9c3e82dd6fcae8b1 7\n",
+           "KGCACHE1 9c3e82dd6fcae8b1 7 \n",
+           "KGCACHE1 9c3e82dd6fcae8b1 7x\n",
+           "KGCACHE1 9c3e82dd6fcae8b1 07\n",
+           "KGCACHE1 9c3e82dd6fcae8b1 +7\n",
+           "KGCACHE1 9c3e82dd6fcae8b1  7\n",
+           "KGCACHE1 9c3e82dd6fcae8b1\t7\n",
+           "KGCACHE1  9c3e82dd6fcae8b1 7\n",
+           "KGCACHE1 09c3e82dd6fcae8b1 7\n",
+           "KGCACHE1 c3e82dd6fcae8b1 7\n",
+           "KGCACHE1 9c3e82dd6fcae8b1 \n",
+           "KGCACHE1 9c3e82dd6fcae8b1\n",
+           "KGCACHE1 9c3e82dd6fcae8b1 18446744073709551623\n",
+       }) {
+    ASSERT_TRUE(util::WriteFileAtomic(path, header + payload).ok());
+    Status status =
+        util::ReadChecksummedFile(path, "KGCACHE1", "cache entry").status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << header;
+    EXPECT_TRUE(Contains(status.message(), "malformed header"))
+        << status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ChecksummedFileTest, SeededMutationsYieldTheOriginalPayloadOrAParseError) {
+  // 1,000 seeded mutations of one valid file per magic: every header
+  // byte flipped, every truncation up to the header plus 8 bytes, header
+  // splices, and random payload byte flips. A read returns the original
+  // payload only for the unmutated bytes; anything else is a kParseError.
+  // Cache entries also go through ArtifactCache's reader.
+  struct Envelope {
+    const char* magic;
+    const char* what;
+    std::string payload;
+  };
+  Json artifact = Json::Object();
+  artifact.Set("store", Json::Object());
+  Json embedding = Json::Array();
+  embedding.Append(Json(0.25));
+  embedding.Append(Json(-1.5));
+  Json embeddings = Json::Object();
+  embeddings.Set("ds_3", std::move(embedding));
+  artifact.Set("embeddings", std::move(embeddings));
+  Json entry = Json::Object();
+  entry.Set("nearest", "ds_3");
+  entry.Set("score", 0.8125);
+  const std::vector<Envelope> envelopes = {
+      {"KGPIP1", "artifact", artifact.Dump()},
+      {"KGCACHE1", "cache entry", entry.Dump()}};
+  const std::vector<std::string> tokens = {
+      "",   " ",  "  ", "\t", "\n", "0",  "00", "0x", "0X", "+",  "-",
+      "A",  "F",  "ff", "G",  "KGPIP1 ", "KGCACHE1 ", "ffffffffffffffff",
+      "18446744073709551616", "99999999999999999999"};
+  const std::string path = "/tmp/kgpip_fault_envelope_mutations.bin";
+  Rng rng(0x5EED);
+  int reads = 0;
+  for (const Envelope& envelope : envelopes) {
+    ASSERT_TRUE(util::WriteChecksummedFile(path, envelope.magic,
+                                           envelope.payload)
+                    .ok());
+    const std::string good = util::ReadFile(path).value();
+    const size_t header = good.find('\n') + 1;
+    ASSERT_GT(good.size(), header + 8);
+    auto flip = [&rng](std::string* bytes, size_t i) {
+      (*bytes)[i] = static_cast<char>((*bytes)[i] ^ (1 << rng.UniformInt(8)));
+    };
+    std::vector<std::string> mutants;
+    for (size_t i = 0; i < header; ++i) {
+      mutants.push_back(good);
+      flip(&mutants.back(), i);
+    }
+    for (size_t n = 0; n <= header + 8; ++n) {
+      mutants.push_back(good.substr(0, n));
+    }
+    for (int s = 0; s < 400; ++s) {
+      const size_t begin = rng.UniformInt(header);
+      const size_t end = begin + rng.UniformInt(header - begin + 1);
+      std::string splice;
+      if (rng.Bernoulli(0.5)) {
+        splice = tokens[rng.UniformInt(tokens.size())];
+      } else {
+        const size_t n = 1 + rng.UniformInt(4);
+        for (size_t b = 0; b < n; ++b) {
+          splice.push_back(static_cast<char>(rng.UniformInt(256)));
+        }
+      }
+      mutants.push_back(good.substr(0, begin) + splice + good.substr(end));
+    }
+    while (mutants.size() < 1000) {
+      mutants.push_back(good);
+      const size_t flips = 1 + rng.UniformInt(3);
+      for (size_t f = 0; f < flips; ++f) {
+        flip(&mutants.back(),
+             header + rng.UniformInt(good.size() - header));
+      }
+    }
+    for (const std::string& mutant : mutants) {
+      ASSERT_TRUE(util::WriteFileAtomic(path, mutant).ok());
+      auto read = util::ReadChecksummedFile(path, envelope.magic,
+                                            envelope.what);
+      if (read.ok()) {
+        EXPECT_EQ(mutant, good) << "accepted a mutated file";
+        EXPECT_EQ(read->payload, envelope.payload);
+      } else {
+        EXPECT_EQ(read.status().code(), StatusCode::kParseError)
+            << read.status().ToString();
+      }
+      if (std::string_view(envelope.magic) == "KGCACHE1") {
+        Result<Json> cached = serve::ArtifactCache::LoadEntryFile(path);
+        if (cached.ok()) {
+          EXPECT_EQ(mutant, good) << "served a mutated cache entry";
+          EXPECT_EQ(cached->Dump(), envelope.payload);
+        } else {
+          EXPECT_EQ(cached.status().code(), StatusCode::kParseError)
+              << cached.status().ToString();
+        }
+      }
+      ++reads;
+    }
+  }
+  EXPECT_GE(reads, 2000);
   std::remove(path.c_str());
 }
 
@@ -649,16 +811,41 @@ TEST_F(FaultKgpipFixture, SaveLoadRoundTripsWithChecksumHeader) {
   const std::string path = "/tmp/kgpip_fault_roundtrip.bin";
   ASSERT_TRUE(kgpip_->SaveFile(path).ok());
   {
+    // The artifact's bytes are pinned: one header line, then the JSON.
     std::ifstream in(path, std::ios::binary);
-    std::string magic(7, '\0');
-    in.read(magic.data(), 7);
-    EXPECT_EQ(magic, "KGPIP1 ");
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::string p = kgpip_->ToJson().Dump();
+    EXPECT_EQ(file, StrFormat("KGPIP1 %016llx %llu\n",
+                              static_cast<unsigned long long>(Fnv1a64(p)),
+                              static_cast<unsigned long long>(p.size())) +
+                        p);
   }
   core::Kgpip reloaded(kgpip_->config());
   ASSERT_TRUE(reloaded.LoadFile(path).ok());
   EXPECT_TRUE(reloaded.trained());
   EXPECT_EQ(reloaded.store().NumPipelines(),
             kgpip_->store().NumPipelines());
+  std::remove(path.c_str());
+}
+
+TEST_F(FaultKgpipFixture, SaveFileReplacesTheFileInsteadOfOverwritingIt) {
+  const std::string path = "/tmp/kgpip_fault_replace.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "sentinel";
+  }
+  // A reader that opened the old file keeps reading the old bytes: the
+  // save renames a new file over the name instead of truncating the file
+  // the reader holds.
+  std::ifstream old_reader(path, std::ios::binary);
+  ASSERT_TRUE(old_reader.good());
+  ASSERT_TRUE(kgpip_->SaveFile(path).ok());
+  const std::string seen((std::istreambuf_iterator<char>(old_reader)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_TRUE(seen == "sentinel")
+      << "the old handle read " << seen.size() << " bytes starting '"
+      << seen.substr(0, 16) << "'";
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,3 @@
-#include <cstdio>
-#include <fstream>
-
 #include <gtest/gtest.h>
 
 #include "automl/flaml_system.h"
@@ -327,73 +324,6 @@ TEST_F(KgpipFixture, DiversityAcrossRunsWithSameDataset) {
     for (const auto& s : *skeletons) all_specs.insert(s.spec.ToString());
   }
   EXPECT_GT(all_specs.size(), 3u) << "no diversity across runs";
-}
-
-TEST(KgpipSegmentSidecarTest, SidecarRoundTripCorruptionAndV0Fallback) {
-  // An IVF-configured Kgpip writes a KGSEG1 sidecar next to the JSON
-  // artifact; LoadFile must (a) use a clean sidecar, (b) reject a
-  // corrupt one and rebuild from the JSON embeddings — repairing the
-  // sidecar in place — and (c) rebuild silently when the sidecar is
-  // absent (a v0 artifact).
-  BenchmarkRegistry registry;
-  auto specs = registry.TrainingSpecs();
-  specs.resize(6);
-  KgpipConfig config;
-  config.generator_epochs = 4;
-  config.index_cells = 4;
-  config.index_nprobe = 2;
-  Kgpip kgpip(config);
-  codegraph::CorpusOptions corpus;
-  corpus.pipelines_per_dataset = 4;
-  corpus.noise_scripts_per_dataset = 1;
-  ASSERT_TRUE(kgpip.Train(specs, corpus, 3).ok());
-  ASSERT_EQ(kgpip.index().num_cells_built(), 4u);
-
-  const std::string path = "/tmp/kgpip_sidecar_test.json";
-  const std::string seg = path + ".kgseg";
-  ASSERT_TRUE(kgpip.SaveFile(path).ok());
-  {
-    std::ifstream probe(seg, std::ios::binary);
-    ASSERT_TRUE(probe.good()) << "SaveFile wrote no segment sidecar";
-  }
-
-  Kgpip reloaded(config);
-  ASSERT_TRUE(reloaded.LoadFile(path).ok());
-  EXPECT_EQ(reloaded.index().size(), kgpip.index().size());
-  EXPECT_EQ(reloaded.index().num_cells_built(), 4u);
-
-  // Flip one payload byte: checksum rejection, rebuild, in-place repair.
-  {
-    std::fstream f(seg, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(80);
-    char byte = 0;
-    f.get(byte);
-    f.seekp(80);
-    f.put(static_cast<char>(byte ^ 0x11));
-  }
-  Kgpip corrupted(config);
-  ASSERT_TRUE(corrupted.LoadFile(path).ok());
-  EXPECT_EQ(corrupted.index().size(), kgpip.index().size());
-  EXPECT_EQ(corrupted.index().num_cells_built(), 4u);
-  // The repaired sidecar now loads cleanly on its own.
-  embed::SimIndex repaired(
-      [&] {
-        embed::SimIndex::Options options;
-        options.num_cells = config.index_cells;
-        return options;
-      }());
-  EXPECT_TRUE(repaired.LoadSegments(seg).ok());
-
-  // v0 artifact: no sidecar at all — silent rebuild from embeddings.
-  ASSERT_EQ(std::remove(seg.c_str()), 0);
-  Kgpip v0(config);
-  ASSERT_TRUE(v0.LoadFile(path).ok());
-  EXPECT_EQ(v0.index().size(), kgpip.index().size());
-  EXPECT_EQ(v0.index().num_cells_built(), 4u);
-
-  std::remove(path.c_str());
-  std::remove(seg.c_str());
 }
 
 }  // namespace

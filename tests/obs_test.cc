@@ -340,7 +340,11 @@ TEST(MetricsRegistryTest, WriteJsonFileIsAtomicAndParses) {
     ++entries;
   }
   EXPECT_EQ(entries, 1u);
+
+  // A directory that does not exist: an I/O error, and nothing created.
   std::filesystem::remove_all(dir);
+  EXPECT_EQ(registry.WriteJsonFile(path).code(), StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 // ---------------------------------------------------------------------

@@ -136,6 +136,19 @@ TEST(ArtifactCacheTest, DiskTierSurvivesRestart) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ArtifactCacheTest, EntryFileBytesArePinned) {
+  const std::string dir = TempDir("pin");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/entry.kgc";
+  ASSERT_TRUE(ArtifactCache::WriteEntryFile(path, R"({"a":1})").ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // Magic, FNV-1a of the payload as 16 hex digits, payload size, payload.
+  EXPECT_EQ(file, "KGCACHE1 9c3e82dd6fcae8b1 7\n{\"a\":1}");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ArtifactCacheTest, TruncatedEntryIsAParseErrorWithByteOffsets) {
   const std::string dir = TempDir("trunc");
   ArtifactCache cache(ArtifactCache::Options{dir, 8});
