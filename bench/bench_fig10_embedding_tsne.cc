@@ -86,7 +86,6 @@ int Run(int argc, char** argv) {
   for (size_t i = 0; i < specs.size(); ++i) {
     index.Add(std::to_string(i), embeddings[i]);
   }
-  index.Build();
   int hits = 0;
   for (size_t i = 0; i < specs.size(); ++i) {
     auto found = index.Search(embeddings[i], 2);

@@ -122,7 +122,6 @@ void BM_SimIndexSearch(benchmark::State& state) {
     for (double& x : v) x = rng.Normal();
     index.Add(StrFormat("d%d", i), v);
   }
-  index.Build();
   for (double& x : query) x = rng.Normal();
   for (auto _ : state) {
     auto hits = index.Search(query, 5);
@@ -364,29 +363,6 @@ void BM_CorpusAnalysisFanout(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CorpusAnalysisFanout)->Arg(1)->Arg(HardwareThreads());
-
-void BM_SimIndexBuild(benchmark::State& state) {
-  // IVF k-means over a contiguous buffer; the assignment sweep is the
-  // parallel part.
-  ScopedPool pool(state);
-  Rng rng(4);
-  std::vector<std::vector<double>> vectors;
-  for (int i = 0; i < 512; ++i) {
-    std::vector<double> v(embed::TableEmbedder::kDims);
-    for (double& x : v) x = rng.Normal();
-    vectors.push_back(std::move(v));
-  }
-  embed::SimIndex::Options options;
-  options.num_cells = 16;
-  for (auto _ : state) {
-    embed::SimIndex index(options);
-    for (size_t i = 0; i < vectors.size(); ++i) {
-      index.Add(StrFormat("d%zu", i), vectors[i]);
-    }
-    benchmark::DoNotOptimize(index.Build().ok());
-  }
-}
-BENCHMARK(BM_SimIndexBuild)->Arg(1)->Arg(HardwareThreads());
 
 void BM_ForestFit(benchmark::State& state) {
   // Per-tree parallel forest training with forked RNG streams.

@@ -45,10 +45,9 @@ if [ -x build/bench/bench_micro ]; then
   echo "" | tee -a "$out"
 fi
 
-# Similarity-index scaling benches: flat vs IVF-SQ8 at 1k/10k/100k rows.
-# The JSON carries a recall_at_10 counter next to each IVF timing, so
-# the speedup-at-quality claim is one artifact; the checked-in baseline
-# gates search/build latency the same way the decode gate does.
+# Similarity-index scaling benches: the exact flat scan's search and
+# build at 1k/10k/100k rows. The checked-in baseline gates their latency
+# the same way the decode gate does.
 if [ -x build/bench/bench_embed ]; then
   echo "===== embed index benches (BENCH_embed.json) =====" | tee -a "$out"
   build/bench/bench_embed \

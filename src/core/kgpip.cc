@@ -9,6 +9,7 @@
 #include "data/synthetic.h"
 #include "gen/linter.h"
 #include "ml/learner.h"
+#include "obs/metrics.h"
 #include "obs/stage_profile.h"
 #include "obs/trace.h"
 #include "util/file_io.h"
@@ -87,14 +88,33 @@ Status Kgpip::Train(const std::vector<DatasetSpec>& training_specs,
   return TrainFromStore(store, tables, seed);
 }
 
-embed::SimIndex::Options Kgpip::IndexOptions() {
-  embed::SimIndex::Options options;
-  // Auto: an exact flat scan below embed::SimIndex::kAutoIvfMinRows
-  // datasets (paper-scale corpora), IVF with ~sqrt(N) cells beyond.
-  options.num_cells = -1;
-  options.num_probes = 8;
-  options.rerank_k = 64;
-  return options;
+Status Kgpip::FillIndex() {
+  KGPIP_TRACE_SPAN("embed.index_build");
+  static obs::Histogram* build_seconds =
+      obs::MetricsRegistry::Global().GetHistogram("embed.index_build_seconds");
+  static obs::Gauge* size_gauge =
+      obs::MetricsRegistry::Global().GetGauge("embed.index.size");
+  Stopwatch watch;
+  index_ = embed::SimIndex();
+  for (const auto& [name, vec] : embeddings_) {
+    KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
+  }
+  size_gauge->Set(static_cast<double>(index_.size()));
+  build_seconds->Record(watch.ElapsedSeconds());
+  return Status::Ok();
+}
+
+std::unique_ptr<gen::GraphGenerator> Kgpip::MakeGenerator(
+    uint64_t seed) const {
+  gen::GeneratorConfig gen_config;
+  gen_config.vocab_size = PipelineVocab::Get().size();
+  gen_config.hidden = config_.hidden;
+  gen_config.condition_dims =
+      static_cast<int>(embed::TableEmbedder::kDims);
+  gen_config.max_nodes = config_.max_nodes;
+  gen_config.learning_rate = config_.learning_rate;
+  gen_config.batch_size = config_.generator_batch_size;
+  return std::make_unique<gen::GraphGenerator>(gen_config, seed);
 }
 
 Status Kgpip::TrainFromStore(const graph4ml::Graph4Ml& store,
@@ -102,10 +122,9 @@ Status Kgpip::TrainFromStore(const graph4ml::Graph4Ml& store,
                              uint64_t seed) {
   store_ = store;
   embeddings_.clear();
-  index_ = embed::SimIndex(IndexOptions());
   // Validate every dataset has a table first, then embed the tables in
-  // parallel and register them with the index in dataset order so the
-  // index layout is independent of the thread count.
+  // parallel; the index takes them in key order, so its layout is
+  // independent of the thread count.
   const std::vector<std::string> names = store_.DatasetNames();
   std::vector<const Table*> dataset_tables(names.size(), nullptr);
   for (size_t i = 0; i < names.size(); ++i) {
@@ -121,21 +140,12 @@ Status Kgpip::TrainFromStore(const graph4ml::Graph4Ml& store,
           names.size(),
           [&](size_t i) { return embedder_.Embed(*dataset_tables[i]); });
   for (size_t i = 0; i < names.size(); ++i) {
-    KGPIP_RETURN_IF_ERROR(index_.Add(names[i], dataset_embeddings[i]));
     embeddings_[names[i]] = std::move(dataset_embeddings[i]);
   }
-  KGPIP_RETURN_IF_ERROR(index_.Build());
+  KGPIP_RETURN_IF_ERROR(FillIndex());
 
   // Train the conditional graph generator on every mined pipeline.
-  gen::GeneratorConfig gen_config;
-  gen_config.vocab_size = PipelineVocab::Get().size();
-  gen_config.hidden = config_.hidden;
-  gen_config.condition_dims =
-      static_cast<int>(embed::TableEmbedder::kDims);
-  gen_config.max_nodes = config_.max_nodes;
-  gen_config.learning_rate = config_.learning_rate;
-  gen_config.batch_size = config_.generator_batch_size;
-  generator_ = std::make_unique<gen::GraphGenerator>(gen_config, seed);
+  generator_ = MakeGenerator(seed);
 
   std::vector<gen::GraphExample> examples;
   for (const graph4ml::PipelineGraph* pipeline : store_.AllPipelines()) {
@@ -509,28 +519,25 @@ Status Kgpip::LoadJson(const Json& json) {
   KGPIP_ASSIGN_OR_RETURN(store_, graph4ml::Graph4Ml::FromJson(
                                      json.Get("store")));
   embeddings_.clear();
-  index_ = embed::SimIndex(IndexOptions());
-  const Json& embeddings = json.Get("embeddings");
-  for (const auto& [name, arr] : embeddings.members()) {
+  for (const auto& [name, arr] : json.Get("embeddings").members()) {
+    if (!arr.is_array()) {
+      return Status::ParseError("artifact embedding '" + name +
+                                "' is not an array");
+    }
     std::vector<double> vec;
     vec.reserve(arr.size());
-    for (size_t i = 0; i < arr.size(); ++i) {
-      vec.push_back(arr.at(i).AsDouble());
+    for (const Json& value : arr.items()) {
+      if (!value.is_number()) {
+        return Status::ParseError("artifact embedding '" + name +
+                                  "' has a non-number component");
+      }
+      vec.push_back(value.AsDouble());
     }
-    KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
     embeddings_[name] = std::move(vec);
   }
-  KGPIP_RETURN_IF_ERROR(index_.Build());
+  KGPIP_RETURN_IF_ERROR(FillIndex());
 
-  gen::GeneratorConfig gen_config;
-  gen_config.vocab_size = PipelineVocab::Get().size();
-  gen_config.hidden = config_.hidden;
-  gen_config.condition_dims =
-      static_cast<int>(embed::TableEmbedder::kDims);
-  gen_config.max_nodes = config_.max_nodes;
-  gen_config.learning_rate = config_.learning_rate;
-  gen_config.batch_size = config_.generator_batch_size;
-  generator_ = std::make_unique<gen::GraphGenerator>(gen_config, 1);
+  generator_ = MakeGenerator(1);
   KGPIP_RETURN_IF_ERROR(generator_->LoadWeights(json.Get("generator")));
   trained_ = true;
   return Status::Ok();

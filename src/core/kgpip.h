@@ -162,8 +162,13 @@ class Kgpip : public automl::AutoMlSystem {
       const std::string& fallback_reason, obs::StageProfile profile,
       Stopwatch fit_watch, const FitOverrides& overrides = {}) const;
 
-  /// The similarity index's shape, the same for Train and LoadJson.
-  static embed::SimIndex::Options IndexOptions();
+  /// Refills the similarity index from `embeddings_` in key order, the
+  /// same index for TrainFromStore and LoadJson.
+  Status FillIndex();
+
+  /// A generator of the configured shape, for TrainFromStore and
+  /// LoadJson.
+  std::unique_ptr<gen::GraphGenerator> MakeGenerator(uint64_t seed) const;
 
   KgpipConfig config_;
   bool trained_ = false;

@@ -51,7 +51,7 @@ Status ParamStore::FromJson(const Json& json) {
                                      names_[i] + "'");
     }
     const Json& values = entry.Get("values");
-    if (values.size() != m.size()) {
+    if (!values.is_array() || values.size() != m.size()) {
       return Status::InvalidArgument("value count mismatch for '" +
                                      names_[i] + "'");
     }

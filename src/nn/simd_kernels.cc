@@ -130,20 +130,6 @@ void AdamScalar(const AdamCoeffs& c, const double* grad, double* m,
   }
 }
 
-void Sq8DotAccumScalar(const uint8_t* codes, size_t stride, const double* w,
-                       size_t dims, double* scores) {
-  // One independent ascending-d chain per score — the same chain the
-  // vector kernels keep in one lane.
-  for (size_t r = 0; r < stride; ++r) {
-    double acc = scores[r];
-    const uint8_t* col = codes + r;
-    for (size_t d = 0; d < dims; ++d) {
-      acc += w[d] * static_cast<double>(col[d * stride]);
-    }
-    scores[r] = acc;
-  }
-}
-
 // ---- Dispatch state ----------------------------------------------------
 
 // -1 = unresolved; resolved values are the Isa enum. Resolution is
@@ -460,25 +446,6 @@ void AdamN(Isa isa, const AdamCoeffs& c, const double* grad, double* m,
 #endif
     default:
       AdamScalar(c, grad, m, v, value, n);
-      return;
-  }
-}
-
-void Sq8DotAccum(Isa isa, const uint8_t* codes, size_t stride,
-                 const double* w, size_t dims, double* scores) {
-  switch (isa) {
-#if defined(KGPIP_SIMD_HAVE_AVX512)
-    case Isa::kAvx512:
-      detail::Sq8DotAccumAvx512(codes, stride, w, dims, scores);
-      return;
-#endif
-#if defined(KGPIP_SIMD_HAVE_AVX2)
-    case Isa::kAvx2:
-      detail::Sq8DotAccumAvx2(codes, stride, w, dims, scores);
-      return;
-#endif
-    default:
-      Sq8DotAccumScalar(codes, stride, w, dims, scores);
       return;
   }
 }

@@ -2,7 +2,6 @@
 #define KGPIP_NN_SIMD_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace kgpip::nn::simd {
 
@@ -125,18 +124,6 @@ struct AdamCoeffs {
 /// sqrt and division are correctly rounded at every level.
 void AdamN(Isa isa, const AdamCoeffs& c, const double* grad, double* m,
            double* v, double* value, size_t n);
-
-/// SQ8 decode-dot for the IVF index (embed::SimIndex): accumulates the
-/// weighted sum of quantization codes into per-row scores,
-///   scores[r] += sum_d w[d] * double(codes[d * stride + r])
-/// for r in [0, stride). `codes` is a dim-major (transposed) panel of
-/// uint8 codes — one cell's rows side by side — so SIMD lanes map to
-/// distinct rows and each score keeps one independent ascending-d chain;
-/// uint8 -> double conversion is exact, so every ISA level rounds
-/// identically. Caller contract: stride is a multiple of 8 (pad rows
-/// carry zero codes) and `scores` has `stride` elements.
-void Sq8DotAccum(Isa isa, const uint8_t* codes, size_t stride,
-                 const double* w, size_t dims, double* scores);
 
 }  // namespace kgpip::nn::simd
 

@@ -66,15 +66,6 @@ struct OpsAvx2 {
     wide = _mm256_slli_epi64(wide, 52);
     return _mm256_castsi256_pd(wide);
   }
-
-  // Four uint8 codes zero-extended to doubles. int32 holds [0, 255]
-  // exactly, and int32 -> double is exact, so the widen is lossless.
-  static V LoadU8(const uint8_t* p) {
-    uint32_t packed;
-    __builtin_memcpy(&packed, p, sizeof(packed));
-    const __m128i bytes = _mm_cvtsi32_si128(static_cast<int>(packed));
-    return _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(bytes));
-  }
 };
 
 using K = Kernels<OpsAvx2>;
@@ -112,10 +103,6 @@ void TanhGradAvx2(const double* dy, const double* y, double* g, size_t n) {
 void AdamAvx2(const AdamCoeffs& c, const double* grad, double* m, double* v,
          double* value, size_t n) {
   K::Adam(c, grad, m, v, value, n);
-}
-void Sq8DotAccumAvx2(const uint8_t* codes, size_t stride, const double* w,
-                     size_t dims, double* scores) {
-  K::Sq8DotAccum(codes, stride, w, dims, scores);
 }
 
 }  // namespace kgpip::nn::simd::detail

@@ -36,7 +36,9 @@ struct OpsAvx512 {
   static V Sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V Mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V Div(V a, V b) { return _mm512_div_pd(a, b); }
-  // maskz with an all-ones mask, for the same reason as LoadU8 below.
+  // maskz form with an all-ones mask: same result, but GCC's plain
+  // _mm512_sqrt_pd routes through _mm512_undefined_pd and trips
+  // -Wmaybe-uninitialized.
   static V Sqrt(V a) {
     return _mm512_maskz_sqrt_pd(static_cast<__mmask8>(0xff), a);
   }
@@ -78,19 +80,6 @@ struct OpsAvx512 {
     return _mm512_castsi512_pd(wide);
   }
 
-  // Eight uint8 codes zero-extended to doubles. int32 holds [0, 255]
-  // exactly and int32 -> double is exact, so the widen is lossless.
-  // (_mm256_cvtepu8_epi32 is AVX2, which -mavx512f implies; the _pd
-  // convert from epi32 is plain AVX-512F — no DQ needed.)
-  static V LoadU8(const uint8_t* p) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-    // maskz form with an all-ones mask: same convert, but GCC's plain
-    // _mm512_cvtepi32_pd routes through _mm512_undefined_pd and trips
-    // -Wmaybe-uninitialized.
-    return _mm512_maskz_cvtepi32_pd(static_cast<__mmask8>(0xff),
-                                    _mm256_cvtepu8_epi32(bytes));
-  }
 };
 
 using K = Kernels<OpsAvx512>;
@@ -129,10 +118,6 @@ void TanhGradAvx512(const double* dy, const double* y, double* g, size_t n) {
 void AdamAvx512(const AdamCoeffs& c, const double* grad, double* m, double* v,
            double* value, size_t n) {
   K::Adam(c, grad, m, v, value, n);
-}
-void Sq8DotAccumAvx512(const uint8_t* codes, size_t stride, const double* w,
-                       size_t dims, double* scores) {
-  K::Sq8DotAccum(codes, stride, w, dims, scores);
 }
 
 }  // namespace kgpip::nn::simd::detail

@@ -36,10 +36,8 @@
 //   SelGt(x, b) -> x > b ? b : x;  SelLt(x, b) -> x < b ? b : x
 //   And/AndNot/Or/Xor (bitwise on the double pattern)
 //   ExpScale(kd) -> 2^kd via exponent-bit construction (kd integral)
-//   LoadU8(p) -> kW uint8 codes zero-extended to doubles (exact)
 
 #include <cstddef>
-#include <cstdint>
 
 #include "nn/fastmath.h"
 #include "nn/simd_kernels.h"
@@ -143,29 +141,6 @@ struct Kernels {
           RowBlock<1>(a, b, c, i, ac, bc, kk, k_end, jj, j_end);
         }
       }
-    }
-  }
-
-  // ---- SQ8 decode-dot ---------------------------------------------------
-
-  // scores[r] += sum_d w[d] * double(codes[d * stride + r]) for r in
-  // [0, stride). Lane-per-score over a dim-major code panel: each output
-  // element keeps one independent ascending-d accumulation chain held in
-  // a register across the d loop, so scalar and vector kernels round
-  // identically per element (the uint8 -> double widen is exact and the
-  // read-once/add-dims-times/write-once collapse matches the scalar
-  // read-modify-write chain). stride % 8 == 0 by caller contract, so
-  // both vector widths tile the row axis without masks.
-  static void Sq8DotAccum(const uint8_t* codes, size_t stride,
-                          const double* w, size_t dims, double* scores) {
-    for (size_t r = 0; r < stride; r += kW) {
-      V acc = Ops::Load(scores + r);
-      const uint8_t* col = codes + r;
-      for (size_t d = 0; d < dims; ++d) {
-        const V vc = Ops::LoadU8(col + d * stride);
-        acc = Ops::Add(acc, Ops::Mul(Ops::Broadcast(w[d]), vc));
-      }
-      Ops::Store(scores + r, acc);
     }
   }
 

@@ -7,7 +7,6 @@
 // KGPIP_SIMD_HAVE_* guards + runtime CPUID check (see simd_kernels.cc).
 
 #include <cstddef>
-#include <cstdint>
 
 #include "nn/simd_kernels.h"
 
@@ -27,8 +26,6 @@ void SigmoidGradAvx2(const double* dy, const double* y, double* g, size_t n);
 void TanhGradAvx2(const double* dy, const double* y, double* g, size_t n);
 void AdamAvx2(const AdamCoeffs& c, const double* grad, double* m, double* v,
          double* value, size_t n);
-void Sq8DotAccumAvx2(const uint8_t* codes, size_t stride, const double* w,
-                     size_t dims, double* scores);
 
 void GemmAvx512(const double* a, const double* b, double* c, size_t rows,
                 size_t ac, size_t bc);
@@ -44,8 +41,6 @@ void SigmoidGradAvx512(const double* dy, const double* y, double* g, size_t n);
 void TanhGradAvx512(const double* dy, const double* y, double* g, size_t n);
 void AdamAvx512(const AdamCoeffs& c, const double* grad, double* m, double* v,
            double* value, size_t n);
-void Sq8DotAccumAvx512(const uint8_t* codes, size_t stride, const double* w,
-                       size_t dims, double* scores);
 
 }  // namespace kgpip::nn::simd::detail
 

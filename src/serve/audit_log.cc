@@ -72,18 +72,13 @@ void AuditLog::WriteHeaderLocked() {
   header.Set("type", "header");
   header.Set("isa_level", nn::simd::IsaName(isa));
   header.Set("isa_level_value", static_cast<int64_t>(isa));
-  // Similarity-index shape at open time (gauges set when the index is
-  // built or loaded): whether retrieval-backed records in this file ran
-  // against a flat exact scan or probed IVF-SQ8 segments.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  header.Set("embed_index_size", static_cast<int64_t>(
-                                     metrics.GetGauge("embed.index.size")
-                                         ->value()));
-  header.Set("embed_index_cells", static_cast<int64_t>(
-                                      metrics.GetGauge("embed.index.cells")
-                                          ->value()));
-  header.Set("embed_index_quantized",
-             metrics.GetGauge("embed.index.quantized")->value() != 0.0);
+  // Similarity-index size at open time (the gauge is set when the model
+  // trains or loads): how many rows each retrieval-backed record in this
+  // file scanned.
+  header.Set("embed_index_size",
+             static_cast<int64_t>(obs::MetricsRegistry::Global()
+                                      .GetGauge("embed.index.size")
+                                      ->value()));
   std::string line = header.Dump();
   line.push_back('\n');
   const size_t wrote = std::fwrite(line.data(), 1, line.size(), file_);

@@ -865,23 +865,14 @@ Json Server::DebugStatus() const {
   // lock this thread still holds, i.e. none).
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   {
-    // Shape and traffic of the similarity index behind skeleton
-    // prediction and the zero-shot rung (gauges set at SimIndex
-    // build/load; counters accumulate per query).
+    // Size and traffic of the similarity index behind skeleton
+    // prediction and the zero-shot rung (the size gauge is set when the
+    // model trains or loads; counters accumulate per query).
     Json e = Json::Object();
     e.Set("size",
           static_cast<int64_t>(metrics.GetGauge("embed.index.size")->value()));
-    e.Set("cells", static_cast<int64_t>(
-                       metrics.GetGauge("embed.index.cells")->value()));
-    e.Set("quantized",
-          metrics.GetGauge("embed.index.quantized")->value() != 0.0);
-    e.Set("sq8_max_abs_error",
-          metrics.GetGauge("embed.index.sq8_max_abs_error")->value());
-    e.Set("cells_probed",
-          metrics.GetCounter("embed.index.cells_probed")->value());
     e.Set("candidates_scanned",
           metrics.GetCounter("embed.index.candidates_scanned")->value());
-    e.Set("reranked", metrics.GetCounter("embed.index.reranked")->value());
     e.Set("search_allocs",
           metrics.GetCounter("embed.index.search_allocs")->value());
     out.Set("embed_index", std::move(e));

@@ -271,12 +271,16 @@ bool Json::Has(std::string_view key) const {
   return false;
 }
 
+const Json& Json::Null() {
+  static const Json kNull;
+  return kNull;
+}
+
 const Json& Json::Get(std::string_view key) const {
   for (const auto& [k, v] : members_) {
     if (k == key) return v;
   }
-  static const Json kNull;
-  return kNull;
+  return Null();
 }
 
 void Json::Set(std::string key, Json value) {

@@ -64,11 +64,15 @@ class Json {
   }
   const std::string& AsString() const { return string_; }
 
-  /// Array access.
+  /// Array access. `size` also counts an object's members; `at` returns
+  /// a shared null for a non-array or an index past the end, as `Get`
+  /// does for a missing key.
   size_t size() const {
     return is_array() ? array_.size() : (is_object() ? members_.size() : 0);
   }
-  const Json& at(size_t i) const { return array_[i]; }
+  const Json& at(size_t i) const {
+    return is_array() && i < array_.size() ? array_[i] : Null();
+  }
   void Append(Json value) { array_.push_back(std::move(value)); }
   const std::vector<Json>& items() const { return array_; }
 
@@ -87,6 +91,9 @@ class Json {
   static Result<Json> Parse(std::string_view text);
 
  private:
+  /// The shared null `at` and `Get` return for a missing element.
+  static const Json& Null();
+
   void DumpTo(std::string* out, int indent, int depth) const;
 
   Type type_;

@@ -1,22 +1,21 @@
-// IVF-SQ8 SimIndex suite: the approximate index's contracts against
-// the exact flat scan — recall@10 floor on clustered corpora, byte-
-// identity of the full-probe configuration, the zero-allocation steady
-// state of Search's scratch, and hit-list byte-identity across thread
-// counts, ISA levels, and a saved model's JSON round trip. Its own
-// binary so the sanitizer and isa-determinism CI jobs can run exactly
-// this suite.
+// SimIndex suite: the exact flat scan's contracts on corpora above the
+// parallel-scan threshold — hits equal to a BlockedCosine full-sort
+// reference, the zero-allocation steady state of Search's scratch,
+// hit-list byte-identity across thread counts and a saved model's JSON
+// round trip, and k = 0. Its own binary so the sanitizer CI jobs can run
+// exactly this suite.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "embed/sim_index.h"
-#include "nn/simd_kernels.h"
 #include "obs/metrics.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -27,11 +26,13 @@
 namespace kgpip::embed {
 namespace {
 
-using nn::simd::Isa;
+// Above the scan's 2048-row parallel threshold, so Search fans out over
+// the pool.
+constexpr size_t kRows = 3000;
 
 // Clustered synthetic corpus: `clusters` well-separated directions with
-// small gaussian spread — the regime IVF's coarse quantizer targets,
-// shaped like embedded-table corpora (many datasets per concept family).
+// small gaussian spread, shaped like embedded-table corpora (many
+// datasets per concept family).
 std::vector<std::vector<double>> ClusteredCorpus(size_t n, size_t dims,
                                                  size_t clusters,
                                                  uint64_t seed) {
@@ -51,35 +52,46 @@ std::vector<std::vector<double>> ClusteredCorpus(size_t n, size_t dims,
   return out;
 }
 
-SimIndex BuildIndex(const std::vector<std::vector<double>>& rows,
-                    const SimIndex::Options& options) {
-  SimIndex index(options);
+// Rows keyed "r<i>" in key order, the order Kgpip adds a model's
+// embeddings to its index (from a std::map) when it trains and when it
+// loads a saved model.
+std::map<std::string, std::vector<double>> Keyed(
+    const std::vector<std::vector<double>>& rows) {
+  std::map<std::string, std::vector<double>> keyed;
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(index.Add(StrFormat("r%zu", i), rows[i]).ok());
+    keyed[StrFormat("r%zu", i)] = rows[i];
   }
-  EXPECT_TRUE(index.Build().ok());
+  return keyed;
+}
+
+SimIndex BuildKeyed(const std::map<std::string, std::vector<double>>& keyed) {
+  SimIndex index;
+  for (const auto& [key, row] : keyed) {
+    EXPECT_TRUE(index.Add(key, row).ok());
+  }
   return index;
 }
 
-// Fraction of the exact index's top-k keys the approximate index also
-// returns, averaged over the queries.
-double RecallAtK(const SimIndex& approx, const SimIndex& exact,
-                 const std::vector<std::vector<double>>& queries, size_t k) {
-  size_t hit = 0;
-  size_t total = 0;
-  for (const auto& q : queries) {
-    auto truth = exact.Search(q, k);
-    auto got = approx.Search(q, k);
-    EXPECT_TRUE(truth.ok()) << truth.status().ToString();
-    EXPECT_TRUE(got.ok()) << got.status().ToString();
-    if (!truth.ok() || !got.ok()) return 0.0;
-    std::set<std::string> want;
-    for (const auto& h : *truth) want.insert(h.key);
-    for (const auto& h : *got) hit += want.count(h.key);
-    total += truth->size();
+// The same rows after a saved model's JSON round trip: one member per key
+// holding %.17g numbers (Kgpip::ToJson), decoded back into a map and
+// added in key order (Kgpip::LoadJson).
+SimIndex BuildFromJson(
+    const std::map<std::string, std::vector<double>>& keyed) {
+  Json saved = Json::Object();
+  for (const auto& [key, row] : keyed) {
+    Json values = Json::Array();
+    for (double v : row) values.Append(Json(v));
+    saved.Set(key, std::move(values));
   }
-  return total == 0 ? 0.0 : static_cast<double>(hit) /
-                                static_cast<double>(total);
+  Result<Json> loaded = Json::Parse(saved.Dump());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (!loaded.ok()) return SimIndex();
+  std::map<std::string, std::vector<double>> decoded;
+  for (const auto& [key, values] : loaded->members()) {
+    std::vector<double>& row = decoded[key];
+    for (const Json& v : values.items()) row.push_back(v.AsDouble());
+  }
+  return BuildKeyed(decoded);
 }
 
 // Serialized hit lists — keys plus the raw similarity bytes — so two
@@ -111,159 +123,75 @@ std::string SearchAllBytes(const SimIndex& index,
   return out;
 }
 
-// Rows keyed "r<i>" in key order, the order Kgpip adds a model's
-// embeddings to its index (from a std::map) when it trains and when it
-// loads a saved model.
-std::map<std::string, std::vector<double>> Keyed(
-    const std::vector<std::vector<double>>& rows) {
-  std::map<std::string, std::vector<double>> keyed;
+TEST(SimIndexScanTest, ParallelScanMatchesFullSortReference) {
+  // Every row scored with the fused BlockedCosine, then a stable sort by
+  // similarity (ties keep insertion order): the parallel scan must
+  // return exactly this prefix, keys and similarity bits alike.
+  const auto rows = ClusteredCorpus(kRows, 16, 24, 5);
+  SimIndex index;
   for (size_t i = 0; i < rows.size(); ++i) {
-    keyed[StrFormat("r%zu", i)] = rows[i];
+    ASSERT_TRUE(index.Add(StrFormat("r%zu", i), rows[i]).ok());
   }
-  return keyed;
-}
-
-SimIndex BuildKeyed(const std::map<std::string, std::vector<double>>& keyed,
-                    const SimIndex::Options& options) {
-  SimIndex index(options);
-  for (const auto& [key, row] : keyed) {
-    EXPECT_TRUE(index.Add(key, row).ok());
-  }
-  EXPECT_TRUE(index.Build().ok());
-  return index;
-}
-
-// The same rows after a saved model's JSON round trip: one member per key
-// holding %.17g numbers (Kgpip::ToJson), added back in member order
-// (Kgpip::LoadJson).
-SimIndex BuildFromJson(const std::map<std::string, std::vector<double>>& keyed,
-                       const SimIndex::Options& options) {
-  Json saved = Json::Object();
-  for (const auto& [key, row] : keyed) {
-    Json values = Json::Array();
-    for (double v : row) values.Append(Json(v));
-    saved.Set(key, std::move(values));
-  }
-  Result<Json> loaded = Json::Parse(saved.Dump());
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  SimIndex index(options);
-  if (!loaded.ok()) return index;
-  for (const auto& [key, values] : loaded->members()) {
-    std::vector<double> row;
-    for (const Json& v : values.items()) row.push_back(v.AsDouble());
-    EXPECT_TRUE(index.Add(key, std::move(row)).ok());
-  }
-  EXPECT_TRUE(index.Build().ok());
-  return index;
-}
-
-TEST(SimIndexIvfTest, RecallAtTenMeetsFloorOnThousandRowCorpora) {
-  for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
-    const auto rows = ClusteredCorpus(1000, 16, 20, seed);
-    SimIndex::Options options;
-    options.num_cells = 32;
-    options.num_probes = 8;
-    SimIndex ivf = BuildIndex(rows, options);
-    ASSERT_GT(ivf.num_cells_built(), 0u);
-    ASSERT_TRUE(ivf.quantized());
-    SimIndex flat = BuildIndex(rows, SimIndex::Options{});
-    ASSERT_EQ(flat.num_cells_built(), 0u);
-    const auto queries = ClusteredCorpus(40, 16, 20, seed + 100);
-    const double recall = RecallAtK(ivf, flat, queries, 10);
-    EXPECT_GE(recall, 0.95) << "seed " << seed;
+  const auto queries = ClusteredCorpus(4, 16, 24, 99);
+  for (const auto& q : queries) {
+    std::vector<std::pair<double, size_t>> ranked;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ranked.emplace_back(
+          BlockedCosine(q.data(), rows[i].data(), q.size()), i);
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    for (size_t k : {size_t{1}, size_t{9}, kRows}) {
+      auto hits = index.Search(q, k);
+      ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+      ASSERT_EQ(hits->size(), k);
+      for (size_t i = 0; i < k; ++i) {
+        EXPECT_EQ((*hits)[i].key, StrFormat("r%zu", ranked[i].second))
+            << "k=" << k << " rank " << i;
+        EXPECT_EQ((*hits)[i].similarity, ranked[i].first)
+            << "k=" << k << " rank " << i;
+      }
+    }
   }
 }
 
-TEST(SimIndexIvfTest, RecallAtTenMeetsFloorAtTenThousandRows) {
-  const auto rows = ClusteredCorpus(10000, 24, 64, 3);
-  SimIndex::Options options;
-  options.num_cells = 100;
-  options.num_probes = 8;
-  SimIndex ivf = BuildIndex(rows, options);
-  ASSERT_EQ(ivf.num_cells_built(), 100u);
-  SimIndex flat = BuildIndex(rows, SimIndex::Options{});
-  const auto queries = ClusteredCorpus(30, 24, 64, 777);
-  EXPECT_GE(RecallAtK(ivf, flat, queries, 10), 0.95);
-}
-
-TEST(SimIndexIvfTest, FullProbeQuantizedSearchMatchesFlatByteForByte) {
-  // With every cell probed and rerank_k covering every candidate, the
-  // quantized approximation only orders candidates for the exact rerank
-  // — which then scores with the flat scan's exact kernel. The result
-  // must equal the flat index's, keys and similarity bits alike.
-  const auto rows = ClusteredCorpus(600, 12, 8, 5);
-  SimIndex::Options options;
-  options.num_cells = 8;
-  options.num_probes = 64;   // > num_cells: probe everything
-  options.rerank_k = 10000;  // > n: exact-rerank everything
-  SimIndex ivf = BuildIndex(rows, options);
-  ASSERT_TRUE(ivf.quantized());
-  SimIndex flat = BuildIndex(rows, SimIndex::Options{});
-  const auto queries = ClusteredCorpus(12, 12, 8, 99);
-  for (size_t k : {size_t{1}, size_t{7}, size_t{600}}) {
-    EXPECT_EQ(SearchAllBytes(ivf, queries, k),
-              SearchAllBytes(flat, queries, k))
-        << "k=" << k;
-  }
-}
-
-TEST(SimIndexIvfTest, AutoPolicyKeepsSmallCorporaFlat) {
-  SimIndex::Options options;
-  options.num_cells = -1;  // auto
-  const auto rows = ClusteredCorpus(64, 8, 4, 19);
-  SimIndex index = BuildIndex(rows, options);
-  // Below kAutoIvfMinRows the auto policy must not build cells: the
-  // paper-scale corpus keeps the exact flat scan bit for bit.
-  EXPECT_EQ(index.num_cells_built(), 0u);
-  EXPECT_FALSE(index.quantized());
-  ASSERT_LT(rows.size(), SimIndex::kAutoIvfMinRows);
-  auto hits = index.Search(rows[3], 3);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ((*hits)[0].key, "r3");
-}
-
-TEST(SimIndexIvfTest, SteadyStateSearchDoesNotGrowScratch) {
+TEST(SimIndexScanTest, SteadyStateSearchDoesNotGrowScratch) {
   // Search reuses per-thread scratch; the embed.index.search_allocs
-  // counter ticks only when a scratch vector's capacity grows. After a
-  // warm-up pass over every query shape, repeated searches must not
-  // allocate — the serve path's per-request allocation budget.
-  const auto rows = ClusteredCorpus(1500, 16, 12, 9);
-  SimIndex::Options options;
-  options.num_cells = 12;
-  options.num_probes = 4;
-  SimIndex ivf = BuildIndex(rows, options);
+  // counter ticks only when the scratch's capacity grows. After a
+  // warm-up pass over every query, repeated searches must not allocate —
+  // the serve path's per-request allocation budget.
+  const auto rows = ClusteredCorpus(kRows, 16, 12, 9);
+  SimIndex index;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(index.Add(StrFormat("r%zu", i), rows[i]).ok());
+  }
   obs::Counter* allocs =
       obs::MetricsRegistry::Global().GetCounter("embed.index.search_allocs");
   const auto queries = ClusteredCorpus(16, 16, 12, 21);
-  for (const auto& q : queries) ASSERT_TRUE(ivf.Search(q, 20).ok());
+  for (const auto& q : queries) ASSERT_TRUE(index.Search(q, 20).ok());
   const int64_t before = allocs->value();
   for (int rep = 0; rep < 3; ++rep) {
-    for (const auto& q : queries) ASSERT_TRUE(ivf.Search(q, 20).ok());
+    for (const auto& q : queries) ASSERT_TRUE(index.Search(q, 20).ok());
   }
   EXPECT_EQ(allocs->value(), before)
       << "steady-state Search grew its scratch";
 }
 
-TEST(SimIndexIvfTest, HitListsAreByteIdenticalAcrossThreadCounts) {
-  // Build + search under 1, 2, and 4 pool threads: the k-means build
-  // and the parallel flat scan (corpus is over the parallel-scan
-  // threshold) must both be invisible in the output. A loaded model
-  // rebuilds its IVF index from the saved JSON embeddings, so the index
-  // built from the JSON round trip must return the direct build's bytes.
-  const auto keyed = Keyed(ClusteredCorpus(3000, 16, 24, 13));
+TEST(SimIndexScanTest, HitListsAreByteIdenticalAcrossThreadCounts) {
+  // Search under 1, 2, and 4 pool threads: the parallel scan must be
+  // invisible in the output. A loaded model rebuilds its index from the
+  // saved JSON embeddings, so the index built from the JSON round trip
+  // must return the direct build's bytes.
+  const auto keyed = Keyed(ClusteredCorpus(kRows, 16, 24, 13));
   const auto queries = ClusteredCorpus(10, 16, 24, 31);
   auto run = [&]() {
-    SimIndex::Options options;
-    options.num_cells = 24;
-    options.num_probes = 6;
-    SimIndex ivf = BuildKeyed(keyed, options);
-    SimIndex flat = BuildKeyed(keyed, SimIndex::Options{});
-    SimIndex loaded = BuildFromJson(keyed, options);
-    EXPECT_TRUE(loaded.quantized());
-    std::string blob = SearchAllBytes(ivf, queries, 9);
+    const SimIndex direct = BuildKeyed(keyed);
+    const SimIndex loaded = BuildFromJson(keyed);
+    const std::string blob = SearchAllBytes(direct, queries, 9);
     EXPECT_EQ(SearchAllBytes(loaded, queries, 9), blob)
         << "the JSON round trip changed the index";
-    blob += SearchAllBytes(flat, queries, 9);
     return blob;
   };
   util::ThreadPool::Configure(1);
@@ -275,26 +203,13 @@ TEST(SimIndexIvfTest, HitListsAreByteIdenticalAcrossThreadCounts) {
   util::ThreadPool::Configure(0);
 }
 
-TEST(SimIndexIvfTest, QuantizedSearchIsByteIdenticalAcrossIsaLevels) {
-  // The SQ8 kernel is the only ISA-dispatched code on the query path;
-  // forcing each supported level must leave hit lists byte-identical.
-  const auto rows = ClusteredCorpus(1200, 16, 12, 17);
-  SimIndex::Options options;
-  options.num_cells = 12;
-  options.num_probes = 4;
-  SimIndex ivf = BuildIndex(rows, options);
-  ASSERT_TRUE(ivf.quantized());
-  const auto queries = ClusteredCorpus(12, 16, 12, 41);
-  const Isa before = nn::simd::ActiveIsa();
-  nn::simd::ForceIsa(Isa::kScalar);
-  const std::string baseline = SearchAllBytes(ivf, queries, 8);
-  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
-    if (!nn::simd::IsaSupported(isa)) continue;
-    nn::simd::ForceIsa(isa);
-    EXPECT_EQ(SearchAllBytes(ivf, queries, 8), baseline)
-        << "divergence under " << nn::simd::IsaName(isa);
-  }
-  nn::simd::ForceIsa(before);
+TEST(SimIndexScanTest, ZeroKReturnsNoHits) {
+  SimIndex index;
+  ASSERT_TRUE(index.Add("a", {1.0, 0.0}).ok());
+  ASSERT_TRUE(index.Add("b", {0.0, 1.0}).ok());
+  auto hits = index.Search({1.0, 0.5}, 0);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_TRUE(hits->empty());
 }
 
 }  // namespace

@@ -66,7 +66,6 @@ TEST(EmbedderTest, NearestNeighbourRecoversFamilyAndDomain) {
                           embedder.Embed(GenerateDataset(spec))).ok());
     by_name[spec.name] = &spec;
   }
-  ASSERT_TRUE(index.Build().ok());
 
   int family_hits = 0;
   int domain_hits = 0;
@@ -93,7 +92,6 @@ TEST(SimIndexTest, FlatSearchExactOrder) {
   ASSERT_TRUE(index.Add("x", {1.0, 0.0}).ok());
   ASSERT_TRUE(index.Add("y", {0.0, 1.0}).ok());
   ASSERT_TRUE(index.Add("xy", {0.7, 0.7}).ok());
-  ASSERT_TRUE(index.Build().ok());
   auto hits = index.Search({1.0, 0.1}, 2);
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 2u);
@@ -104,40 +102,12 @@ TEST(SimIndexTest, FlatSearchExactOrder) {
   EXPECT_FALSE(index.Search({1.0}, 1).ok());
 }
 
-TEST(SimIndexTest, IvfModeFindsNearNeighbours) {
-  SimIndex::Options options;
-  options.num_cells = 4;
-  options.num_probes = 2;
-  SimIndex ivf(options);
-  kgpip::Rng rng(5);
-  // Four well-separated clusters of unit vectors.
-  std::vector<std::vector<double>> centers = {
-      {1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}};
-  for (int c = 0; c < 4; ++c) {
-    for (int i = 0; i < 12; ++i) {
-      std::vector<double> v = centers[c];
-      for (double& x : v) x += rng.Normal() * 0.05;
-      ASSERT_TRUE(
-          ivf.Add(StrFormat("c%d_%d", c, i), v)
-              .ok());
-    }
-  }
-  ASSERT_TRUE(ivf.Build().ok());
-  auto hits = ivf.Search({0.0, 0.98, 0.05, 0.0}, 3);
-  ASSERT_TRUE(hits.ok());
-  for (const auto& hit : *hits) {
-    EXPECT_EQ(hit.key.substr(0, 2), "c1") << hit.key;
-  }
-  // A query of the wrong dimensionality fails on the IVF path too.
-  EXPECT_FALSE(ivf.Search({1.0}, 3).ok());
-}
-
 TEST(SimIndexTest, CosineDecompositionMatchesFusedKernelBitwise) {
   // The index precomputes row norms at Add time and re-assembles cosine
   // from BlockedDot + BlockedSquaredNorm at query time. That split must
   // reproduce the fused BlockedCosine BIT for bit (each accumulator
   // chain is untouched by the split), or precomputing norms would change
-  // hit order relative to the pre-IVF flat scan.
+  // hit order relative to scoring each pair with BlockedCosine.
   kgpip::Rng rng(7);
   for (size_t dims : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
                       size_t{7}, size_t{8}, size_t{16}, size_t{17},
@@ -189,7 +159,6 @@ TEST(SimIndexTest, TopKMatchesFullSortReference) {
     vectors.push_back(v);
     ASSERT_TRUE(index.Add(StrFormat("k%zu", i), v).ok());
   }
-  ASSERT_TRUE(index.Build().ok());
 
   std::vector<double> query(kDims);
   for (double& x : query) x = rng.Normal();
@@ -209,7 +178,7 @@ TEST(SimIndexTest, TopKMatchesFullSortReference) {
                      });
     ASSERT_EQ(hits->size(), std::min(k, kN)) << "k=" << k;
     for (size_t i = 0; i < hits->size(); ++i) {
-      EXPECT_EQ((*hits)[i].key, "k" + std::to_string(ranked[i].second))
+      EXPECT_EQ((*hits)[i].key, StrFormat("k%zu", ranked[i].second))
           << "k=" << k << " rank " << i;
       EXPECT_EQ((*hits)[i].similarity, ranked[i].first)
           << "k=" << k << " rank " << i;

@@ -12,6 +12,9 @@
 #include "core/kgpip.h"
 #include "data/benchmark_registry.h"
 #include "data/synthetic.h"
+#include "embed/embedder.h"
+#include "gen/graph_generator.h"
+#include "graph4ml/vocab.h"
 #include "hpo/optimizer.h"
 #include "hpo/trial_guard.h"
 #include "ml/learner.h"
@@ -415,6 +418,69 @@ TEST(ArtifactTest, HeaderlessFileIsAParseErrorNamingTheMagic) {
   EXPECT_EQ(status.code(), StatusCode::kParseError);
   EXPECT_TRUE(Contains(status.message(), "KGPIP1")) << status.ToString();
   EXPECT_FALSE(kgpip.trained());
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
+  // Correctly checksummed artifacts whose JSON has the wrong shape: an
+  // object where an array belongs, a string inside an embedding, an empty
+  // edge pair, and a weight list given as an object with the right
+  // member count. Each must fail LoadFile with a Status; the sanitizer
+  // build checks that none of them reads out of bounds on the way.
+  gen::GeneratorConfig gen_config;
+  gen_config.vocab_size = graph4ml::PipelineVocab::Get().size();
+  gen_config.hidden = core::KgpipConfig().hidden;
+  gen_config.condition_dims = static_cast<int>(embed::TableEmbedder::kDims);
+  Json generator = gen::GraphGenerator(gen_config, 1).ToJson();
+  // The smallest weight matrix, its values re-keyed into an object.
+  Json weights = generator.Get("weights");
+  std::string smallest;
+  for (const auto& [name, entry] : weights.members()) {
+    if (smallest.empty() || entry.Get("values").size() <
+                                weights.Get(smallest).Get("values").size()) {
+      smallest = name;
+    }
+  }
+  Json entry = weights.Get(smallest);
+  Json keyed_values = Json::Object();
+  for (size_t k = 0; k < entry.Get("values").size(); ++k) {
+    keyed_values.Set(StrFormat("v%zu", k), entry.Get("values").at(k));
+  }
+  entry.Set("values", std::move(keyed_values));
+  weights.Set(smallest, std::move(entry));
+  generator.Set("weights", std::move(weights));
+  const std::string bad_weights =
+      R"({"store":{"datasets":{}},"embeddings":{},"generator":)" +
+      generator.Dump() + "}";
+
+  struct Case {
+    std::string payload;
+    StatusCode code;
+    std::string message;  // a substring of the status message
+  };
+  const std::vector<Case> cases = {
+      {R"({"store":{"datasets":{}},"embeddings":{"d1":{"x":1}}})",
+       StatusCode::kParseError, "'d1' is not an array"},
+      {R"({"store":{"datasets":{}},"embeddings":{"d1":[0.5,"x"]}})",
+       StatusCode::kParseError, "'d1' has a non-number component"},
+      {R"({"store":{"datasets":{"d1":{"x":1}}},"embeddings":{}})",
+       StatusCode::kParseError, "pipeline without estimator"},
+      // The edge decodes; the missing generator then fails the load.
+      {R"({"store":{"datasets":{"d1":[{"estimator":"knn",)"
+       R"("node_types":[0,1],"edges":[[]]}]}},"embeddings":{}})",
+       StatusCode::kInvalidArgument, "generator config mismatch"},
+      {bad_weights, StatusCode::kInvalidArgument,
+       "value count mismatch for '" + smallest + "'"},
+  };
+  const std::string path = "/tmp/kgpip_fault_malformed_payload.bin";
+  for (const Case& c : cases) {
+    ASSERT_TRUE(util::WriteChecksummedFile(path, "KGPIP1", c.payload).ok());
+    core::Kgpip kgpip;
+    Status status = kgpip.LoadFile(path);
+    EXPECT_EQ(status.code(), c.code) << status.ToString();
+    EXPECT_TRUE(Contains(status.message(), c.message)) << status.ToString();
+    EXPECT_FALSE(kgpip.trained());
+  }
   std::remove(path.c_str());
 }
 

@@ -128,46 +128,6 @@ TEST(SimdKernelTest, BiasRowsMatchesScalarBitwise) {
   }
 }
 
-TEST(SimdKernelTest, Sq8DotAccumMatchesScalarBitwise) {
-  // The SQ8 segment-scan kernel (IVF-SQ8 SimIndex) keeps one ascending-d
-  // accumulation chain per score lane, so its output must be a pure
-  // function of (codes, weights) — bit-identical at every ISA level.
-  // Sweep dims x rows including every partial final panel; the stride is
-  // the index's RoundUp8 padding with zero codes in the pad lanes.
-  const std::vector<Isa> levels = TestableSimdLevels();
-  if (levels.empty()) GTEST_SKIP() << "host has no SIMD kernel support";
-  Rng rng(15);
-  for (size_t dims : kShapeSweep) {
-    for (size_t rows : kShapeSweep) {
-      const size_t stride = (rows + 7) / 8 * 8;
-      std::vector<uint8_t> codes(dims * stride, 0);
-      for (size_t d = 0; d < dims; ++d) {
-        for (size_t r = 0; r < rows; ++r) {
-          codes[d * stride + r] =
-              static_cast<uint8_t>(rng.UniformInt(uint64_t{256}));
-        }
-      }
-      // Weights include exact zeros and negative zeros like every other
-      // kernel input; scores start from nonzero values to exercise the
-      // accumulate-in-place contract.
-      const std::vector<double> w = RandomBuffer(dims, &rng);
-      const std::vector<double> init = RandomBuffer(stride, &rng);
-      std::vector<double> ref = init;
-      nn::simd::Sq8DotAccum(Isa::kScalar, codes.data(), stride, w.data(),
-                            dims, ref.data());
-      for (Isa isa : levels) {
-        std::vector<double> got = init;
-        nn::simd::Sq8DotAccum(isa, codes.data(), stride, w.data(), dims,
-                              got.data());
-        ExpectBitEqual(ref, got, isa,
-                       "sq8 dot dims=" + std::to_string(dims) +
-                           " rows=" + std::to_string(rows));
-        if (HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, ActivationKernelsMatchScalarBitwise) {
   const std::vector<Isa> levels = TestableSimdLevels();
   if (levels.empty()) GTEST_SKIP() << "host has no SIMD kernel support";

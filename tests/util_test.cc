@@ -153,6 +153,23 @@ TEST(JsonTest, ParseRoundTrip) {
   EXPECT_EQ(reparsed->Dump(), j.Dump());
 }
 
+TEST(JsonTest, AtOnAnObjectOrPastTheEndIsNull) {
+  // size() counts an object's members, so a loop over size() that calls
+  // at() must not index past the (empty) array: at() returns the shared
+  // null, as Get does for a missing key.
+  auto parsed = Json::Parse(R"({"obj": {"x": 1, "y": 2}, "arr": [7]})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Json& obj = parsed->Get("obj");
+  ASSERT_EQ(obj.size(), 2u);
+  EXPECT_TRUE(obj.at(0).is_null());
+  EXPECT_TRUE(obj.at(1).is_null());
+  const Json& arr = parsed->Get("arr");
+  EXPECT_EQ(arr.at(0).AsInt(), 7);
+  EXPECT_TRUE(arr.at(1).is_null());
+  EXPECT_TRUE(arr.at(1).at(0).is_null());
+  EXPECT_TRUE(Json(3.5).at(0).is_null());
+}
+
 TEST(JsonTest, ParseErrors) {
   EXPECT_FALSE(Json::Parse("{").ok());
   EXPECT_FALSE(Json::Parse("[1,]").ok());
