@@ -1,6 +1,9 @@
 #include "graph4ml/graph4ml.h"
 
+#include <string>
+
 #include "codegraph/analyzer.h"
+#include "graph4ml/verify.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -178,6 +181,16 @@ Result<Graph4Ml> Graph4Ml::FromJson(const Json& json) {
       if (!p.valid()) {
         return Status::ParseError("pipeline without estimator in '" +
                                   name + "'");
+      }
+      // A saved store holds filter output, so every pipeline must pass
+      // the filter's own invariants; node types and edge endpoints
+      // index the generator's tensors.
+      const std::vector<codegraph::analysis::Diagnostic> findings =
+          VerifyPipelineGraph(p);
+      if (!findings.empty()) {
+        return Status::ParseError("pipeline #" + std::to_string(i) +
+                                  " in '" + name + "' is malformed: " +
+                                  findings.front().ToString());
       }
       store.by_dataset_[name].push_back(std::move(p));
       ++store.scripts_analyzed_;

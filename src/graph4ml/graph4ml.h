@@ -45,7 +45,9 @@ class Graph4Ml {
   /// Frequency of each canonical op across stored pipelines (Figure 9).
   std::map<std::string, size_t> OpHistogram() const;
 
-  /// JSON (de)serialization of the full store.
+  /// JSON (de)serialization of the full store. FromJson returns
+  /// kParseError for a pipeline without an estimator or one that fails
+  /// VerifyPipelineGraph (graph4ml/verify.h).
   Json ToJson() const;
   static Result<Graph4Ml> FromJson(const Json& json);
 

@@ -18,8 +18,10 @@ namespace kgpip::graph4ml {
 ///     matching the `estimator` field.
 ///
 /// Runs after every FilterCodeGraph when the CodeGraphVerifier toggle is
-/// on (debug/test builds); violations indicate filter bugs, not bad
-/// input scripts. Returns the violated invariants (empty = well-formed).
+/// on (debug/test builds), where violations indicate filter bugs, not bad
+/// input scripts; and on every pipeline Graph4Ml::FromJson decodes, where
+/// they reject the saved store. Returns the violated invariants (empty =
+/// well-formed).
 std::vector<codegraph::analysis::Diagnostic> VerifyPipelineGraph(
     const PipelineGraph& pipeline);
 

@@ -19,25 +19,11 @@ namespace kgpip::nn {
 // (This replaced the PR 5 target_clones IFUNC approach: manual dispatch
 // is TSan-safe and lets one binary carry an AVX-512 path.)
 
-namespace {
-
-void GemmInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  KGPIP_CHECK(a.cols() == b.rows())
-      << "matmul shape mismatch: " << a.rows() << "x" << a.cols() << " * "
-      << b.rows() << "x" << b.cols();
-  out->Reshape(a.rows(), b.cols());
-  out->Fill(0.0);
-  simd::GemmRows(simd::ActiveIsa(), a.data(), b.data(), out->data(), a.rows(),
-                 a.cols(), b.cols());
-}
-
-}  // namespace
-
 void FusedLinear(const Matrix& x, const Matrix& w, const Matrix& b,
                  Activation act, Matrix* out) {
   KGPIP_CHECK(b.rows() == 1 && b.cols() == w.cols());
   const simd::Isa isa = simd::ActiveIsa();
-  GemmInto(x, w, out);
+  Matrix::MatMulInto(x, w, out);
   // Bias broadcast over the rows, row by row.
   simd::BiasRows(isa, out->data(), b.data(), out->rows(), out->cols());
   switch (act) {

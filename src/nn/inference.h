@@ -14,9 +14,7 @@ namespace kgpip::nn {
 /// These operate on raw `Matrix` values and caller-owned output buffers;
 /// nothing is recorded on a tape.
 /// Every kernel is **bit-identical** to the corresponding autograd
-/// forward pass: the serve GEMM reproduces Matrix::MatMulInto's tiling,
-/// per-element ascending-k accumulation, and zero-skip exactly (it is
-/// merely restructured for vectorization — see inference.cc), and every
+/// forward pass: the serve GEMM is Matrix::MatMulInto itself, and every
 /// elementwise expression matches the tape op in the same order. The
 /// generator's tape-vs-tape-free equivalence tests enforce this
 /// byte-for-byte.

@@ -18,6 +18,7 @@ struct OpsAvx512 {
   using V = __m512d;
   using MaskT = __mmask8;
   static constexpr size_t kW = 8;
+  static constexpr MaskT kAll = 0xff;
 
   static V Load(const double* p) { return _mm512_loadu_pd(p); }
   static void Store(double* p, V v) { _mm512_storeu_pd(p, v); }
@@ -39,9 +40,7 @@ struct OpsAvx512 {
   // maskz form with an all-ones mask: same result, but GCC's plain
   // _mm512_sqrt_pd routes through _mm512_undefined_pd and trips
   // -Wmaybe-uninitialized.
-  static V Sqrt(V a) {
-    return _mm512_maskz_sqrt_pd(static_cast<__mmask8>(0xff), a);
-  }
+  static V Sqrt(V a) { return _mm512_maskz_sqrt_pd(kAll, a); }
 
   // x > b ? b : x — ordered-quiet compare: a NaN lane compares false and
   // keeps x, matching the scalar ternary.
@@ -56,9 +55,13 @@ struct OpsAvx512 {
     return _mm512_castsi512_pd(_mm512_and_si512(_mm512_castpd_si512(a),
                                                 _mm512_castpd_si512(b)));
   }
+  // The maskz forms here and in ExpScale, with an all-ones mask, give
+  // the plain intrinsics' result without their _mm512_undefined_*
+  // passthrough (see Sqrt).
   static V AndNot(V a, V b) {
-    return _mm512_castsi512_pd(_mm512_andnot_si512(_mm512_castpd_si512(a),
-                                                   _mm512_castpd_si512(b)));
+    return _mm512_castsi512_pd(
+        _mm512_maskz_andnot_epi64(kAll, _mm512_castpd_si512(a),
+                                  _mm512_castpd_si512(b)));
   }
   static V Or(V a, V b) {
     return _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(a),
@@ -73,10 +76,10 @@ struct OpsAvx512 {
   // values, like the scalar static_cast<int>), bias, and place in the
   // exponent field — the same bits FastExp assembles through memcpy.
   static V ExpScale(V kd) {
-    __m256i ki = _mm512_cvttpd_epi32(kd);
+    __m256i ki = _mm512_maskz_cvttpd_epi32(kAll, kd);
     ki = _mm256_add_epi32(ki, _mm256_set1_epi32(1023));
-    __m512i wide = _mm512_cvtepi32_epi64(ki);
-    wide = _mm512_slli_epi64(wide, 52);
+    __m512i wide = _mm512_maskz_cvtepi32_epi64(kAll, ki);
+    wide = _mm512_maskz_slli_epi64(kAll, wide, 52);
     return _mm512_castsi512_pd(wide);
   }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/sliding_window.h"
 #include "util/file_io.h"
 
 namespace kgpip::obs {
@@ -98,11 +97,6 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-// Out of line so the unique_ptr maps over the forward-declared
-// sliding-window types instantiate their deleters with complete types.
-MetricsRegistry::MetricsRegistry() = default;
-MetricsRegistry::~MetricsRegistry() = default;
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   util::MutexLock lock(mu_);
   auto it = counters_.find(name);
@@ -136,50 +130,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return it->second.get();
 }
 
-SlidingWindowHistogram* MetricsRegistry::GetSlidingHistogram(
-    const std::string& name) {
-  SlidingWindowHistogram::Options defaults;
-  return GetSlidingHistogram(name, defaults.window_seconds,
-                             defaults.num_slices);
-}
-
-SlidingWindowHistogram* MetricsRegistry::GetSlidingHistogram(
-    const std::string& name, double window_seconds, int num_slices) {
-  util::MutexLock lock(mu_);
-  auto it = windows_.find(name);
-  if (it == windows_.end()) {
-    SlidingWindowHistogram::Options options;
-    options.window_seconds = window_seconds;
-    options.num_slices = num_slices;
-    it = windows_
-             .emplace(name, std::make_unique<SlidingWindowHistogram>(options))
-             .first;
-  }
-  return it->second.get();
-}
-
-SlidingWindowCounter* MetricsRegistry::GetSlidingCounter(
-    const std::string& name) {
-  SlidingWindowCounter::Options defaults;
-  return GetSlidingCounter(name, defaults.window_seconds,
-                           defaults.num_slices);
-}
-
-SlidingWindowCounter* MetricsRegistry::GetSlidingCounter(
-    const std::string& name, double window_seconds, int num_slices) {
-  util::MutexLock lock(mu_);
-  auto it = window_counters_.find(name);
-  if (it == window_counters_.end()) {
-    SlidingWindowCounter::Options options;
-    options.window_seconds = window_seconds;
-    options.num_slices = num_slices;
-    it = window_counters_
-             .emplace(name, std::make_unique<SlidingWindowCounter>(options))
-             .first;
-  }
-  return it->second.get();
-}
-
 Json MetricsRegistry::ToJson() const {
   util::MutexLock lock(mu_);
   Json out = Json::Object();
@@ -198,20 +148,6 @@ Json MetricsRegistry::ToJson() const {
     histograms.Set(name, histogram->ToJson());
   }
   out.Set("histograms", std::move(histograms));
-  // Window locks (kObsWindow) sit below the registry lock held here, so
-  // snapshotting them one at a time is in rank order.
-  Json windows = Json::Object();
-  for (const auto& [name, window] : windows_) {
-    windows.Set(name, window->GetSnapshot().ToJson());
-  }
-  for (const auto& [name, counter] : window_counters_) {
-    Json c = Json::Object();
-    c.Set("count", counter->WindowedCount());
-    c.Set("rate_per_second", counter->RatePerSecond());
-    c.Set("window_seconds", counter->options().window_seconds);
-    windows.Set(name, std::move(c));
-  }
-  out.Set("windows", std::move(windows));
   return out;
 }
 
@@ -224,8 +160,6 @@ void MetricsRegistry::Reset() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-  for (auto& [name, window] : windows_) window->Reset();
-  for (auto& [name, counter] : window_counters_) counter->Reset();
 }
 
 }  // namespace kgpip::obs

@@ -96,9 +96,6 @@ class Histogram {
   std::atomic<double> max_;
 };
 
-class SlidingWindowHistogram;  // obs/sliding_window.h
-class SlidingWindowCounter;
-
 /// Thread-safe registry of named metrics. Lookup takes a mutex; returned
 /// pointers are stable for the registry's lifetime, so call sites cache
 /// them:
@@ -114,8 +111,7 @@ class MetricsRegistry {
   /// The process-wide registry every subsystem reports into.
   static MetricsRegistry& Global();
 
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -127,22 +123,8 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name,
                           Histogram::Options options);
 
-  /// Find-or-create sliding-window metrics (obs/sliding_window.h). The
-  /// window geometry is fixed by the first caller; the parameterless
-  /// forms use the defaults (60 s over 6 slices). Returned pointers are
-  /// stable, same contract as the lifetime metrics above.
-  SlidingWindowHistogram* GetSlidingHistogram(const std::string& name);
-  SlidingWindowHistogram* GetSlidingHistogram(const std::string& name,
-                                              double window_seconds,
-                                              int num_slices);
-  SlidingWindowCounter* GetSlidingCounter(const std::string& name);
-  SlidingWindowCounter* GetSlidingCounter(const std::string& name,
-                                          double window_seconds,
-                                          int num_slices);
-
   /// Point-in-time snapshot: {"counters": {...}, "gauges": {...},
-  /// "histograms": {...}, "windows": {...}} — windows hold the merged
-  /// trailing-window view (count/sum/p50/p90/p99 or count/rate).
+  /// "histograms": {...}}.
   Json ToJson() const;
 
   /// Snapshot pretty-printed to a file (the bench `--metrics-out` sink),
@@ -165,10 +147,6 @@ class MetricsRegistry {
       KGPIP_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       KGPIP_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<SlidingWindowHistogram>> windows_
-      KGPIP_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<SlidingWindowCounter>>
-      window_counters_ KGPIP_GUARDED_BY(mu_);
 };
 
 }  // namespace kgpip::obs

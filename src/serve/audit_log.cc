@@ -1,5 +1,6 @@
 #include "serve/audit_log.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -105,15 +106,14 @@ void AuditLog::RotateLocked() {
   OpenLocked();
 }
 
-void AuditLog::Append(const AuditRecord& record) {
-  Json json = record.ToJson();
+void AuditLog::Append(AuditRecord record) {
   // The line is fully built before any I/O: one fwrite of a complete
   // "...}\n" per record means a crash tears at most the last line and
   // concurrent appends (stdio locks per call) never interleave.
-  std::string line = json.Dump();
+  std::string line = record.ToJson().Dump();
   line.push_back('\n');
   util::MutexLock lock(mu_);
-  ring_.push_back(std::move(json));
+  ring_.push_back({std::chrono::steady_clock::now(), std::move(record)});
   while (ring_.size() > options_.ring_capacity) ring_.pop_front();
   ++written_;
   if (options_.path.empty()) return;
@@ -143,7 +143,25 @@ std::vector<Json> AuditLog::Tail(size_t n) const {
   const size_t take = n < have ? n : have;
   std::vector<Json> out;
   out.reserve(take);
-  for (size_t i = have - take; i < have; ++i) out.push_back(ring_[i]);
+  for (size_t i = have - take; i < have; ++i) {
+    out.push_back(ring_[i].record.ToJson());
+  }
+  return out;
+}
+
+std::vector<AuditRecord> AuditLog::Recent(double seconds) const {
+  const auto now = std::chrono::steady_clock::now();
+  util::MutexLock lock(mu_);
+  // Ages compare in double seconds, so no `seconds` can overflow the
+  // clock's integer ticks.
+  const auto first = std::partition_point(
+      ring_.begin(), ring_.end(), [now, seconds](const RingEntry& entry) {
+        return std::chrono::duration<double>(now - entry.appended).count() >
+               seconds;
+      });
+  std::vector<AuditRecord> out;
+  out.reserve(static_cast<size_t>(ring_.end() - first));
+  for (auto it = first; it != ring_.end(); ++it) out.push_back(it->record);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef KGPIP_SERVE_AUDIT_LOG_H_
 #define KGPIP_SERVE_AUDIT_LOG_H_
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -53,7 +54,9 @@ struct AuditRecord {
 /// interleave. The file rotates to `<path>.1` when it would exceed
 /// `max_bytes` (one generation is enough: the audit trail is a flight
 /// recorder, not an archive). A bounded in-memory ring keeps the most
-/// recent records for statusz tail inspection without touching disk.
+/// recent records, each stamped with its steady-clock append time, for
+/// statusz without touching disk: its tail and its windows (per-tenant
+/// latency, shed and cache-hit rates) are both read from the ring.
 ///
 /// With an empty path the ring still works — tests and memory-only
 /// deployments get tail inspection for free.
@@ -71,13 +74,18 @@ class AuditLog {
   AuditLog(const AuditLog&) = delete;
   AuditLog& operator=(const AuditLog&) = delete;
 
-  /// Appends one record (single write + flush). Errors are counted and
-  /// logged once, never surfaced to the request path: the daemon does
-  /// not fail requests because its flight recorder did.
-  void Append(const AuditRecord& record);
+  /// Appends one record (single write + flush) and keeps it in the ring.
+  /// Errors are counted and logged once, never surfaced to the request
+  /// path: the daemon does not fail requests because its flight recorder
+  /// did.
+  void Append(AuditRecord record);
 
-  /// Most recent `n` records, oldest first.
+  /// Most recent `n` records as their file lines' JSON, oldest first.
   std::vector<Json> Tail(size_t n) const;
+
+  /// Ring records appended within the last `seconds`, oldest first. The
+  /// ring's capacity bounds how far back this reaches.
+  std::vector<AuditRecord> Recent(double seconds) const;
 
   int64_t records_written() const;
   int64_t write_errors() const;
@@ -98,7 +106,12 @@ class AuditLog {
   int64_t written_ KGPIP_GUARDED_BY(mu_) = 0;
   int64_t errors_ KGPIP_GUARDED_BY(mu_) = 0;
   bool error_logged_ KGPIP_GUARDED_BY(mu_) = false;
-  std::deque<Json> ring_ KGPIP_GUARDED_BY(mu_);
+  struct RingEntry {
+    std::chrono::steady_clock::time_point appended;
+    AuditRecord record;
+  };
+  /// Stamped under mu_, so ring order is append-time order.
+  std::deque<RingEntry> ring_ KGPIP_GUARDED_BY(mu_);
 };
 
 }  // namespace kgpip::serve

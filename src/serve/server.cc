@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <utility>
 
 #include "nn/simd_kernels.h"
 #include "obs/metrics.h"
-#include "obs/sliding_window.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/request_context.h"
@@ -45,7 +45,8 @@ obs::Counter* ServeCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-constexpr int kWindowSlices = 6;
+// How often the watchdog scans for expired deadlines.
+constexpr double kWatchdogPeriodSeconds = 0.02;
 
 const char* CacheTierName(int tier) {
   switch (tier) {
@@ -56,6 +57,59 @@ const char* CacheTierName(int tier) {
     default:
       return "none";
   }
+}
+
+// Nearest-rank percentile of an ascending, non-empty sample: the value
+// at 1-based rank ceil(percent * n / 100), computed in integers.
+int64_t NearestRank(const std::vector<int64_t>& sorted, int percent) {
+  const size_t n = sorted.size();
+  const size_t rank =
+      std::max<size_t>(1, (static_cast<size_t>(percent) * n + 99) / 100);
+  return sorted[rank - 1];
+}
+
+double MicrosToSeconds(int64_t micros) {
+  return static_cast<double>(micros) / 1e6;
+}
+
+// statusz "windows" over `records` (the audit ring's recent records):
+// per-tenant exact latency percentiles, max and SLO burn (share of
+// requests slower than `slo_target_seconds`), plus the share of records
+// shed with kResourceExhausted and the share served by the result cache.
+Json WindowsJson(const std::vector<AuditRecord>& records,
+                 double slo_target_seconds) {
+  std::map<std::string, std::vector<int64_t>> micros_by_tenant;
+  int64_t sheds = 0;
+  int64_t hits = 0;
+  for (const AuditRecord& record : records) {
+    micros_by_tenant[record.tenant].push_back(record.total_micros);
+    if (record.outcome == StatusCode::kResourceExhausted) ++sheds;
+    if (record.cache_tier == CacheTierName(1)) ++hits;
+  }
+  Json windows = Json::Object();
+  const double slo_micros = slo_target_seconds * 1e6;
+  for (auto& [tenant, micros] : micros_by_tenant) {
+    std::sort(micros.begin(), micros.end());
+    const auto slow =
+        std::count_if(micros.begin(), micros.end(), [slo_micros](int64_t m) {
+          return static_cast<double>(m) > slo_micros;
+        });
+    Json w = Json::Object();
+    w.Set("count", static_cast<int64_t>(micros.size()));
+    w.Set("p50", MicrosToSeconds(NearestRank(micros, 50)));
+    w.Set("p90", MicrosToSeconds(NearestRank(micros, 90)));
+    w.Set("p99", MicrosToSeconds(NearestRank(micros, 99)));
+    w.Set("max", MicrosToSeconds(micros.back()));
+    w.Set("slo_burn", static_cast<double>(slow) /
+                          static_cast<double>(micros.size()));
+    windows.Set("latency_seconds." + tenant, std::move(w));
+  }
+  const double denom =
+      records.empty() ? 1.0 : static_cast<double>(records.size());
+  windows.Set("records", static_cast<int64_t>(records.size()));
+  windows.Set("shed_rate", static_cast<double>(sheds) / denom);
+  windows.Set("cache_hit_rate", static_cast<double>(hits) / denom);
+  return windows;
 }
 
 }  // namespace
@@ -190,14 +244,12 @@ void Server::Respond(const std::shared_ptr<Pending>& pending,
   response.request_id = pending->id;
   pending->state.store(RequestState::kDone, std::memory_order_release);
 
-  // The winner writes the request's life story — audit line + windowed
-  // samples — BEFORE resolving the promise, so a caller that observes
-  // its future ready also observes its own audit record. No server lock
-  // is held here; audit (rank 95) and window (rank 15) locks are leaves
-  // from this path.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  const double latency = response.latency_seconds;
-  const int64_t total_micros = static_cast<int64_t>(latency * 1e6);
+  // The winner writes the request's audit record BEFORE resolving the
+  // promise, so a caller that observes its future ready also observes
+  // its own audit record. No server lock is held here; the audit lock
+  // (rank 95) is a leaf from this path.
+  const int64_t total_micros =
+      static_cast<int64_t>(response.latency_seconds * 1e6);
   const int64_t queued_micros =
       pending->queue_wait_micros.load(std::memory_order_acquire);
 
@@ -219,28 +271,7 @@ void Server::Respond(const std::shared_ptr<Pending>& pending,
                                         : 0;
   record.outcome = response.status.code();
   if (!response.status.ok()) record.detail = response.status.message();
-  audit_.Append(record);
-
-  metrics
-      .GetSlidingHistogram("serve.window.latency_seconds." + record.tenant,
-                           options_.window_seconds, kWindowSlices)
-      ->Record(latency);
-  metrics
-      .GetSlidingCounter("serve.window.requests", options_.window_seconds,
-                         kWindowSlices)
-      ->Add(1);
-  if (response.status.code() == StatusCode::kResourceExhausted) {
-    metrics
-        .GetSlidingCounter("serve.window.sheds", options_.window_seconds,
-                           kWindowSlices)
-        ->Add(1);
-  }
-  if (response.cache_hit) {
-    metrics
-        .GetSlidingCounter("serve.window.cache_hits", options_.window_seconds,
-                           kWindowSlices)
-        ->Add(1);
-  }
+  audit_.Append(std::move(record));
 
   pending->promise.set_value(std::move(response));
 }
@@ -436,62 +467,11 @@ void Server::RecordOutcomeForTenant(const std::string& tenant, bool ok) {
   }
 }
 
-void Server::ExportWindowGauges() {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  std::vector<std::string> tenants;
-  {
-    util::MutexLock lock(mu_);
-    tenants.reserve(tenants_.size());
-    for (const auto& [name, state] : tenants_) tenants.push_back(name);
-  }
-  for (const std::string& tenant : tenants) {
-    const obs::SlidingWindowHistogram::Snapshot window =
-        metrics
-            .GetSlidingHistogram("serve.window.latency_seconds." + tenant,
-                                 options_.window_seconds, kWindowSlices)
-            ->GetSnapshot();
-    metrics.GetGauge("serve.window.p50_seconds." + tenant)
-        ->Set(window.Quantile(0.50));
-    metrics.GetGauge("serve.window.p99_seconds." + tenant)
-        ->Set(window.Quantile(0.99));
-    // SLO burn: the fraction of this tenant's windowed requests slower
-    // than the target. 1.0 = every recent request blew the SLO.
-    metrics.GetGauge("serve.slo_burn." + tenant)
-        ->Set(window.FractionAbove(options_.slo_target_seconds));
-  }
-  const int64_t requests =
-      metrics
-          .GetSlidingCounter("serve.window.requests", options_.window_seconds,
-                             kWindowSlices)
-          ->WindowedCount();
-  const int64_t sheds =
-      metrics
-          .GetSlidingCounter("serve.window.sheds", options_.window_seconds,
-                             kWindowSlices)
-          ->WindowedCount();
-  const int64_t hits =
-      metrics
-          .GetSlidingCounter("serve.window.cache_hits",
-                             options_.window_seconds, kWindowSlices)
-          ->WindowedCount();
-  const double denom = requests > 0 ? static_cast<double>(requests) : 1.0;
-  metrics.GetGauge("serve.window.shed_rate")
-      ->Set(static_cast<double>(sheds) / denom);
-  metrics.GetGauge("serve.window.cache_hit_rate")
-      ->Set(static_cast<double>(hits) / denom);
-}
-
 void Server::WatchdogLoop() {
   static obs::Counter* cancels = ServeCounter("serve.deadline_cancels");
-  const auto period = std::chrono::duration<double>(
-      std::max(0.001, options_.watchdog_period_seconds));
-  Stopwatch since_gauge_export;
+  const auto period = std::chrono::duration<double>(kWatchdogPeriodSeconds);
   while (!stopping_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(period);
-    if (since_gauge_export.ElapsedSeconds() >= 1.0) {
-      since_gauge_export.Reset();
-      ExportWindowGauges();
-    }
     std::vector<std::shared_ptr<Pending>> expired_queued;
     {
       util::MutexLock lock(mu_);
@@ -860,9 +840,11 @@ Json Server::DebugStatus() const {
     a.Set("tail", std::move(tail));
     out.Set("audit", std::move(a));
   }
+  out.Set("windows", WindowsJson(audit_.Recent(options_.window_seconds),
+                                 options_.slo_target_seconds));
 
-  // Metrics (registry lock rank 30, window locks 15 — both below any
-  // lock this thread still holds, i.e. none).
+  // Metrics (registry lock rank 30, below any lock this thread still
+  // holds, i.e. none).
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   {
     // Size and traffic of the similarity index behind skeleton
@@ -888,23 +870,6 @@ Json Server::DebugStatus() const {
       counters.Set(name, metrics.GetCounter(name)->value());
     }
     out.Set("counters", std::move(counters));
-  }
-  {
-    Json windows = Json::Object();
-    for (const TenantEntry& entry : tenants) {
-      windows.Set("latency_seconds." + entry.name,
-                  metrics
-                      .GetSlidingHistogram(
-                          "serve.window.latency_seconds." + entry.name,
-                          options_.window_seconds, kWindowSlices)
-                      ->GetSnapshot()
-                      .ToJson());
-    }
-    windows.Set("shed_rate",
-                metrics.GetGauge("serve.window.shed_rate")->value());
-    windows.Set("cache_hit_rate",
-                metrics.GetGauge("serve.window.cache_hit_rate")->value());
-    out.Set("windows", std::move(windows));
   }
   {
     Json pool = Json::Object();
@@ -981,10 +946,13 @@ std::string Server::DebugStatusText() const {
                         audit.Get("records_written").AsInt()),
                     static_cast<long long>(audit.Get("write_errors").AsInt()),
                     audit.Get("path").AsString().c_str());
-  text += StrFormat("windows: shed_rate=%.3f cache_hit_rate=%.3f\n",
-                    status.Get("windows").Get("shed_rate").AsDouble(),
-                    status.Get("windows").Get("cache_hit_rate").AsDouble());
-  for (const auto& [name, w] : status.Get("windows").members()) {
+  const Json& windows = status.Get("windows");
+  text += StrFormat(
+      "windows: records=%lld shed_rate=%.3f cache_hit_rate=%.3f\n",
+      static_cast<long long>(windows.Get("records").AsInt()),
+      windows.Get("shed_rate").AsDouble(),
+      windows.Get("cache_hit_rate").AsDouble());
+  for (const auto& [name, w] : windows.members()) {
     if (!w.is_object()) continue;
     text += StrFormat("  %s  n=%lld p50=%.3fs p99=%.3fs\n", name.c_str(),
                       static_cast<long long>(w.Get("count").AsInt()),

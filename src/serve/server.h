@@ -65,8 +65,6 @@ struct ServeOptions {
   ///                                   env: KGPIP_SERVE_CACHE_DIR
   std::string cache_dir;
   size_t cache_memory_entries = 256;  // env: KGPIP_SERVE_CACHE_ENTRIES
-  /// Watchdog scan period.
-  double watchdog_period_seconds = 0.02;
   /// Wide-event audit log (one JSON line per finished request); empty
   /// path keeps the in-memory tail ring only.
   ///                                   env: KGPIP_SERVE_AUDIT_LOG
@@ -74,14 +72,16 @@ struct ServeOptions {
   /// Size at which the audit file rotates to `<path>.1`.
   ///                                   env: KGPIP_SERVE_AUDIT_MAX_BYTES
   size_t audit_max_bytes = 8u << 20;
-  /// Recent audit records kept in memory for statusz tail inspection.
+  /// Recent audit records kept in memory for statusz: its audit tail
+  /// and its windows, which therefore span at most this many requests.
   ///                                   env: KGPIP_SERVE_AUDIT_RING
   size_t audit_ring_entries = 256;
-  /// Horizon of the sliding-window serve metrics (per-tenant p50/p99,
-  /// shed/hit rates): "the last ~window_seconds", not process lifetime.
+  /// Horizon of statusz's windows (per-tenant latency percentiles and
+  /// SLO burn, shed and cache-hit rates): the audit ring's records
+  /// appended in the last window_seconds, not process lifetime.
   ///                                   env: KGPIP_SERVE_WINDOW_SECONDS
   double window_seconds = 60.0;
-  /// Latency target for per-tenant SLO burn gauges: the fraction of a
+  /// Latency target for statusz's per-tenant SLO burn: the share of a
   /// tenant's windowed requests slower than this.
   ///                                   env: KGPIP_SERVE_SLO_TARGET
   double slo_target_seconds = 5.0;
@@ -186,8 +186,11 @@ class Server {
   /// Live introspection snapshot — the daemon's statusz. Safe to call
   /// from any thread at any time, including mid-soak: the server lock is
   /// held only while copying queue/in-flight/tenant state, then each
-  /// subsystem (cache, audit ring, windows, pool, lock-rank info) is
-  /// sampled in rank order with it released.
+  /// subsystem (cache, audit ring, pool, lock-rank info) is sampled in
+  /// rank order with it released. "windows" is computed from the audit
+  /// ring's records of the last `window_seconds`: per tenant
+  /// "latency_seconds.<tenant>" {count, nearest-rank p50/p90/p99, max,
+  /// slo_burn}, plus "records", "shed_rate" and "cache_hit_rate".
   ///
   /// {"queue": [{id,tenant,age_seconds,deadline_seconds}...],
   ///  "inflight": [{id,tenant,stage,elapsed_seconds,cancelled}...],
@@ -246,20 +249,16 @@ class Server {
   };
 
   /// Fulfils the promise exactly once; later calls are no-ops. The
-  /// winning call also emits the request's wide-event audit line and its
-  /// sliding-window samples — fusing those with the promise race is what
-  /// makes "exactly one audit line per submitted request" hold across
-  /// worker/watchdog/shed/stop outcomes. Must be called with mu_
-  /// released (audit + window locks rank below it).
+  /// winning call also emits the request's wide-event audit line —
+  /// fusing it with the promise race is what makes "exactly one audit
+  /// line per submitted request" hold across worker/watchdog/shed/stop
+  /// outcomes. Must be called with mu_ released (the audit lock ranks
+  /// below it).
   void Respond(const std::shared_ptr<Pending>& pending,
                ServeResponse response) KGPIP_EXCLUDES(mu_);
 
   void WorkerLoop(int worker_index);
   void WatchdogLoop();
-
-  /// Publishes per-tenant windowed p50/p99 + SLO burn gauges and global
-  /// shed/hit rates (called from the watchdog about once a second).
-  void ExportWindowGauges() KGPIP_EXCLUDES(mu_);
 
   /// Admission check under `mu_`; returns a shed/refusal status or OK.
   /// Stamps the admission-time breaker/bucket observations into

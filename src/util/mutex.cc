@@ -33,8 +33,6 @@ const char* LockRankName(LockRank rank) {
       return "obs.metrics";
     case LockRank::kObsTrace:
       return "obs.trace";
-    case LockRank::kObsWindow:
-      return "obs.window";
     case LockRank::kLogging:
       return "logging";
     case LockRank::kLeaf:

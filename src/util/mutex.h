@@ -58,10 +58,6 @@ enum class LockRank : int {
   kObsMetrics = 30,
   /// obs::Tracer span buffer.
   kObsTrace = 20,
-  /// obs::SlidingWindowHistogram / SlidingWindowCounter slice state. One
-  /// window is locked at a time (registry snapshots walk them
-  /// sequentially), always below the registry map lock.
-  kObsWindow = 15,
   /// Reserved for logging. Today logging is lock-free (atomic threshold,
   /// single fwrite per record); the rank documents where a sink lock
   /// would sit: innermost, because any subsystem logs while holding its

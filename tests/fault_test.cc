@@ -424,7 +424,8 @@ TEST(ArtifactTest, HeaderlessFileIsAParseErrorNamingTheMagic) {
 TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
   // Correctly checksummed artifacts whose JSON has the wrong shape: an
   // object where an array belongs, a string inside an embedding, an empty
-  // edge pair, and a weight list given as an object with the right
+  // edge pair, a node type outside the vocabulary, an edge endpoint out
+  // of range, and a weight list given as an object with the right
   // member count. Each must fail LoadFile with a Status; the sanitizer
   // build checks that none of them reads out of bounds on the way.
   gen::GeneratorConfig gen_config;
@@ -452,6 +453,8 @@ TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
   const std::string bad_weights =
       R"({"store":{"datasets":{}},"embeddings":{},"generator":)" +
       generator.Dump() + "}";
+  const int knn = graph4ml::PipelineVocab::Get().TypeOf("knn");
+  ASSERT_GE(knn, graph4ml::PipelineVocab::kFirstOp);
 
   struct Case {
     std::string payload;
@@ -465,10 +468,23 @@ TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
        StatusCode::kParseError, "'d1' has a non-number component"},
       {R"({"store":{"datasets":{"d1":{"x":1}}},"embeddings":{}})",
        StatusCode::kParseError, "pipeline without estimator"},
-      // The edge decodes; the missing generator then fails the load.
+      // An empty pair decodes as the self-loop 0 -> 0, which the store's
+      // pipeline verifier rejects.
       {R"({"store":{"datasets":{"d1":[{"estimator":"knn",)"
        R"("node_types":[0,1],"edges":[[]]}]}},"embeddings":{}})",
-       StatusCode::kInvalidArgument, "generator config mismatch"},
+       StatusCode::kParseError, "'d1' is malformed: error[verify.cycle]"},
+      // A node type and an edge endpoint the generator would index with.
+      {R"({"store":{"datasets":{"d1":[{"estimator":"knn",)"
+       R"("node_types":[0,1,9999],"edges":[[0,1],[1,2]]}]}},)"
+       R"("embeddings":{}})",
+       StatusCode::kParseError,
+       "'d1' is malformed: error[verify.unknown-node-type]"},
+      {StrFormat(R"({"store":{"datasets":{"d1":[{"estimator":"knn",)"
+                 R"("node_types":[0,1,%d],"edges":[[0,1],[-1,2]]}]}},)"
+                 R"("embeddings":{}})",
+                 knn),
+       StatusCode::kParseError,
+       "'d1' is malformed: error[verify.edge-out-of-range]"},
       {bad_weights, StatusCode::kInvalidArgument,
        "value count mismatch for '" + smallest + "'"},
   };

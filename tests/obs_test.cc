@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +19,6 @@
 #include "data/synthetic.h"
 #include "hpo/trial_guard.h"
 #include "obs/metrics.h"
-#include "obs/sliding_window.h"
 #include "obs/stage_profile.h"
 #include "obs/trace.h"
 #include "util/request_context.h"
@@ -164,151 +162,6 @@ TEST(MetricsRegistryTest, SnapshotListsAllThreeKinds) {
   EXPECT_EQ(json.Get("counters").Get("a.count").AsInt(), 3);
   EXPECT_DOUBLE_EQ(json.Get("gauges").Get("a.gauge").AsDouble(), 1.5);
   EXPECT_EQ(json.Get("histograms").Get("a.hist").Get("count").AsInt(), 1);
-}
-
-// ---------------------------------------------------------------------
-// Sliding windows
-// ---------------------------------------------------------------------
-
-obs::SlidingWindowHistogram::Options SmallWindow() {
-  obs::SlidingWindowHistogram::Options options;
-  options.window_seconds = 60.0;  // 6 slices of 10 s each
-  options.num_slices = 6;
-  return options;
-}
-
-TEST(SlidingWindowTest, EmptyWindowSnapshotIsAllZeros) {
-  obs::SlidingWindowHistogram window(SmallWindow());
-  obs::SlidingWindowHistogram::Snapshot snap = window.SnapshotAt(123.0);
-  EXPECT_EQ(snap.count, 0);
-  EXPECT_DOUBLE_EQ(snap.sum, 0.0);
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(snap.FractionAbove(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(snap.RatePerSecond(), 0.0);
-  Json json = snap.ToJson();
-  EXPECT_EQ(json.Get("count").AsInt(), 0);
-  EXPECT_TRUE(json.Get("p50").is_null());  // no quantiles without samples
-}
-
-TEST(SlidingWindowTest, SamplesExpireAsTheWindowSlidesPast) {
-  obs::SlidingWindowHistogram window(SmallWindow());
-  window.RecordAt(0.010, /*now=*/5.0);   // slice epoch 0
-  window.RecordAt(0.020, /*now=*/25.0);  // slice epoch 2
-
-  // Both samples inside the trailing 60 s.
-  EXPECT_EQ(window.SnapshotAt(30.0).count, 2);
-  EXPECT_DOUBLE_EQ(window.SnapshotAt(30.0).sum, 0.030);
-
-  // At t=65 the window covers epochs [1, 6]: the epoch-0 sample is out.
-  obs::SlidingWindowHistogram::Snapshot later = window.SnapshotAt(65.0);
-  EXPECT_EQ(later.count, 1);
-  EXPECT_DOUBLE_EQ(later.min, 0.020);
-  EXPECT_DOUBLE_EQ(later.max, 0.020);
-
-  // Far future: everything expired. No Record needed to "advance" time —
-  // snapshots filter stale slices by epoch, there is no sweeper to wait
-  // for.
-  EXPECT_EQ(window.SnapshotAt(500.0).count, 0);
-}
-
-TEST(SlidingWindowTest, RecordRecyclesTheSliceItDisplaces) {
-  obs::SlidingWindowHistogram window(SmallWindow());
-  window.RecordAt(0.001, /*now=*/5.0);  // epoch 0 -> slot 0
-  // Six epochs later the same slot is reused; the old contents must be
-  // discarded, not merged.
-  window.RecordAt(0.256, /*now=*/365.0);  // epoch 36 -> slot 0
-  obs::SlidingWindowHistogram::Snapshot snap = window.SnapshotAt(365.0);
-  EXPECT_EQ(snap.count, 1);
-  EXPECT_DOUBLE_EQ(snap.min, 0.256);
-  EXPECT_DOUBLE_EQ(snap.sum, 0.256);
-}
-
-TEST(SlidingWindowTest, QuantilesInterpolateAndClampToObservedRange) {
-  obs::SlidingWindowHistogram window(SmallWindow());
-  for (int i = 0; i < 80; ++i) window.RecordAt(0.001, 10.0);
-  for (int i = 0; i < 20; ++i) window.RecordAt(1.0, 10.0);
-  obs::SlidingWindowHistogram::Snapshot snap = window.SnapshotAt(10.0);
-  ASSERT_EQ(snap.count, 100);
-
-  // p50 lands in the 1 ms population (bucketed, so allow one ×2 bucket
-  // of slack); p99 lands in the 1 s population; both stay inside the
-  // observed [min, max].
-  const double p50 = snap.Quantile(0.50);
-  const double p99 = snap.Quantile(0.99);
-  EXPECT_GE(p50, 0.0005);
-  EXPECT_LE(p50, 0.002);
-  EXPECT_GE(p99, 0.5);
-  EXPECT_LE(p99, 1.0);
-  EXPECT_GE(snap.Quantile(0.0), snap.min);
-  EXPECT_LE(snap.Quantile(1.0), snap.max);
-
-  // SLO-burn numerator: exactly the 1 s cohort sits above 100 ms.
-  EXPECT_NEAR(snap.FractionAbove(0.100), 0.20, 0.05);
-  EXPECT_DOUBLE_EQ(snap.FractionAbove(2.0), 0.0);
-  EXPECT_NEAR(snap.FractionAbove(1e-9), 1.0, 1e-9);
-}
-
-TEST(SlidingWindowTest, ConcurrentRecordsAndSnapshotsAreSafe) {
-  // 8 threads record while 2 snapshot — under TSan this is the data-race
-  // proof for the one-mutex design; everywhere it checks no sample is
-  // lost.
-  obs::SlidingWindowHistogram window(SmallWindow());
-  constexpr int kThreads = 8;
-  constexpr int kSamples = 5000;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&window, &stop] {
-      while (!stop.load()) {
-        obs::SlidingWindowHistogram::Snapshot snap = window.SnapshotAt(10.0);
-        ASSERT_GE(snap.count, 0);
-      }
-    });
-  }
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&window] {
-      for (int i = 0; i < kSamples; ++i) window.RecordAt(1e-3, 10.0);
-    });
-  }
-  for (std::thread& w : writers) w.join();
-  stop.store(true);
-  for (std::thread& r : readers) r.join();
-  EXPECT_EQ(window.SnapshotAt(10.0).count,
-            static_cast<int64_t>(kThreads) * kSamples);
-}
-
-TEST(SlidingWindowCounterTest, WindowedCountRotates) {
-  obs::SlidingWindowCounter::Options options;
-  options.window_seconds = 60.0;
-  options.num_slices = 6;
-  obs::SlidingWindowCounter counter(options);
-  counter.AddAt(3, 5.0);
-  counter.AddAt(2, 25.0);
-  EXPECT_EQ(counter.WindowedCountAt(30.0), 5);
-  EXPECT_EQ(counter.WindowedCountAt(70.0), 2);   // epoch-0 burst aged out
-  EXPECT_EQ(counter.WindowedCountAt(500.0), 0);  // everything aged out
-}
-
-TEST(MetricsRegistryTest, SlidingMetricsAreStableAndListedInJson) {
-  obs::MetricsRegistry registry;
-  obs::SlidingWindowHistogram* hist =
-      registry.GetSlidingHistogram("w.latency", 30.0, 3);
-  obs::SlidingWindowCounter* counter = registry.GetSlidingCounter("w.events");
-  EXPECT_EQ(registry.GetSlidingHistogram("w.latency"), hist)
-      << "geometry is fixed by the first caller; later lookups share it";
-  EXPECT_EQ(registry.GetSlidingCounter("w.events"), counter);
-  EXPECT_DOUBLE_EQ(hist->options().window_seconds, 30.0);
-
-  hist->Record(0.015);
-  counter->Add(4);
-  Json json = registry.ToJson();
-  EXPECT_EQ(json.Get("windows").Get("w.latency").Get("count").AsInt(), 1);
-  EXPECT_EQ(json.Get("windows").Get("w.events").Get("count").AsInt(), 4);
-
-  registry.Reset();
-  EXPECT_EQ(hist->GetSnapshot().count, 0);
-  EXPECT_EQ(counter->WindowedCount(), 0);
 }
 
 TEST(MetricsRegistryTest, WriteJsonFileIsAtomicAndParses) {

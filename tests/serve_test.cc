@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -792,6 +794,117 @@ TEST_F(ServeFixture, AuditRequestIdsMatchTraceSpanIds) {
   }
   EXPECT_EQ(audit_ids, response_ids);
   obs::Tracer::Global().Clear();
+}
+
+// Nearest-rank percentile of an ascending sample of microseconds, in
+// seconds: the value at 1-based rank ceil(percent * n / 100).
+double NearestRankSeconds(const std::vector<int64_t>& sorted, size_t percent) {
+  const size_t rank = std::max<size_t>(1, (percent * sorted.size() + 99) / 100);
+  return static_cast<double>(sorted[rank - 1]) / 1e6;
+}
+
+TEST_F(ServeFixture, StatuszWindowsAreComputedFromTheAuditRing) {
+  ServeOptions options = FastOptions();
+  options.num_workers = 1;
+  options.max_queue_depth = 1;
+  options.slo_target_seconds = 0.001;  // refusals finish below it
+  Server server(model_, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto submit = [&server](const std::string& tenant, uint64_t seed) {
+    FitRequest request;
+    request.tenant = tenant;
+    request.table = MakeTable(seed);
+    return server.Submit(std::move(request));
+  };
+  ServeResponse cold = submit("alpha", 961).get();
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  ServeResponse warm = submit("alpha", 961).get();  // the same table again
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  ASSERT_TRUE(warm.cache_hit);
+  ServeResponse other = submit("beta", 962).get();
+  ASSERT_TRUE(other.status.ok()) << other.status.ToString();
+  // One worker and one queue slot: of three back-to-back submits, one
+  // at least finds the slot taken while the worker runs another fit.
+  std::vector<std::future<ServeResponse>> burst;
+  for (uint64_t seed = 963; seed < 966; ++seed) {
+    burst.push_back(submit("beta", seed));
+  }
+  int sheds = 0;
+  for (std::future<ServeResponse>& future : burst) {
+    if (future.get().status.code() == StatusCode::kResourceExhausted) ++sheds;
+  }
+  ASSERT_GE(sheds, 1);
+
+  const Json windows = server.DebugStatus().Get("windows");
+  const std::vector<Json> records =
+      server.audit_log().Tail(options.audit_ring_entries);
+  server.Stop();
+
+  // The same numbers, computed directly over the audit records.
+  std::map<std::string, std::vector<int64_t>> micros_by_tenant;
+  int64_t shed_records = 0;
+  int64_t hit_records = 0;
+  for (const Json& record : records) {
+    micros_by_tenant[record.Get("tenant").AsString()].push_back(
+        record.Get("total_micros").AsInt());
+    if (record.Get("outcome").AsString() ==
+        StatusCodeName(StatusCode::kResourceExhausted)) {
+      ++shed_records;
+    }
+    if (record.Get("cache_tier").AsString() == "result") ++hit_records;
+  }
+  ASSERT_EQ(micros_by_tenant.size(), 2u);
+  EXPECT_GE(shed_records, 1);
+  EXPECT_EQ(hit_records, 1);
+  const double n = static_cast<double>(records.size());
+  EXPECT_EQ(windows.Get("records").AsInt(),
+            static_cast<int64_t>(records.size()));
+  EXPECT_DOUBLE_EQ(windows.Get("shed_rate").AsDouble(),
+                   static_cast<double>(shed_records) / n);
+  EXPECT_DOUBLE_EQ(windows.Get("cache_hit_rate").AsDouble(),
+                   static_cast<double>(hit_records) / n);
+  for (auto& [tenant, micros] : micros_by_tenant) {
+    std::sort(micros.begin(), micros.end());
+    const Json& window = windows.Get("latency_seconds." + tenant);
+    ASSERT_TRUE(window.is_object()) << "no window for " << tenant;
+    EXPECT_EQ(window.Get("count").AsInt(),
+              static_cast<int64_t>(micros.size()));
+    EXPECT_DOUBLE_EQ(window.Get("p50").AsDouble(),
+                     NearestRankSeconds(micros, 50));
+    EXPECT_DOUBLE_EQ(window.Get("p99").AsDouble(),
+                     NearestRankSeconds(micros, 99));
+    const auto slow = std::count_if(
+        micros.begin(), micros.end(), [&options](int64_t m) {
+          return static_cast<double>(m) > options.slo_target_seconds * 1e6;
+        });
+    EXPECT_DOUBLE_EQ(window.Get("slo_burn").AsDouble(),
+                     static_cast<double>(slow) /
+                         static_cast<double>(micros.size()));
+  }
+
+  // Records older than window_seconds leave the windows, not the ring.
+  ServeOptions short_window = FastOptions();
+  short_window.window_seconds = 0.3;
+  short_window.max_queue_depth = 0;  // refused at the door, at once
+  Server expiring(model_, short_window);
+  ASSERT_TRUE(expiring.Start().ok());
+  for (const char* tenant : {"alpha", "beta"}) {
+    FitRequest request;
+    request.tenant = tenant;
+    request.table = MakeTable(967);
+    ASSERT_EQ(expiring.Submit(std::move(request)).get().status.code(),
+              StatusCode::kResourceExhausted);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const Json expired = expiring.DebugStatus().Get("windows");
+  expiring.Stop();
+  EXPECT_EQ(expired.Get("records").AsInt(), 0);
+  EXPECT_DOUBLE_EQ(expired.Get("shed_rate").AsDouble(), 0.0);
+  EXPECT_DOUBLE_EQ(expired.Get("cache_hit_rate").AsDouble(), 0.0);
+  for (const auto& [name, value] : expired.members()) {
+    EXPECT_FALSE(StartsWith(name, "latency_seconds.")) << name;
+  }
+  EXPECT_EQ(expiring.audit_log().Tail(16).size(), 2u);
 }
 
 TEST_F(ServeFixture, DebugStatusMidSoakIsValidJsonAndRankClean) {

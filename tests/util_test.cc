@@ -35,10 +35,13 @@ TEST(StatusTest, OkAndError) {
   EXPECT_EQ(err.ToString(), "NOT_FOUND: missing thing");
 }
 
-TEST(ResultTest, HoldsValueOrStatus) {
+TEST(ResultTest, HoldsAValue) {
   Result<int> good(42);
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(*good, 42);
+}
+
+TEST(ResultTest, HoldsAStatus) {
   Result<int> bad(Status::InvalidArgument("nope"));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
