@@ -28,6 +28,19 @@ namespace {
 /// magic around the ToJson() payload.
 constexpr char kArtifactMagic[] = "KGPIP1";
 
+/// The graph generator's shape and training step. A saved artifact's
+/// generator must have the same shape (GraphGenerator::LoadWeights
+/// checks it).
+constexpr int kGeneratorHidden = 32;
+constexpr int kGeneratorMaxNodes = 10;
+constexpr double kGeneratorLearningRate = 5e-3;
+/// Examples per Adam step: the per-example gradients of a minibatch are
+/// computed in parallel, deterministic at any thread count (DESIGN.md §17).
+constexpr int kGeneratorBatchSize = 4;
+/// Sampling temperature; the stochasticity behind the paper's §4.5.3
+/// "diversity in predicted pipelines".
+constexpr double kSamplingTemperature = 0.9;
+
 /// One skeleton's search in `Kgpip::RunSearch`.
 struct SkeletonSlice {
   hpo::SkeletonSearch search;
@@ -108,12 +121,12 @@ std::unique_ptr<gen::GraphGenerator> Kgpip::MakeGenerator(
     uint64_t seed) const {
   gen::GeneratorConfig gen_config;
   gen_config.vocab_size = PipelineVocab::Get().size();
-  gen_config.hidden = config_.hidden;
+  gen_config.hidden = kGeneratorHidden;
   gen_config.condition_dims =
       static_cast<int>(embed::TableEmbedder::kDims);
-  gen_config.max_nodes = config_.max_nodes;
-  gen_config.learning_rate = config_.learning_rate;
-  gen_config.batch_size = config_.generator_batch_size;
+  gen_config.max_nodes = kGeneratorMaxNodes;
+  gen_config.learning_rate = kGeneratorLearningRate;
+  gen_config.batch_size = kGeneratorBatchSize;
   return std::make_unique<gen::GraphGenerator>(gen_config, seed);
 }
 
@@ -167,12 +180,11 @@ Status Kgpip::TrainFromStore(const graph4ml::Graph4Ml& store,
   return Status::Ok();
 }
 
-Result<embed::SearchHit> Kgpip::NearestDataset(
-    const Table& table, const util::CancelToken* cancel) const {
+Result<embed::SearchHit> Kgpip::NearestDataset(const Table& table) const {
   if (!trained_) return Status::FailedPrecondition("KGpip is not trained");
   std::vector<double> query = embedder_.Embed(table);
   KGPIP_ASSIGN_OR_RETURN(std::vector<embed::SearchHit> hits,
-                         index_.Search(query, 1, cancel));
+                         index_.Search(query, 1));
   if (hits.empty()) return Status::NotFound("empty similarity index");
   return hits[0];
 }
@@ -190,7 +202,7 @@ Result<std::vector<gen::ScoredSkeleton>> Kgpip::PredictSkeletonsFromNearest(
   auto condition_it = embeddings_.find(nearest_key);
   if (condition_it == embeddings_.end()) {
     return Status::NotFound("no embedding for dataset key '" + nearest_key +
-                            "' (stale cache entry?)");
+                            "'");
   }
   const std::vector<double>& condition = condition_it->second;
   const embed::SearchHit nearest{nearest_key, 1.0};
@@ -213,7 +225,7 @@ Result<std::vector<gen::ScoredSkeleton>> Kgpip::PredictSkeletonsFromNearest(
   std::vector<gen::GeneratedGraph> candidates = generator_->GenerateTopK(
       seed_graph, condition,
       static_cast<size_t>(std::max(config_.candidate_samples, 0)), &rng,
-      config_.temperature);
+      kSamplingTemperature);
   for (gen::GeneratedGraph& generated : candidates) {
     if (static_cast<int>(skeletons.size()) >= config_.candidate_samples) {
       break;
@@ -261,6 +273,12 @@ Result<std::vector<gen::ScoredSkeleton>> Kgpip::PredictSkeletonsFromNearest(
 Result<automl::AutoMlResult> Kgpip::Fit(const Table& train, TaskType task,
                                         hpo::Budget budget,
                                         uint64_t seed) const {
+  return Fit(train, task, budget, seed, FitOverrides{});
+}
+
+Result<automl::AutoMlResult> Kgpip::Fit(const Table& train, TaskType task,
+                                        hpo::Budget budget, uint64_t seed,
+                                        const FitOverrides& overrides) const {
   // Named span (not the macro) so the dataset's shape lands in the
   // args: a per-request trace group read in Perfetto identifies its
   // dataset without cross-referencing the audit log.
@@ -300,7 +318,7 @@ Result<automl::AutoMlResult> Kgpip::Fit(const Table& train, TaskType task,
   }
   return RunSearch(std::move(skeletons), train, task, budget, seed,
                    used_fallback, fallback_reason, std::move(profile),
-                   fit_watch);
+                   fit_watch, overrides);
 }
 
 Result<automl::AutoMlResult> Kgpip::FitWithSkeletons(
@@ -353,8 +371,8 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
     if (!created.ok()) return created.status();
     evaluator.emplace(std::move(*created));
   }
-  const hpo::TrialGuardOptions& guard_options =
-      overrides.guard != nullptr ? *overrides.guard : config_.guard;
+  const hpo::TrialGuardOptions guard_options =
+      overrides.guard != nullptr ? *overrides.guard : hpo::TrialGuardOptions{};
   hpo::TrialGuard guard(&*evaluator, guard_options);
 
   for (const gen::ScoredSkeleton& s : skeletons) {

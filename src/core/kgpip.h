@@ -32,33 +32,20 @@ struct KgpipConfig {
   int generator_epochs = 30;
   /// Candidates sampled before dedup/ranking (>= top_k).
   int candidate_samples = 16;
-  /// Sampling temperature; the stochasticity behind the paper's §4.5.3
-  /// "diversity in predicted pipelines".
-  double temperature = 0.9;
-  int hidden = 32;
-  double learning_rate = 5e-3;
-  int max_nodes = 10;
-  /// Generator minibatch size. >1 trains with data-parallel per-example
-  /// gradients (one Adam step per batch, deterministic at any thread
-  /// count); 1 is the classic sequential per-example loop.
-  int generator_batch_size = 4;
-  /// Fault-tolerance policy applied to every trial during Fit (NaN
-  /// quarantine, bounded retry on transient failures, per-trial deadline,
-  /// per-skeleton circuit breaking). See hpo::TrialGuard.
-  hpo::TrialGuardOptions guard;
 };
 
-/// The static default-skeleton portfolio used when skeleton prediction
-/// fails (degradation rung 2): robust default configurations, cheap and
-/// reliable learners first, filtered by task support, capped at `k`.
+/// The static default-skeleton portfolio: robust default configurations,
+/// cheap and reliable learners first, filtered by task support, capped
+/// at `k`. `Fit` searches it when skeleton prediction fails, its last
+/// resort pass walks it, and the serve daemon's zero-shot rung serves
+/// its top-1.
 std::vector<gen::ScoredSkeleton> FallbackPortfolio(TaskType task, int k);
 
 /// Per-request knobs the serving daemon threads through a shared (const)
-/// Kgpip instance without mutating its config: a trial-guard override
-/// (per-request deadlines, retry policy) and a cooperative cancellation
-/// token (the watchdog's lever). Both pointers are borrowed — they must
-/// outlive the Fit call — and both default to "use the instance config /
-/// never cancel".
+/// Kgpip instance: a trial-guard override (per-request deadlines, retry
+/// policy) and a cooperative cancellation token (the watchdog's lever).
+/// Both pointers are borrowed — they must outlive the Fit call — and
+/// both default to "default hpo::TrialGuardOptions / never cancel".
 struct FitOverrides {
   const hpo::TrialGuardOptions* guard = nullptr;
   const util::CancelToken* cancel = nullptr;
@@ -91,13 +78,10 @@ class Kgpip : public automl::AutoMlSystem {
   Result<std::vector<gen::ScoredSkeleton>> PredictSkeletons(
       const Table& train, TaskType task, uint64_t seed) const;
 
-  /// The generation tail of PredictSkeletons with the expensive head
-  /// (table embedding + SimIndex query) already resolved to a training
-  /// dataset key. The serving daemon's content-hash cache stores that
-  /// key per dataset digest, so a repeated fit skips embed + SimIndex
-  /// entirely and re-enters here. Fails kNotFound for a key the trained
-  /// embedding map does not contain (e.g. a stale cache entry from an
-  /// older artifact generation).
+  /// The generation tail of PredictSkeletons with the head (table
+  /// embedding + SimIndex query) already resolved to a training dataset
+  /// key, for callers that time the two halves apart. Fails kNotFound
+  /// for a key the trained embedding map does not contain.
   Result<std::vector<gen::ScoredSkeleton>> PredictSkeletonsFromNearest(
       const std::string& nearest_key, TaskType task, uint64_t seed) const;
 
@@ -105,6 +89,11 @@ class Kgpip : public automl::AutoMlSystem {
   Result<automl::AutoMlResult> Fit(const Table& train, TaskType task,
                                    hpo::Budget budget,
                                    uint64_t seed) const override;
+  /// The same fit with a per-request guard and cancel token, which
+  /// RunSearch checks before each skeleton slice and continuation.
+  Result<automl::AutoMlResult> Fit(const Table& train, TaskType task,
+                                   hpo::Budget budget, uint64_t seed,
+                                   const FitOverrides& overrides) const;
 
   /// Runs the search phase of Fit over caller-supplied candidate
   /// skeletons instead of predicted ones (works untrained). Candidates
@@ -119,13 +108,10 @@ class Kgpip : public automl::AutoMlSystem {
     return config_.optimizer == "flaml" ? "KGpipFLAML" : "KGpipAutoSklearn";
   }
 
-  /// Name + similarity of the nearest seen dataset for a table. `cancel`
-  /// is polled inside the SimIndex scan (see SimIndex::Search).
-  Result<embed::SearchHit> NearestDataset(
-      const Table& table, const util::CancelToken* cancel = nullptr) const;
+  /// Name + similarity of the nearest seen dataset for a table.
+  Result<embed::SearchHit> NearestDataset(const Table& table) const;
 
-  /// The content embedder (serving computes digests/embeddings itself to
-  /// key its cache) and the similarity index it queries.
+  /// The content embedder and the similarity index it queries.
   const embed::TableEmbedder& embedder() const { return embedder_; }
   const embed::SimIndex& index() const { return index_; }
 

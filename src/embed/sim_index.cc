@@ -16,16 +16,6 @@ namespace {
 /// dispatch; below this the inline path wins.
 constexpr size_t kParallelScanThreshold = 2048;
 
-/// Candidates scored between cancellation polls. Small enough that a
-/// deadline-exceeded request stops within microseconds of cancellation,
-/// large enough that the relaxed atomic load is amortized away.
-constexpr size_t kCancelPollStride = 512;
-
-Status CancelledStatus() {
-  return Status::ResourceExhausted(
-      "similarity search cancelled (deadline exceeded)");
-}
-
 /// Ranking comparator: similarity descending, insertion index ascending.
 /// The index tie-break pins an order std::sort left unspecified, so the
 /// top-k selection, the full-sort reference, and any platform agree. It
@@ -134,8 +124,7 @@ Status SimIndex::Add(const std::string& key, std::vector<double> vector) {
 }
 
 Result<std::vector<SearchHit>> SimIndex::Search(
-    const std::vector<double>& query, size_t k,
-    const util::CancelToken* cancel) const {
+    const std::vector<double>& query, size_t k) const {
   KGPIP_TRACE_SPAN("embed.index_search");
   static obs::Histogram* query_seconds =
       obs::MetricsRegistry::Global().GetHistogram("embed.index_query_seconds");
@@ -152,7 +141,6 @@ Result<std::vector<SearchHit>> SimIndex::Search(
   if (query.size() != dims_) {
     return Status::InvalidArgument("query dimensionality mismatch");
   }
-  if (util::Cancelled(cancel)) return CancelledStatus();
   if (k == 0) return std::vector<SearchHit>{};
   const double q_sq = BlockedSquaredNorm(query.data(), dims_);
   const size_t n = keys_.size();
@@ -166,20 +154,9 @@ Result<std::vector<SearchHit>> SimIndex::Search(
                  i};
   };
   if (n >= kParallelScanThreshold) {
-    // Pool lanes poll at block boundaries too: a cancelled block skips
-    // its scoring work (the partial `ranked` is discarded below).
-    util::ThreadPool::Global().ParallelFor(n, [&](size_t i) {
-      if (i % kCancelPollStride == 0 && util::Cancelled(cancel)) return;
-      score(i);
-    });
-    if (util::Cancelled(cancel)) return CancelledStatus();
+    util::ThreadPool::Global().ParallelFor(n, score);
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (i % kCancelPollStride == 0 && util::Cancelled(cancel)) {
-        return CancelledStatus();
-      }
-      score(i);
-    }
+    for (size_t i = 0; i < n; ++i) score(i);
   }
   // Bounded selection instead of a full sort: nth_element partitions the
   // top k in O(n), then only those k are ordered.

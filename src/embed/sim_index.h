@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/cancel.h"
 #include "util/status.h"
 
 namespace kgpip::embed {
@@ -58,14 +57,9 @@ class SimIndex {
 
   /// Top-k most cosine-similar entries to `query`, most similar first.
   /// Ties order by insertion index (deterministic across platforms and
-  /// thread counts); k = 0 returns no hits. `cancel`, when non-null, is
-  /// polled between scan blocks: a cancelled search stops burning CPU
-  /// mid-scan and returns kResourceExhausted instead of finishing a
-  /// doomed pass — the serve watchdog's lever against deadline-exceeded
-  /// requests.
-  Result<std::vector<SearchHit>> Search(
-      const std::vector<double>& query, size_t k,
-      const util::CancelToken* cancel = nullptr) const;
+  /// thread counts); k = 0 returns no hits.
+  Result<std::vector<SearchHit>> Search(const std::vector<double>& query,
+                                        size_t k) const;
 
   size_t size() const { return keys_.size(); }
   size_t dims() const { return dims_; }

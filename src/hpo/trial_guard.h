@@ -31,7 +31,8 @@ struct GuardedTrial {
   int retries = 0;       // transient-failure retries spent on this trial
 };
 
-/// Knobs for the guard; the defaults match `KgpipConfig`.
+/// Knobs for the guard. `Kgpip::Fit` and the baselines use the defaults;
+/// the serve daemon sets `trial_deadline_seconds` per request.
 struct TrialGuardOptions {
   /// Retries per trial on transient codes (kInternal/kResourceExhausted).
   int max_retries = 2;
@@ -89,8 +90,8 @@ struct RunReport {
   /// answer stays auditable (see DESIGN.md "Serving & multi-tenancy").
   bool cache_hit = false;
   /// Overload degradation rung the daemon served this request at:
-  /// 0 = full fit, 1 = cached-skeleton fit (embedding + SimIndex skipped,
-  /// reduced HPO budget), 2 = zero-shot top-1 skeleton (no HPO).
+  /// 0 = full fit, 1 = the same fit at half the trial budget,
+  /// 2 = zero-shot: the fallback portfolio's top-1 skeleton (no HPO).
   int degradation_level = 0;
   std::string notes;
   /// Where `Kgpip::Fit` spent its wall-clock budget, stage by stage

@@ -28,10 +28,10 @@ struct AuditRecord {
   int64_t queue_wait_micros = 0;
   int64_t run_micros = 0;
   int64_t total_micros = 0;
-  /// Degradation rung the request was served at (0 full fit, 1 skeleton
-  /// budget cut, 2 zero-shot).
+  /// Degradation rung the request was served at (0 full fit, 1 half the
+  /// trial budget, 2 zero-shot).
   int degradation_level = 0;
-  /// Which cache answered: "result" (tier 1), "query" (tier 2), "none".
+  /// "result" when the result cache answered, else "none".
   std::string cache_tier = "none";
   /// Tenant breaker/bucket state observed at admission, under the server
   /// lock: was this a half-open probe, and how many tokens remained

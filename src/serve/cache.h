@@ -18,12 +18,12 @@ namespace kgpip::serve {
 /// missing masks, and cell values (numeric cells hash their raw IEEE-754
 /// bits, so two tables digest equal iff their contents are bit-equal).
 /// This is the daemon's cache key: a repeated fit over the same dataset
-/// digests identically and short-circuits embedding + SimIndex.
+/// digests identically and is answered from the result cache.
 uint64_t TableDigest(const Table& table);
 
-/// Crash-safe content-addressed cache for serving artifacts: embedding +
-/// SimIndex query results and completed fit results, keyed by dataset
-/// digest. Two tiers:
+/// Crash-safe content-addressed cache for serving artifacts: completed
+/// fit results, keyed by dataset digest, task and trial budget. Two
+/// tiers:
 ///
 ///   * an in-memory LRU map (bounded by `max_memory_entries`) absorbing
 ///     the steady-state hit path without touching disk;
@@ -62,8 +62,8 @@ class ArtifactCache {
   /// because its cache directory did.
   Status Put(const std::string& key, const Json& value);
 
-  /// Drops `key` from both tiers (used when a cached entry turns out to
-  /// be stale against the loaded model artifacts).
+  /// Drops `key` from both tiers (used when a cached entry parses but
+  /// cannot be served, e.g. an unreadable pipeline spec).
   void Evict(const std::string& key);
 
   /// The on-disk path `key` maps to ("" for a memory-only cache). Keys

@@ -48,17 +48,6 @@ obs::Counter* ServeCounter(const char* name) {
 // How often the watchdog scans for expired deadlines.
 constexpr double kWatchdogPeriodSeconds = 0.02;
 
-const char* CacheTierName(int tier) {
-  switch (tier) {
-    case 1:
-      return "result";
-    case 2:
-      return "query";
-    default:
-      return "none";
-  }
-}
-
 // Nearest-rank percentile of an ascending, non-empty sample: the value
 // at 1-based rank ceil(percent * n / 100), computed in integers.
 int64_t NearestRank(const std::vector<int64_t>& sorted, int percent) {
@@ -84,7 +73,7 @@ Json WindowsJson(const std::vector<AuditRecord>& records,
   for (const AuditRecord& record : records) {
     micros_by_tenant[record.tenant].push_back(record.total_micros);
     if (record.outcome == StatusCode::kResourceExhausted) ++sheds;
-    if (record.cache_tier == CacheTierName(1)) ++hits;
+    if (record.cache_tier == "result") ++hits;
   }
   Json windows = Json::Object();
   const double slo_micros = slo_target_seconds * 1e6;
@@ -204,10 +193,6 @@ std::string Server::ResultCacheKey(uint64_t digest, TaskType task,
                    TaskTypeName(task), max_trials);
 }
 
-std::string Server::QueryCacheKey(uint64_t digest) {
-  return StrFormat("query-%016llx", static_cast<unsigned long long>(digest));
-}
-
 Server::Server(const core::Kgpip* model, ServeOptions options)
     : model_(model),
       options_(options),
@@ -263,8 +248,7 @@ void Server::Respond(const std::shared_ptr<Pending>& pending,
                                                record.queue_wait_micros);
   record.total_micros = total_micros;
   record.degradation_level = response.degradation_level;
-  record.cache_tier =
-      CacheTierName(pending->cache_tier.load(std::memory_order_acquire));
+  record.cache_tier = response.cache_hit ? "result" : "none";
   record.breaker_half_open = pending->breaker_half_open;
   record.bucket_tokens = pending->bucket_tokens;
   record.retries = response.status.ok() ? response.result.report.total_retries
@@ -378,14 +362,12 @@ void Server::WorkerLoop(int worker_index) {
       // exempted rather than the loop.
       cv_.Wait(mu_, [this]() KGPIP_NO_THREAD_SAFETY_ANALYSIS {
         return !queue_.empty() || stopping_.load(std::memory_order_acquire) ||
-               (draining_.load(std::memory_order_acquire) && queue_.empty());
+               draining_.load(std::memory_order_acquire);
       });
-      if (queue_.empty()) {
-        if (stopping_.load(std::memory_order_acquire) ||
-            draining_.load(std::memory_order_acquire)) {
-          return;
-        }
-        continue;
+      // Stop leaves whatever is queued to its own refusal loop; a drain
+      // runs the queue dry first.
+      if (stopping_.load(std::memory_order_acquire) || queue_.empty()) {
+        return;
       }
       pending = queue_.front();
       queue_.pop_front();
@@ -485,9 +467,9 @@ void Server::WatchdogLoop() {
       for (const auto& pending : inflight_) {
         if (pending->admitted.ElapsedSeconds() >= pending->deadline_seconds &&
             !pending->cancel.cancelled()) {
-          // Cooperative cancel: SimIndex scans and the optimizer loop
-          // poll this token, so the request unwinds with best-so-far
-          // (or kResourceExhausted) well inside the grace window.
+          // Cooperative cancel: Fit's search checks this token before
+          // each skeleton slice and continuation, so the request unwinds
+          // with best-so-far well inside the grace window.
           pending->cancel.Cancel();
           cancels->Increment();
         }
@@ -514,32 +496,20 @@ ServeResponse Server::ZeroShot(Pending& pending) {
   ServeResponse response;
   response.degradation_level = 2;
 
-  // No embedding, no SimIndex, no HPO: cached nearest-neighbour skeletons
-  // if this digest was seen before, else the static fallback portfolio.
-  std::vector<gen::ScoredSkeleton> skeletons;
-  Result<Json> query = cache_.Get(QueryCacheKey(pending.digest));
-  if (query.ok() && query->Get("nearest_key").is_string()) {
-    auto predicted = model_->PredictSkeletonsFromNearest(
-        query->Get("nearest_key").AsString(), req.task, req.seed);
-    if (predicted.ok()) {
-      skeletons = std::move(*predicted);
-      pending.cache_tier.store(2, std::memory_order_release);
-    }
-  }
-  if (skeletons.empty()) {
-    skeletons = core::FallbackPortfolio(req.task, 1);
-  }
-  if (skeletons.empty()) {
+  // No skeleton prediction, no HPO: the static fallback portfolio's top-1.
+  const std::vector<gen::ScoredSkeleton> portfolio =
+      core::FallbackPortfolio(req.task, 1);
+  if (portfolio.empty()) {
     response.status = Status::Internal("no zero-shot skeleton available");
     return response;
   }
 
   automl::AutoMlResult result;
-  result.best_spec = skeletons.front().spec;
+  result.best_spec = portfolio.front().spec;
   result.report.degradation_level = 2;
   result.report.notes =
-      "zero-shot: overload degradation served the top-1 skeleton with "
-      "default hyper-parameters (no HPO)";
+      "zero-shot: overload degradation served the fallback portfolio's "
+      "top-1 skeleton with default hyper-parameters (no HPO)";
   Status finalized = automl::FinalizeResult(result.best_spec, req.table,
                                             req.task, req.seed, &result);
   if (!finalized.ok()) {
@@ -553,20 +523,19 @@ ServeResponse Server::ZeroShot(Pending& pending) {
 ServeResponse Server::Execute(Pending& pending, int degradation_level) {
   KGPIP_TRACE_SPAN("serve.request");
   static obs::Counter* cache_hits = ServeCounter("serve.cache_hits");
-  static obs::Counter* query_hits = ServeCounter("serve.query_cache_hits");
 
   const FitRequest& req = pending.request;
   ServeResponse response;
   response.degradation_level = degradation_level;
 
-  const uint64_t digest = pending.digest;  // computed once at Submit
-  int trials = std::min(std::max(1, req.max_trials),
-                        std::max(1, options_.max_trials));
-  const std::string result_key = ResultCacheKey(digest, req.task, trials);
+  const int trials = std::min(std::max(1, req.max_trials),
+                              std::max(1, options_.max_trials));
+  const std::string result_key =
+      ResultCacheKey(pending.digest, req.task, trials);
   pending.stage.store("cache_probe", std::memory_order_release);
 
-  // Tier 1: a completed result for this exact table content. A hit skips
-  // embedding, SimIndex, and the whole search — only the final refit runs.
+  // A completed result for this exact table content skips skeleton
+  // prediction and the whole search — only the final refit runs.
   {
     Result<Json> entry = cache_.Get(result_key);
     if (entry.ok()) {
@@ -582,7 +551,6 @@ ServeResponse Server::Execute(Pending& pending, int degradation_level) {
             result.best_spec, req.table, req.task, req.seed, &result);
         if (finalized.ok()) {
           cache_hits->Increment();
-          pending.cache_tier.store(1, std::memory_order_release);
           response.cache_hit = true;
           response.degradation_level = 0;
           response.result = std::move(result);
@@ -597,101 +565,38 @@ ServeResponse Server::Execute(Pending& pending, int degradation_level) {
 
   if (degradation_level >= 2) return ZeroShot(pending);
 
-  // Tier 2: skeleton prediction. The query cache maps this digest to its
-  // nearest training dataset, so repeats skip embedding + SimIndex and
-  // re-enter at the generation tail.
-  std::vector<gen::ScoredSkeleton> skeletons;
-  bool used_fallback = false;
-  std::string fallback_reason;
-  const std::string query_key = QueryCacheKey(digest);
-  Result<Json> cached_query = cache_.Get(query_key);
-  if (cached_query.ok() && cached_query->Get("nearest_key").is_string()) {
-    auto predicted = model_->PredictSkeletonsFromNearest(
-        cached_query->Get("nearest_key").AsString(), req.task, req.seed);
-    if (predicted.ok()) {
-      query_hits->Increment();
-      pending.cache_tier.store(2, std::memory_order_release);
-      skeletons = std::move(*predicted);
-    } else {
-      // Stale key (older artifacts): evict and fall through to the full
-      // embed + SimIndex path below.
-      cache_.Evict(query_key);
-    }
-  }
-  if (skeletons.empty()) {
-    pending.stage.store("embed_query", std::memory_order_release);
-    auto nearest = model_->NearestDataset(req.table, &pending.cancel);
-    if (nearest.ok()) {
-      Json entry = Json::Object();
-      entry.Set("nearest_key", nearest->key);
-      entry.Set("similarity", nearest->similarity);
-      cache_.Put(query_key, entry);
-      auto predicted = model_->PredictSkeletonsFromNearest(
-          nearest->key, req.task, req.seed);
-      if (predicted.ok()) skeletons = std::move(*predicted);
-    } else if (pending.cancel.cancelled()) {
-      response.status = Status::ResourceExhausted(
-          "deadline exceeded during similarity search");
-      return response;
-    }
-    if (skeletons.empty()) {
-      used_fallback = true;
-      fallback_reason = nearest.ok()
-                            ? "skeleton generation produced no candidates"
-                            : nearest.status().ToString();
-      skeletons = core::FallbackPortfolio(
-          req.task, std::max(1, model_->config().top_k));
-      if (skeletons.empty()) {
-        response.status =
-            Status::Internal("no candidate skeletons available");
-        return response;
-      }
-    }
-  }
-
-  if (degradation_level == 1) {
-    // Rung 1: keep the cheapest viable search — top-1 skeleton, half the
-    // trial budget.
-    skeletons.resize(1);
-    trials = std::max(1, trials / 2);
-  }
-
   // Deadline propagation: the remaining request time bounds both the
-  // whole search (hpo::Budget wall-clock) and each trial (guard
-  // override); the cancel token covers everything in between.
+  // whole fit (hpo::Budget wall clock) and each trial (guard override);
+  // the watchdog's cancel covers everything in between.
   const double remaining = std::max(
       0.1, pending.deadline_seconds - pending.admitted.ElapsedSeconds());
-  hpo::TrialGuardOptions guard = model_->config().guard;
-  if (guard.trial_deadline_seconds <= 0.0 ||
-      guard.trial_deadline_seconds > remaining) {
-    guard.trial_deadline_seconds = remaining;
-  }
+  hpo::TrialGuardOptions guard;
+  guard.trial_deadline_seconds = remaining;
   core::FitOverrides overrides;
   overrides.guard = &guard;
   overrides.cancel = &pending.cancel;
+  // Rung 1 is the same fit at half the trial budget.
+  const int fit_trials =
+      degradation_level == 1 ? std::max(1, trials / 2) : trials;
 
   pending.stage.store("fit", std::memory_order_release);
   Result<automl::AutoMlResult> fitted = [&]() {
     KGPIP_TRACE_SPAN("serve.fit");
-    return model_->FitWithSkeletons(std::move(skeletons), req.table,
-                                    req.task, hpo::Budget(trials, remaining),
-                                    req.seed, overrides);
+    return model_->Fit(req.table, req.task, hpo::Budget(fit_trials, remaining),
+                       req.seed, overrides);
   }();
   if (!fitted.ok()) {
     response.status = fitted.status();
     return response;
   }
   fitted->report.degradation_level = degradation_level;
-  if (used_fallback) {
-    fitted->report.fallback_portfolio = true;
-    if (!fitted->report.notes.empty()) fitted->report.notes += "; ";
-    fitted->report.notes += "serve fallback portfolio: " + fallback_reason;
-  }
 
-  // Only a full-quality answer may seed the result cache — a degraded or
-  // cancelled search must not masquerade as rung 0 for future callers.
+  // Only a full-budget answer that neither the watchdog nor Stop cut
+  // short may seed the result cache. The budget's wall clock and the
+  // per-trial deadline both end at or after the request deadline, so a
+  // Fit that returns before it was not stopped by time either.
   if (degradation_level == 0 && !pending.cancel.cancelled() &&
-      !fitted->report.returned_best_so_far) {
+      pending.admitted.ElapsedSeconds() < pending.deadline_seconds) {
     Json entry = Json::Object();
     entry.Set("spec", SpecToJson(fitted->best_spec));
     entry.Set("validation_score", fitted->validation_score);
@@ -848,8 +753,8 @@ Json Server::DebugStatus() const {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   {
     // Size and traffic of the similarity index behind skeleton
-    // prediction and the zero-shot rung (the size gauge is set when the
-    // model trains or loads; counters accumulate per query).
+    // prediction (the size gauge is set when the model trains or loads;
+    // counters accumulate per query).
     Json e = Json::Object();
     e.Set("size",
           static_cast<int64_t>(metrics.GetGauge("embed.index.size")->value()));
@@ -864,8 +769,7 @@ Json Server::DebugStatus() const {
     for (const char* name :
          {"serve.requests", "serve.sheds", "serve.responses_ok",
           "serve.responses_error", "serve.degraded_requests",
-          "serve.cache_hits", "serve.query_cache_hits",
-          "serve.zero_shot_fits", "serve.deadline_cancels",
+          "serve.cache_hits", "serve.zero_shot_fits", "serve.deadline_cancels",
           "serve.breaker_trips", "obs.trace.dropped_spans"}) {
       counters.Set(name, metrics.GetCounter(name)->value());
     }
@@ -996,6 +900,9 @@ void Server::Stop() {
     // the joins below deadlock.
     draining_.store(true, std::memory_order_release);
     stopping_.store(true, std::memory_order_release);
+    // Running fits stop at their next cancel check and return what they
+    // have; workers then exit without taking another request.
+    for (const auto& pending : inflight_) pending->cancel.Cancel();
     // Swap the handles out so the joins run without mu_ (a worker's last
     // act is to reacquire mu_ to deregister from inflight_).
     workers.swap(workers_);
@@ -1007,7 +914,7 @@ void Server::Stop() {
   }
   if (watchdog.joinable()) watchdog.join();
 
-  // Workers are gone; anything still queued gets a definite refusal.
+  // Workers are gone; everything still queued gets a definite refusal.
   std::deque<std::shared_ptr<Pending>> leftover;
   {
     util::MutexLock lock(mu_);

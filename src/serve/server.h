@@ -109,8 +109,8 @@ struct ServeResponse {
   Status status;
   /// Valid only when status.ok().
   automl::AutoMlResult result;
-  /// True when the answer came from the content-hash cache (embedding,
-  /// SimIndex, and HPO all skipped).
+  /// True when the answer came from the result cache (skeleton
+  /// prediction and HPO skipped; only the final refit ran).
   bool cache_hit = false;
   /// Degradation rung served at (mirrors result.report.degradation_level).
   int degradation_level = 0;
@@ -123,28 +123,32 @@ struct ServeResponse {
 };
 
 /// Long-lived serving daemon over one trained (const, thread-safe) Kgpip
-/// instance. Robustness model:
+/// instance. Every fit it runs is one core::Kgpip::Fit call; the daemon
+/// decides only when, at what budget, and whether a cached answer or
+/// the zero-shot rung serves instead. Robustness model:
 ///
 ///   * Admission control: bounded queue + per-tenant token buckets +
 ///     per-tenant circuit breakers. Overload is shed *at the door* with
 ///     kResourceExhausted; a draining server refuses with
 ///     kFailedPrecondition.
-///   * Deadlines: each request carries one; a watchdog thread fails
-///     still-queued expired requests directly and cooperatively cancels
-///     running ones (CancelToken polled inside SimIndex scans and the
-///     optimizer loop; the per-trial deadline comes from the request's
-///     remaining time via hpo::TrialGuardOptions).
+///   * Deadlines: each request carries one. Its remaining time becomes
+///     the Fit budget's wall clock and the per-trial deadline
+///     (hpo::TrialGuardOptions); a watchdog thread fails still-queued
+///     expired requests directly and cancels running ones through their
+///     CancelToken, which Fit's search checks before each skeleton
+///     slice and continuation.
 ///   * Degradation ladder, sampled from queue depth at dequeue:
-///     rung 0 full fit, rung 1 cached-skeleton fit (reduced budget,
-///     top-1 skeleton), rung 2 zero-shot top-1 skeleton (no HPO).
-///   * Crash-safe caching: results and nearest-neighbour query answers
-///     keyed by dataset content digest in an ArtifactCache; a repeated
-///     fit of an identical table is a cache hit that skips embedding +
-///     SimIndex + HPO entirely. Corrupt entries are evicted and rebuilt.
+///     rung 0 full fit, rung 1 the same fit at half the trial budget,
+///     rung 2 zero-shot: the fallback portfolio's top-1 skeleton,
+///     finalized without search.
+///   * Crash-safe caching: completed rung-0 results keyed by dataset
+///     content digest in an ArtifactCache; a repeated fit of an
+///     identical table is a cache hit that skips skeleton prediction
+///     and HPO. Corrupt entries are evicted and rebuilt.
 ///
 /// Lifecycle: construct -> Start() -> Submit()* -> BeginDrain() ->
-/// AwaitDrained() -> Stop(). Stop() without a drain cancels in-flight
-/// work. The destructor calls Stop().
+/// AwaitDrained() -> Stop(). Stop() without a drain refuses queued
+/// requests and cancels in-flight ones. The destructor calls Stop().
 class Server {
  public:
   Server(const core::Kgpip* model, ServeOptions options);
@@ -171,9 +175,10 @@ class Server {
   /// `timeout_seconds` elapse. Returns true when fully drained.
   bool AwaitDrained(double timeout_seconds);
 
-  /// Drains admission, wakes everything, joins workers + watchdog.
-  /// Requests still pending are failed (kFailedPrecondition), never left
-  /// unresolved. Idempotent.
+  /// Stops admission, cancels every in-flight request, joins workers +
+  /// watchdog. Workers take no further request once Stop begins, so
+  /// every request still queued is failed with kFailedPrecondition,
+  /// never run and never left unresolved. Idempotent.
   void Stop();
 
   size_t queue_depth() const;
@@ -201,10 +206,9 @@ class Server {
   /// The same snapshot rendered for a terminal / SIGUSR1 dump.
   std::string DebugStatusText() const;
 
-  /// Cache key helpers (exposed for tests and repair tooling).
+  /// The result cache's key (exposed for tests and repair tooling).
   static std::string ResultCacheKey(uint64_t digest, TaskType task,
                                     int max_trials);
-  static std::string QueryCacheKey(uint64_t digest);
 
  private:
   enum class RequestState { kQueued, kRunning, kDone };
@@ -222,7 +226,7 @@ class Server {
     /// even refusals are attributable.
     uint64_t id = 0;
     /// Table content digest, computed once in Submit and reused by the
-    /// cache probes (the request is immutable after admission).
+    /// cache probe (the request is immutable after admission).
     uint64_t digest = 0;
     /// Admission-time tenant state (written once under mu_ before the
     /// request is published; read only after it finished).
@@ -234,8 +238,6 @@ class Server {
     std::atomic<const char*> stage{"queued"};
     /// Microseconds spent queued (set at dequeue; -1 = never dequeued).
     std::atomic<int64_t> queue_wait_micros{-1};
-    /// Cache tier that answered: 0 none, 1 result, 2 query.
-    std::atomic<int> cache_tier{0};
   };
 
   struct TenantState {
@@ -270,10 +272,12 @@ class Server {
       KGPIP_EXCLUDES(mu_);
 
   /// Executes one request end to end (cache probe, degradation ladder,
-  /// fit, cache fill). Never throws; always returns a definite response.
+  /// Kgpip::Fit, cache fill). Never throws; always returns a definite
+  /// response.
   ServeResponse Execute(Pending& pending, int degradation_level);
 
-  /// Rung 2: top-1 skeleton with default params, refit once, no HPO.
+  /// Rung 2: the fallback portfolio's top-1 skeleton with default
+  /// params, refit once, no HPO.
   ServeResponse ZeroShot(Pending& pending);
 
   const core::Kgpip* model_;

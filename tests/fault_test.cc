@@ -430,7 +430,6 @@ TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
   // build checks that none of them reads out of bounds on the way.
   gen::GeneratorConfig gen_config;
   gen_config.vocab_size = graph4ml::PipelineVocab::Get().size();
-  gen_config.hidden = core::KgpipConfig().hidden;
   gen_config.condition_dims = static_cast<int>(embed::TableEmbedder::kDims);
   Json generator = gen::GraphGenerator(gen_config, 1).ToJson();
   // The smallest weight matrix, its values re-keyed into an object.

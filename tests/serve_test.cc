@@ -341,6 +341,33 @@ TEST_F(ServeFixture, RepeatedIdenticalFitIsACacheHitThatSkipsEmbedding) {
   server.Stop();
 }
 
+TEST_F(ServeFixture, TwoTrialRepeatIsAResultCacheHit) {
+  // Two trials over the fixture's three skeletons split 1/1/0, so the
+  // budget runs out before the last skeleton. The answer is still the
+  // whole answer for that budget, and its repeat must be a cache hit.
+  Server server(model_, FastOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto submit = [&server] {
+    FitRequest request;
+    request.table = MakeTable(971);
+    request.max_trials = 2;
+    return server.Submit(std::move(request)).get();
+  };
+  ServeResponse cold = submit();
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  ASSERT_FALSE(cold.cache_hit);
+  ASSERT_EQ(cold.result.skeletons.size(), 3u);
+  EXPECT_EQ(cold.result.trials, 2);
+  EXPECT_TRUE(cold.result.report.returned_best_so_far);
+
+  ServeResponse warm = submit();
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.result.best_spec.ToString(),
+            cold.result.best_spec.ToString());
+  server.Stop();
+}
+
 TEST_F(ServeFixture, QueueFullShedsWithResourceExhausted) {
   ServeOptions options = FastOptions();
   options.max_queue_depth = 0;  // everything sheds at the door
@@ -435,6 +462,34 @@ TEST_F(ServeFixture, DrainOfAnIdleServerNeverLosesTheWakeup) {
   }
 }
 
+TEST_F(ServeFixture, StopRefusesQueuedRequestsInsteadOfRunningThem) {
+  ServeOptions options = FastOptions();
+  options.num_workers = 1;
+  Server server(model_, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<std::future<ServeResponse>> futures;
+  for (uint64_t seed = 981; seed < 987; ++seed) {
+    FitRequest request;
+    request.table = MakeTable(seed);
+    futures.push_back(server.Submit(std::move(request)));
+  }
+  server.Stop();
+
+  // The one worker takes at most one request before Stop; Stop refuses
+  // the rest, and every future is resolved by the time it returns.
+  int refused = 0;
+  for (std::future<ServeResponse>& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    ServeResponse response = future.get();
+    if (response.status.code() != StatusCode::kFailedPrecondition) continue;
+    EXPECT_EQ(response.status.message(), "server stopped before execution");
+    ++refused;
+  }
+  EXPECT_GE(refused, 5);
+  EXPECT_EQ(server.audit_log().Tail(16).size(), 6u);
+}
+
 TEST_F(ServeFixture, ExpiredDeadlineProducesResourceExhausted) {
   ServeOptions options = FastOptions();
   options.num_workers = 1;
@@ -516,6 +571,54 @@ TEST_F(ServeFixture, OverloadDegradesToZeroShot) {
   EXPECT_EQ(response.result.report.degradation_level, 2);
   EXPECT_EQ(response.result.trials, 0) << "zero-shot must not run HPO";
   EXPECT_FALSE(response.result.best_spec.learner.empty());
+  server.Stop();
+}
+
+TEST_F(ServeFixture, RungOneFitsAtHalfTheTrialBudget) {
+  ServeOptions options = FastOptions();
+  options.num_workers = 1;
+  options.degrade_queue_depth = 2;  // rung 1 at 2 queued, rung 2 at 4
+  Server server(model_, options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<uint64_t> seeds = {1001, 1002, 1003, 1004};
+  std::vector<std::future<ServeResponse>> futures;
+  for (uint64_t seed : seeds) {
+    FitRequest request;
+    request.table = MakeTable(seed);
+    request.max_trials = 4;
+    futures.push_back(server.Submit(std::move(request)));
+  }
+  // At most three requests wait behind the one the worker takes.
+  std::vector<size_t> rung_one;
+  std::set<int64_t> rung_one_ids;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ServeResponse response = futures[i].get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_NE(response.degradation_level, 2);
+    if (response.degradation_level != 1) continue;
+    EXPECT_EQ(response.result.report.degradation_level, 1);
+    EXPECT_LE(response.result.trials, 2);
+    rung_one.push_back(i);
+    rung_one_ids.insert(static_cast<int64_t>(response.request_id));
+  }
+  ASSERT_FALSE(rung_one.empty());
+  std::string run_micros;
+  for (const Json& record : server.audit_log().Tail(16)) {
+    if (rung_one_ids.count(record.Get("request_id").AsInt()) == 0) continue;
+    if (!run_micros.empty()) run_micros += ",";
+    run_micros += std::to_string(record.Get("run_micros").AsInt());
+  }
+  RecordProperty("rung1_run_micros", run_micros);
+
+  // A degraded answer never seeds the result cache: alone, its table
+  // gets a full fit.
+  FitRequest again;
+  again.table = MakeTable(seeds[rung_one.front()]);
+  again.max_trials = 4;
+  ServeResponse full = server.Submit(std::move(again)).get();
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+  EXPECT_FALSE(full.cache_hit);
+  EXPECT_EQ(full.degradation_level, 0);
   server.Stop();
 }
 
@@ -672,6 +775,39 @@ TEST_F(ServeFixture, ResponseAndAuditShareTheRequestId) {
                 record.Get("run_micros").AsInt(),
             record.Get("total_micros").AsInt());
   server.Stop();
+}
+
+TEST_F(ServeFixture, ServedFitReportsTheWholeFitStageProfile) {
+  Server server(model_, FastOptions());
+  ASSERT_TRUE(server.Start().ok());
+  obs::Tracer::Global().Clear();
+  obs::Tracer::Global().Enable();
+  FitRequest request;
+  request.table = MakeTable(991);
+  ServeResponse response = server.Submit(std::move(request)).get();
+  obs::Tracer::Global().Disable();
+  server.Stop();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  ASSERT_FALSE(response.cache_hit);
+
+  // The stages tile the whole Fit, skeleton prediction included, within
+  // the 10% FitStageProfileTest allows.
+  const obs::StageProfile& profile = response.result.report.stage_profile;
+  EXPECT_GT(profile.StageSeconds("fit.predict_skeletons"), 0.0);
+  EXPECT_GT(profile.StageSeconds("fit.hpo_search"), 0.0);
+  EXPECT_GT(profile.total_seconds, 0.0);
+  EXPECT_NEAR(profile.SumSeconds(), profile.total_seconds,
+              0.10 * profile.total_seconds);
+
+  // The request ran one Kgpip::Fit.
+  int fit_spans = 0;
+  for (const obs::TraceEvent& event : obs::Tracer::Global().Snapshot()) {
+    if (event.request_id != response.request_id) continue;
+    fit_spans += event.name == "kgpip.fit" ? 1 : 0;
+    EXPECT_NE(event.name, "kgpip.fit_with_skeletons");
+  }
+  EXPECT_EQ(fit_spans, 1);
+  obs::Tracer::Global().Clear();
 }
 
 TEST_F(ServeFixture, RefusalsAreAuditedToo) {
