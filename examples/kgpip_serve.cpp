@@ -202,9 +202,6 @@ int main(int argc, char** argv) {
   }
   statusz_done.store(true, std::memory_order_release);
   statusz_poller.join();
-  if (!statusz_path.empty()) {
-    WriteStatuszFile(statusz_path, server.DebugStatus());
-  }
   server.Stop();
   const serve::ArtifactCache::Stats cache = server.cache().stats();
   std::printf(

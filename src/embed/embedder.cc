@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
@@ -20,115 +23,212 @@ constexpr size_t kNameBlock = 28;    // 16 dims
 constexpr size_t kContentBlock = 44; // 16 dims
 constexpr size_t kNameBlockDims = 16;
 constexpr size_t kContentBlockDims = 16;
+/// The pairwise probe correlates the first this-many numeric columns.
+constexpr size_t kProbeColumns = 8;
 
 double SignedLog(double x) {
   return x >= 0.0 ? std::log1p(x) : -std::log1p(-x);
 }
 
-/// Basic moments of the non-missing values of a numeric column.
-struct Moments {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double skew = 0.0;
-  size_t count = 0;
-};
-
-Moments ComputeMoments(const Column& col) {
-  Moments m;
-  for (size_t r = 0; r < col.size(); ++r) {
-    if (col.IsMissing(r)) continue;
-    m.mean += col.NumericAt(r);
-    ++m.count;
-  }
-  if (m.count == 0) return m;
-  m.mean /= static_cast<double>(m.count);
-  double m2 = 0.0, m3 = 0.0;
-  for (size_t r = 0; r < col.size(); ++r) {
-    if (col.IsMissing(r)) continue;
-    double d = col.NumericAt(r) - m.mean;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  m2 /= static_cast<double>(m.count);
-  m3 /= static_cast<double>(m.count);
-  m.stddev = std::sqrt(m2);
-  m.skew = m2 > 1e-12 ? m3 / std::pow(m2, 1.5) : 0.0;
-  return m;
+/// Whether the statistics read row `r` of a numeric column. strtod reads
+/// "1e999" or "inf" as an infinity, which the column does not mark
+/// missing; a non-finite cell counts as missing here, so one bad cell
+/// cannot turn the embedding NaN.
+bool Present(const Column& col, size_t r) {
+  return !col.IsMissing(r) && std::isfinite(col.NumericAt(r));
 }
 
-/// Pearson correlation of a numeric column with an encoded target.
-double CorrWithTarget(const Column& col, const std::vector<double>& target) {
-  double mx = 0.0, my = 0.0;
-  size_t n = 0;
-  for (size_t r = 0; r < col.size(); ++r) {
-    if (col.IsMissing(r)) continue;
-    mx += col.NumericAt(r);
-    my += target[r];
-    ++n;
+/// The supervised target, one double per row (a categorical label's
+/// first-seen index, a numeric value, 0.0 where missing), and its rows
+/// sorted by that value, once per table.
+struct EncodedTarget {
+  std::vector<double> values;
+  std::vector<std::pair<double, size_t>> sorted;  // (value, row), ascending
+};
+
+/// Every statistic Embed reads from one numeric column.
+struct ColumnStats {
+  std::vector<size_t> rows;    // present rows, ascending
+  std::vector<double> values;  // their values, in row order
+  double mean = 0.0;
+  double sxx = 0.0;  // sum of (x - mean)^2
+  double stddev = 0.0;
+  double skew = 0.0;
+  double distinct_frac = 0.0;
+  double abs_corr = 0.0;  // |Pearson correlation| with the target
+  double mi = 0.0;        // binned mutual information with the target
+};
+
+EncodedTarget EncodeTarget(const Column& t, double* entropy,
+                           double* num_classes) {
+  const size_t rows = t.size();
+  EncodedTarget out;
+  out.values.assign(rows, 0.0);
+  out.sorted.resize(rows);
+  if (t.type() == ColumnType::kNumeric) {
+    for (size_t r = 0; r < rows; ++r) {
+      if (Present(t, r)) out.values[r] = t.NumericAt(r);
+      out.sorted[r] = {out.values[r], r};
+    }
+    std::sort(out.sorted.begin(), out.sorted.end());
+    return out;
   }
+  // Labels in sorted order (the entropy sums in it), each mapped to its
+  // first-seen index, which is its encoding and its slot in `counts`.
+  std::map<std::string_view, int> levels;
+  std::vector<size_t> counts;
+  for (size_t r = 0; r < rows; ++r) {
+    if (t.IsMissing(r)) continue;
+    auto [it, inserted] =
+        levels.try_emplace(t.StringAt(r), static_cast<int>(levels.size()));
+    if (inserted) counts.push_back(0);
+    out.values[r] = it->second;
+    ++counts[it->second];
+  }
+  *num_classes = static_cast<double>(levels.size());
+  for (const auto& [label, level] : levels) {
+    double p = static_cast<double>(counts[level]) / static_cast<double>(rows);
+    if (p > 0.0) *entropy -= p * std::log(p);
+  }
+  if (*num_classes > 1.0) *entropy /= std::log(*num_classes);
+  // The values are the labels 0..k-1 (0 where missing; value 0 exists
+  // even when every row is missing), so one counting pass puts the rows
+  // in the same (value, row) order as a sort.
+  std::vector<size_t> next(std::max<size_t>(levels.size(), 1) + 1, 0);
+  for (double y : out.values) ++next[static_cast<size_t>(y) + 1];
+  for (size_t l = 1; l < next.size(); ++l) next[l] += next[l - 1];
+  for (size_t r = 0; r < rows; ++r) {
+    const double y = out.values[r];
+    out.sorted[next[static_cast<size_t>(y)]++] = {y, r};
+  }
+  return out;
+}
+
+/// Pearson correlation of a column's present values with `y(i)`, the
+/// other side at the column's i-th present row. Zero below 3 rows or when
+/// either side has no spread.
+template <typename Y>
+double Correlation(const ColumnStats& x, Y y) {
+  const size_t n = x.values.size();
   if (n < 3) return 0.0;
-  mx /= static_cast<double>(n);
+  double my = 0.0;
+  for (size_t i = 0; i < n; ++i) my += y(i);
   my /= static_cast<double>(n);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t r = 0; r < col.size(); ++r) {
-    if (col.IsMissing(r)) continue;
-    double dx = col.NumericAt(r) - mx;
-    double dy = target[r] - my;
+  double sxy = 0.0, syy = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double dx = x.values[i] - x.mean;
+    double dy = y(i) - my;
     sxy += dx * dy;
-    sxx += dx * dx;
     syy += dy * dy;
   }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
+  if (x.sxx <= 0.0 || syy <= 0.0) return 0.0;
+  return sxy / std::sqrt(x.sxx * syy);
+}
+
+constexpr int kBins = 4;
+
+/// The highest bin c with v > cuts[c - 1], else bin 0. The cuts are
+/// ascending, so that is the number of cuts below v.
+int BinOf(double v, const double (&cuts)[kBins - 1]) {
+  int b = 0;
+  for (int c = 1; c < kBins; ++c) b += v > cuts[c - 1];
+  return b;
 }
 
 /// Normalized mutual information between a quantile-binned feature and a
 /// binned target (4x4 grid). Captures non-linear relationships the
 /// correlation misses — this is what separates interaction-style datasets
-/// from pure-noise ones.
-double BinnedMutualInformation(const Column& col,
-                               const std::vector<double>& target) {
-  constexpr int kBins = 4;
-  std::vector<std::pair<double, double>> rows;
-  for (size_t r = 0; r < col.size(); ++r) {
-    if (col.IsMissing(r)) continue;
-    rows.emplace_back(col.NumericAt(r), target[r]);
-  }
-  if (rows.size() < 16) return 0.0;
-  auto bin_of = [&](double v, std::vector<double>& sorted) {
-    int b = 0;
-    for (int c = 1; c < kBins; ++c) {
-      if (v > sorted[sorted.size() * c / kBins]) b = c;
+/// from pure-noise ones. `sorted` holds the column's present values in
+/// ascending order.
+double BinnedMutualInformation(const Column& col, const ColumnStats& x,
+                               const std::vector<double>& sorted,
+                               const EncodedTarget& target) {
+  const size_t m = sorted.size();
+  if (m < 16) return 0.0;
+  double x_cuts[kBins - 1];
+  double y_cuts[kBins - 1] = {};
+  for (int c = 1; c < kBins; ++c) x_cuts[c - 1] = sorted[m * c / kBins];
+  // The same order statistics of the target over this column's present
+  // rows: walk the table's target order, skipping the rows it is missing.
+  size_t k = 0;
+  int c = 1;
+  for (const auto& [y, r] : target.sorted) {
+    if (!Present(col, r)) continue;
+    if (k == m * c / kBins) {
+      y_cuts[c - 1] = y;
+      if (++c == kBins) break;
     }
-    return b;
-  };
-  std::vector<double> xs, ys;
-  for (const auto& [x, y] : rows) {
-    xs.push_back(x);
-    ys.push_back(y);
+    ++k;
   }
-  std::sort(xs.begin(), xs.end());
-  std::sort(ys.begin(), ys.end());
-  double joint[kBins][kBins] = {};
-  double px[kBins] = {};
-  double py[kBins] = {};
-  for (const auto& [x, y] : rows) {
-    int bx = bin_of(x, xs);
-    int by = bin_of(y, ys);
-    joint[bx][by] += 1.0;
-    px[bx] += 1.0;
-    py[by] += 1.0;
+  size_t joint[kBins][kBins] = {};
+  size_t px[kBins] = {};
+  size_t py[kBins] = {};
+  for (size_t i = 0; i < m; ++i) {
+    int bx = BinOf(x.values[i], x_cuts);
+    int by = BinOf(target.values[x.rows[i]], y_cuts);
+    ++joint[bx][by];
+    ++px[bx];
+    ++py[by];
   }
-  double n = static_cast<double>(rows.size());
+  double n = static_cast<double>(m);
   double mi = 0.0;
   for (int a = 0; a < kBins; ++a) {
     for (int b = 0; b < kBins; ++b) {
-      if (joint[a][b] <= 0.0) continue;
-      double pj = joint[a][b] / n;
-      mi += pj * std::log(pj / ((px[a] / n) * (py[b] / n)));
+      if (joint[a][b] == 0) continue;
+      double pj = static_cast<double>(joint[a][b]) / n;
+      double qa = static_cast<double>(px[a]) / n;
+      double qb = static_cast<double>(py[b]) / n;
+      mi += pj * std::log(pj / (qa * qb));
     }
   }
   return mi / std::log(static_cast<double>(kBins));
+}
+
+/// One numeric column's statistics from one pass over its present values
+/// and one sort of them. Every sum runs over the present values in row
+/// order.
+ColumnStats ComputeColumnStats(const Column& col,
+                               const EncodedTarget* target) {
+  const size_t rows = col.size();
+  ColumnStats s;
+  s.rows.reserve(rows);
+  s.values.reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    if (!Present(col, r)) continue;
+    s.rows.push_back(r);
+    s.values.push_back(col.NumericAt(r));
+  }
+  const size_t m = s.values.size();
+  if (m == 0) return s;
+  for (double x : s.values) s.mean += x;
+  s.mean /= static_cast<double>(m);
+  double m2 = 0.0, m3 = 0.0;
+  for (double x : s.values) {
+    double d = x - s.mean;
+    m2 += d * d;
+    m3 += d * d * d;
+  }
+  s.sxx = m2;
+  m2 /= static_cast<double>(m);
+  m3 /= static_cast<double>(m);
+  s.stddev = std::sqrt(m2);
+  s.skew = m2 > 1e-12 ? m3 / std::pow(m2, 1.5) : 0.0;
+
+  // Adjacent runs of the sorted copy count distinct values; -0.0 and +0.0
+  // compare equal, so they are one value.
+  std::vector<double> sorted = s.values;
+  std::sort(sorted.begin(), sorted.end());
+  size_t distinct = 1;
+  for (size_t i = 1; i < m; ++i) distinct += sorted[i] != sorted[i - 1];
+  s.distinct_frac =
+      static_cast<double>(distinct) / static_cast<double>(rows);
+
+  if (target != nullptr) {
+    s.abs_corr = std::fabs(Correlation(
+        s, [&](size_t i) { return target->values[s.rows[i]]; }));
+    s.mi = BinnedMutualInformation(col, s, sorted, *target);
+  }
+  return s;
 }
 
 void AddHashed(const std::string& token, double weight, double* block,
@@ -176,56 +276,47 @@ std::vector<double> TableEmbedder::Embed(const Table& table) const {
   if (rows == 0 || cols == 0) return v;
 
   // Encode the target for relationship features (class index or value).
-  std::vector<double> target_encoded(rows, 0.0);
-  bool have_target = false;
+  std::optional<EncodedTarget> target;
   double target_entropy = 0.0;
   double num_classes = 0.0;
   bool target_is_numeric = true;
-  if (auto target = table.TargetColumn(); target.ok()) {
-    have_target = true;
-    const Column& t = **target;
-    target_is_numeric = t.type() == ColumnType::kNumeric;
-    if (target_is_numeric) {
-      for (size_t r = 0; r < rows; ++r) {
-        target_encoded[r] = t.IsMissing(r) ? 0.0 : t.NumericAt(r);
-      }
-    } else {
-      std::map<std::string, int> levels;
-      std::map<std::string, size_t> counts;
-      for (size_t r = 0; r < rows; ++r) {
-        if (t.IsMissing(r)) continue;
-        auto [it, unused] =
-            levels.emplace(t.StringAt(r), static_cast<int>(levels.size()));
-        target_encoded[r] = it->second;
-        ++counts[t.StringAt(r)];
-      }
-      num_classes = static_cast<double>(levels.size());
-      for (const auto& [label, count] : counts) {
-        double p = static_cast<double>(count) / static_cast<double>(rows);
-        if (p > 0.0) target_entropy -= p * std::log(p);
-      }
-      if (num_classes > 1.0) target_entropy /= std::log(num_classes);
-    }
+  if (auto t = table.TargetColumn(); t.ok()) {
+    target_is_numeric = (*t)->type() == ColumnType::kNumeric;
+    target = EncodeTarget(**t, &target_entropy, &num_classes);
   }
 
+  // Per-column statistics are independent, so one pool item per numeric
+  // column computes all of them; each item writes only its own slot,
+  // keeping the results in column order regardless of thread count.
+  std::vector<const Column*> numeric_columns;
+  for (const Column& col : table.columns()) {
+    if (col.name() == table.target_name()) continue;
+    if (col.type() != ColumnType::kNumeric) continue;
+    numeric_columns.push_back(&col);
+  }
+  const EncodedTarget* encoded = target ? &*target : nullptr;
+  const std::vector<ColumnStats> stats =
+      util::ThreadPool::Global().ParallelMap<ColumnStats>(
+          numeric_columns.size(), [&](size_t c) {
+            return ComputeColumnStats(*numeric_columns[c], encoded);
+          });
+
   // ---- Shape block ----
-  size_t n_numeric = 0, n_categorical = 0, n_text = 0;
+  size_t n_categorical = 0, n_text = 0;
   size_t missing = 0;
   for (const Column& col : table.columns()) {
     if (col.name() == table.target_name()) continue;
-    switch (col.type()) {
-      case ColumnType::kNumeric:
-        ++n_numeric;
-        break;
-      case ColumnType::kCategorical:
-        ++n_categorical;
-        break;
-      case ColumnType::kText:
-        ++n_text;
-        break;
+    if (col.type() == ColumnType::kNumeric) continue;
+    if (col.type() == ColumnType::kText) {
+      ++n_text;
+    } else {
+      ++n_categorical;
     }
     missing += col.MissingCount();
   }
+  // A numeric column's missing cells include its non-finite ones.
+  for (const ColumnStats& s : stats) missing += rows - s.values.size();
+  const size_t n_numeric = numeric_columns.size();
   const double n_features =
       std::max<double>(1.0, static_cast<double>(cols) - 1.0);
   v[kShapeBlock + 0] = std::log1p(static_cast<double>(rows)) / 10.0;
@@ -243,38 +334,7 @@ std::vector<double> TableEmbedder::Embed(const Table& table) const {
   v[kShapeBlock + 10] = num_classes > 2.0 ? 1.0 : 0.0;
   v[kShapeBlock + 11] = n_text > 0 ? 1.0 : 0.0;
 
-  // ---- Target-relationship + numeric blocks ----
-  // Per-column statistics are independent, so they fan out over the pool;
-  // each item writes only its own slot, keeping the resulting vectors in
-  // column order regardless of thread count.
-  std::vector<const Column*> numeric_columns;
-  for (const Column& col : table.columns()) {
-    if (col.name() == table.target_name()) continue;
-    if (col.type() != ColumnType::kNumeric) continue;
-    numeric_columns.push_back(&col);
-  }
-  std::vector<double> abs_corrs;
-  std::vector<double> mis;
-  if (have_target && !numeric_columns.empty()) {
-    struct TargetStats {
-      double abs_corr = 0.0;
-      double mi = 0.0;
-    };
-    std::vector<TargetStats> stats =
-        util::ThreadPool::Global().ParallelMap<TargetStats>(
-            numeric_columns.size(), [&](size_t c) {
-              const Column& col = *numeric_columns[c];
-              return TargetStats{
-                  std::fabs(CorrWithTarget(col, target_encoded)),
-                  BinnedMutualInformation(col, target_encoded)};
-            });
-    abs_corrs.reserve(stats.size());
-    mis.reserve(stats.size());
-    for (const TargetStats& s : stats) {
-      abs_corrs.push_back(s.abs_corr);
-      mis.push_back(s.mi);
-    }
-  }
+  // ---- Target-relationship block ----
   auto top_mean = [](std::vector<double> values, size_t k) {
     if (values.empty()) return 0.0;
     std::sort(values.rbegin(), values.rend());
@@ -283,7 +343,15 @@ std::vector<double> TableEmbedder::Embed(const Table& table) const {
     for (size_t i = 0; i < k; ++i) s += values[i];
     return s / static_cast<double>(k);
   };
-  if (!abs_corrs.empty()) {
+  if (target && !stats.empty()) {
+    std::vector<double> abs_corrs;
+    std::vector<double> mis;
+    abs_corrs.reserve(stats.size());
+    mis.reserve(stats.size());
+    for (const ColumnStats& s : stats) {
+      abs_corrs.push_back(s.abs_corr);
+      mis.push_back(s.mi);
+    }
     double max_corr = *std::max_element(abs_corrs.begin(), abs_corrs.end());
     double max_mi = *std::max_element(mis.begin(), mis.end());
     size_t strong_corr = 0, strong_mi = 0;
@@ -306,49 +374,43 @@ std::vector<double> TableEmbedder::Embed(const Table& table) const {
                                          : max_mi;
   }
 
-  if (!numeric_columns.empty()) {
-    struct ColumnMoments {
-      Moments m;
-      double distinct_frac = 0.0;
-    };
-    std::vector<ColumnMoments> moments =
-        util::ThreadPool::Global().ParallelMap<ColumnMoments>(
-            numeric_columns.size(), [&](size_t c) {
-              const Column& col = *numeric_columns[c];
-              return ColumnMoments{
-                  ComputeMoments(col),
-                  static_cast<double>(col.DistinctCount()) /
-                      static_cast<double>(rows)};
-            });
+  // ---- Numeric block ----
+  if (!stats.empty()) {
     // Accumulate in column order so the floating-point sums are fixed.
     double mean_slog_mean = 0.0, mean_log_std = 0.0, mean_skew = 0.0,
            mean_distinct = 0.0;
-    for (const ColumnMoments& cm : moments) {
-      mean_slog_mean += SignedLog(cm.m.mean);
-      mean_log_std += std::log1p(cm.m.stddev);
-      mean_skew += cm.m.skew;
-      mean_distinct += cm.distinct_frac;
+    for (const ColumnStats& s : stats) {
+      mean_slog_mean += SignedLog(s.mean);
+      mean_log_std += std::log1p(s.stddev);
+      mean_skew += s.skew;
+      mean_distinct += s.distinct_frac;
     }
-    const double nn = static_cast<double>(numeric_columns.size());
+    const double nn = static_cast<double>(stats.size());
     v[kNumericBlock + 0] = mean_slog_mean / nn / 10.0;
     v[kNumericBlock + 1] = mean_log_std / nn / 8.0;
     v[kNumericBlock + 2] = std::tanh(mean_skew / nn);
     v[kNumericBlock + 3] = mean_distinct / nn;
-    // Inter-feature correlation structure (sparse datasets stand apart).
+    // Inter-feature correlation structure (sparse datasets stand apart):
+    // each probe column against every other, over the first one's present
+    // rows, reading the second from a dense copy with 0.0 where missing.
+    const size_t probe = std::min(stats.size(), kProbeColumns);
+    std::vector<std::vector<double>> dense(probe,
+                                           std::vector<double>(rows, 0.0));
+    for (size_t b = 0; b < probe; ++b) {
+      for (size_t i = 0; i < stats[b].rows.size(); ++i) {
+        dense[b][stats[b].rows[i]] = stats[b].values[i];
+      }
+    }
     double mean_abs_corr = 0.0;
     size_t corr_pairs = 0, partnered = 0;
-    const size_t probe = std::min<size_t>(numeric_columns.size(), 8);
     for (size_t a = 0; a < probe; ++a) {
+      const ColumnStats& x = stats[a];
       bool has_partner = false;
       for (size_t b = 0; b < probe; ++b) {
         if (a == b) continue;
-        std::vector<double> other(rows, 0.0);
-        for (size_t r = 0; r < rows; ++r) {
-          other[r] = numeric_columns[b]->IsMissing(r)
-                         ? 0.0
-                         : numeric_columns[b]->NumericAt(r);
-        }
-        double c = std::fabs(CorrWithTarget(*numeric_columns[a], other));
+        const std::vector<double>& other = dense[b];
+        double c = std::fabs(
+            Correlation(x, [&](size_t i) { return other[x.rows[i]]; }));
         mean_abs_corr += c;
         ++corr_pairs;
         if (c > 0.3) has_partner = true;

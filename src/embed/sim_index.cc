@@ -111,15 +111,18 @@ double CosineFromParts(double dot, double na, double nb) {
 }
 
 Status SimIndex::Add(const std::string& key, std::vector<double> vector) {
-  if (keys_.empty()) {
-    dims_ = vector.size();
-  } else if (vector.size() != dims_) {
+  if (!keys_.empty() && vector.size() != dims_) {
     return Status::InvalidArgument(
         "vector dimensionality mismatch for key '" + key + "'");
   }
+  const double sq_norm = BlockedSquaredNorm(vector.data(), vector.size());
+  if (!std::isfinite(sq_norm)) {
+    return Status::InvalidArgument("non-finite vector for key '" + key + "'");
+  }
+  dims_ = vector.size();
   keys_.push_back(key);
   data_.insert(data_.end(), vector.begin(), vector.end());
-  row_sq_norms_.push_back(BlockedSquaredNorm(vector.data(), dims_));
+  row_sq_norms_.push_back(sq_norm);
   return Status::Ok();
 }
 
@@ -141,8 +144,11 @@ Result<std::vector<SearchHit>> SimIndex::Search(
   if (query.size() != dims_) {
     return Status::InvalidArgument("query dimensionality mismatch");
   }
-  if (k == 0) return std::vector<SearchHit>{};
   const double q_sq = BlockedSquaredNorm(query.data(), dims_);
+  if (!std::isfinite(q_sq)) {
+    return Status::InvalidArgument("non-finite query vector");
+  }
+  if (k == 0) return std::vector<SearchHit>{};
   const size_t n = keys_.size();
   candidates_scanned->Increment(static_cast<int64_t>(n));
   std::vector<RankedSim>& ranked = RankingScratch(n);

@@ -52,12 +52,15 @@ double CosineFromParts(double dot, double na, double nb);
 class SimIndex {
  public:
   /// Adds a keyed vector. All vectors must share one dimensionality.
-  /// The row's squared norm is computed once here.
+  /// The row's squared norm is computed once here; a vector whose squared
+  /// norm is not finite (an inf or NaN component) is InvalidArgument,
+  /// since it would score NaN against every query.
   Status Add(const std::string& key, std::vector<double> vector);
 
   /// Top-k most cosine-similar entries to `query`, most similar first.
   /// Ties order by insertion index (deterministic across platforms and
-  /// thread counts); k = 0 returns no hits.
+  /// thread counts); k = 0 returns no hits. A query whose squared norm is
+  /// not finite is InvalidArgument.
   Result<std::vector<SearchHit>> Search(const std::vector<double>& query,
                                         size_t k) const;
 

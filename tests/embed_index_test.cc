@@ -2,12 +2,13 @@
 // parallel-scan threshold — hits equal to a BlockedCosine full-sort
 // reference, the zero-allocation steady state of Search's scratch,
 // hit-list byte-identity across thread counts and a saved model's JSON
-// round trip, and k = 0. Its own binary so the sanitizer CI jobs can run
-// exactly this suite.
+// round trip, k = 0, and non-finite vectors. Its own binary so the
+// sanitizer CI jobs can run exactly this suite.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -210,6 +211,37 @@ TEST(SimIndexScanTest, ZeroKReturnsNoHits) {
   auto hits = index.Search({1.0, 0.5}, 0);
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   EXPECT_TRUE(hits->empty());
+}
+
+TEST(SimIndexScanTest, NonFiniteVectorsAreInvalidArguments) {
+  // An inf or NaN component makes the squared norm non-finite; such a row
+  // would score NaN against every query, and NaN breaks the ranking's
+  // strict weak order. Add and Search refuse it and leave the index as it
+  // was.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SimIndex index;
+  EXPECT_EQ(index.Add("inf", {1.0, inf}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Add("nan", {nan, 0.0}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.size(), 0u);
+  ASSERT_TRUE(index.Add("a", {1.0, 0.0}).ok());
+  ASSERT_TRUE(index.Add("b", {0.0, 1.0}).ok());
+  EXPECT_EQ(index.Add("c", {-inf, 1.0}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Add("d", {0.5, nan}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.size(), 2u);
+  for (const std::vector<double>& query :
+       {std::vector<double>{inf, 0.0}, std::vector<double>{0.0, -inf},
+        std::vector<double>{nan, 1.0}}) {
+    for (size_t k : {size_t{0}, size_t{1}, size_t{2}}) {
+      EXPECT_EQ(index.Search(query, k).status().code(),
+                StatusCode::kInvalidArgument)
+          << "k=" << k;
+    }
+  }
+  auto hits = index.Search({1.0, 0.5}, 2);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_EQ(hits->size(), 2u);
+  EXPECT_EQ((*hits)[0].key, "a");
 }
 
 }  // namespace

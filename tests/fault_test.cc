@@ -423,15 +423,22 @@ TEST(ArtifactTest, HeaderlessFileIsAParseErrorNamingTheMagic) {
 
 TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
   // Correctly checksummed artifacts whose JSON has the wrong shape: an
-  // object where an array belongs, a string inside an embedding, an empty
-  // edge pair, a node type outside the vocabulary, an edge endpoint out
-  // of range, and a weight list given as an object with the right
-  // member count. Each must fail LoadFile with a Status; the sanitizer
-  // build checks that none of them reads out of bounds on the way.
+  // object where an array belongs, a string inside an embedding, an
+  // infinite embedding component, an empty edge pair, a node type outside
+  // the vocabulary, an edge endpoint out of range, and a weight list given
+  // as an object with the right member count. Each must fail LoadFile
+  // with a Status; the sanitizer build checks that none of them reads out
+  // of bounds on the way.
   gen::GeneratorConfig gen_config;
   gen_config.vocab_size = graph4ml::PipelineVocab::Get().size();
   gen_config.condition_dims = static_cast<int>(embed::TableEmbedder::kDims);
   Json generator = gen::GraphGenerator(gen_config, 1).ToJson();
+  // Well formed but for one embedding component: 1e999 parses as a JSON
+  // number (inf), which the index refuses.
+  const std::string inf_embedding =
+      R"({"store":{"datasets":{}},"embeddings":{"d1":[0.5,1e999]},)"
+      R"("generator":)" +
+      generator.Dump() + "}";
   // The smallest weight matrix, its values re-keyed into an object.
   Json weights = generator.Get("weights");
   std::string smallest;
@@ -465,6 +472,8 @@ TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
        StatusCode::kParseError, "'d1' is not an array"},
       {R"({"store":{"datasets":{}},"embeddings":{"d1":[0.5,"x"]}})",
        StatusCode::kParseError, "'d1' has a non-number component"},
+      {inf_embedding, StatusCode::kInvalidArgument,
+       "non-finite vector for key 'd1'"},
       {R"({"store":{"datasets":{"d1":{"x":1}}},"embeddings":{}})",
        StatusCode::kParseError, "pipeline without estimator"},
       // An empty pair decodes as the self-loop 0 -> 0, which the store's
