@@ -122,7 +122,11 @@ double Correlation(const ColumnStats& x, Y y) {
     syy += dy * dy;
   }
   if (x.sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(x.sxx * syy);
+  // Sums that overflowed (values near DBL_MAX), or spreads whose product
+  // underflows to zero (values near 1e-160), leave the correlation
+  // unavailable, as when a side has no spread.
+  const double r = sxy / std::sqrt(x.sxx * syy);
+  return std::isfinite(r) ? r : 0.0;
 }
 
 constexpr int kBins = 4;
@@ -200,14 +204,20 @@ ColumnStats ComputeColumnStats(const Column& col,
   }
   const size_t m = s.values.size();
   if (m == 0) return s;
+  // Values near DBL_MAX can overflow a sum. A statistic whose sum
+  // overflowed counts as unavailable, as for a constant column: the mean
+  // is then 0, and Σd² or Σd³ leave stddev and skew at 0 (and |corr| at
+  // 0, from sxx = 0).
   for (double x : s.values) s.mean += x;
-  s.mean /= static_cast<double>(m);
+  s.mean = std::isfinite(s.mean) ? s.mean / static_cast<double>(m) : 0.0;
   double m2 = 0.0, m3 = 0.0;
   for (double x : s.values) {
     double d = x - s.mean;
     m2 += d * d;
     m3 += d * d * d;
   }
+  if (!std::isfinite(m2)) m2 = 0.0;
+  if (!std::isfinite(m3)) m3 = 0.0;
   s.sxx = m2;
   m2 /= static_cast<double>(m);
   m3 /= static_cast<double>(m);

@@ -221,6 +221,8 @@ void GraphGenerator::CopyWeightsFrom(const GraphGenerator& other) {
 double GraphGenerator::TrainEpochBatched(
     const std::vector<GraphExample>& examples,
     const std::vector<size_t>& order) {
+  static obs::Histogram* step_seconds =
+      obs::MetricsRegistry::Global().GetHistogram("gen.train_step_seconds");
   util::ThreadPool& pool = util::ThreadPool::Global();
   const size_t batch = static_cast<size_t>(config_.batch_size);
   // One replica per batch slot: slot b's example runs on replica b alone,
@@ -240,26 +242,29 @@ double GraphGenerator::TrainEpochBatched(
       replica.CopyWeightsFrom(*this);
       losses[b] = Backprop(replica, examples[order[start + b]]);
     });
-    // Sum the slot gradients in slot order, so every summed element is
-    // one fixed chain whatever thread ran which slot, and clear each
-    // slot for its next example (Backward resets only the parameters
-    // its loss reaches). A parameter a replica never reached has no
-    // grad yet and adds nothing.
-    store_.ZeroGrads();
-    for (size_t b = 0; b < count; ++b) {
-      total_loss += losses[b];
-      const std::vector<Var>& slot_params = replicas[b]->store_.params();
-      for (size_t p = 0; p < params.size(); ++p) {
-        nn::Matrix& sum = params[p].node()->grad;
-        nn::Matrix& slot = slot_params[p].node()->grad;
+    for (size_t b = 0; b < count; ++b) total_loss += losses[b];
+    // The step: one pool item per parameter sums its slot gradients in
+    // slot order, so every summed element is one fixed chain from +0.0
+    // whatever thread ran which slot, and clears each slot for its next
+    // example (Backward resets only the parameters its loss reaches). A
+    // parameter a replica never reached has no grad yet and adds
+    // nothing. Then one Adam step.
+    Stopwatch step_watch;
+    pool.ParallelFor(params.size(), [&](size_t p) {
+      Var param = params[p];
+      param.ZeroGrad();
+      nn::Matrix& sum = param.node()->grad;
+      for (size_t b = 0; b < count; ++b) {
+        nn::Matrix& slot = replicas[b]->store_.params()[p].node()->grad;
         if (slot.size() != sum.size()) continue;
         for (size_t k = 0; k < sum.size(); ++k) {
           sum.data()[k] += slot.data()[k];
           slot.data()[k] = 0.0;
         }
       }
-    }
+    });
     optimizer_->Step();
+    step_seconds->Record(step_watch.ElapsedSeconds());
   }
   return total_loss / static_cast<double>(examples.size());
 }

@@ -133,7 +133,8 @@ class GraphGenerator {
 
   /// Minibatch path of TrainEpoch: batch slot b runs its example on
   /// replica b (built for the epoch); the slot gradients are summed in
-  /// slot order, then one Adam step.
+  /// slot order, one pool item per parameter, then one Adam step. Each
+  /// batch's sums and step are timed in `gen.train_step_seconds`.
   double TrainEpochBatched(const std::vector<GraphExample>& examples,
                            const std::vector<size_t>& order);
 

@@ -155,14 +155,19 @@ void TransposeInto(const Matrix& m, Matrix* out) {
   }
 }
 
-/// grad += a * b, the product formed in `scratch` first. Each product
-/// element is one ascending-k chain from +0.0 that skips zero terms of
-/// `a`; a chain from +0.0 never reaches -0.0, so adding a +-0 term
-/// could not change it, and the result equals the plain dot product.
-void AddProduct(const Matrix& a, const Matrix& b, Matrix* scratch,
+/// grad += a * b, or a^T * b with `transpose_a` (a^T read in place).
+/// Each product element is one ascending-k chain from +0.0 that skips
+/// zero terms of `a`, finished in registers and added once: the bits of
+/// the plain dot product added to the gradient (DESIGN.md §17).
+void AddProduct(const Matrix& a, bool transpose_a, const Matrix& b,
                 Matrix* grad) {
-  Matrix::MatMulInto(a, b, scratch);
-  AddInto(*scratch, grad);
+  const size_t rows = transpose_a ? a.cols() : a.rows();
+  const size_t inner = transpose_a ? a.rows() : a.cols();
+  KGPIP_CHECK(inner == b.rows() && grad->rows() == rows &&
+              grad->cols() == b.cols());
+  simd::Gemm(simd::ActiveIsa(), simd::GemmMode::kAdd, a.data(),
+             transpose_a ? 1 : a.cols(), transpose_a ? a.cols() : 1, b.data(),
+             grad->data(), rows, inner, b.cols());
 }
 
 /// The Backward call running on this thread (0 outside Backward).
@@ -255,14 +260,13 @@ Var MatMul(const Var& a, const Var& b) {
   VarNode* node = Record({a.node(), b.node()}, [](VarNode& self) {
     VarNode* pa = self.parents[0];
     VarNode* pb = self.parents[1];
-    Tape& tape = *self.tape;
-    if (pa->requires_grad) {  // dA = G * B^T
-      TransposeInto(pb->value, &tape.scratch[0]);
-      AddProduct(self.grad, tape.scratch[0], &tape.scratch[1], &pa->grad);
+    if (pa->requires_grad) {  // dA = G * B^T, B^T packed into scratch
+      TransposeInto(pb->value, &self.tape->scratch);
+      AddProduct(self.grad, /*transpose_a=*/false, self.tape->scratch,
+                 &pa->grad);
     }
     if (pb->requires_grad) {  // dB = A^T * G
-      TransposeInto(pa->value, &tape.scratch[0]);
-      AddProduct(tape.scratch[0], self.grad, &tape.scratch[1], &pb->grad);
+      AddProduct(pa->value, /*transpose_a=*/true, self.grad, &pb->grad);
     }
   });
   Output(node, a.rows(), b.cols());
@@ -275,7 +279,6 @@ Var Affine(const Var& x, const Var& w, const Var& b) {
     VarNode* px = self.parents[0];
     VarNode* pw = self.parents[1];
     VarNode* pb = self.parents[2];
-    Tape& tape = *self.tape;
     const Matrix& g = self.grad;
     if (pb->requires_grad) {  // bias rows, top to bottom
       const simd::Isa isa = simd::ActiveIsa();
@@ -285,11 +288,10 @@ Var Affine(const Var& x, const Var& w, const Var& b) {
       }
     }
     if (px->requires_grad) {  // dX = G * W^T
-      AddProduct(g, TransposedOnce(pw), &tape.scratch[1], &px->grad);
+      AddProduct(g, /*transpose_a=*/false, TransposedOnce(pw), &px->grad);
     }
     if (pw->requires_grad) {  // dW = X^T * G
-      TransposeInto(px->value, &tape.scratch[0]);
-      AddProduct(tape.scratch[0], g, &tape.scratch[1], &pw->grad);
+      AddProduct(px->value, /*transpose_a=*/true, g, &pw->grad);
     }
   });
   Output(node, x.rows(), w.cols());

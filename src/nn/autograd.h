@@ -65,8 +65,8 @@ class Tape {
   VarNode* NewNode();
   /// A rows x cols matrix from the pool (contents unspecified).
   Matrix TakeMatrix(size_t rows, size_t cols);
-  /// Backward temporaries, reused across calls.
-  std::array<Matrix, 2> scratch;
+  /// MatMul's packed B^T for dA, reused across calls.
+  Matrix scratch;
   std::vector<VarNode*> order;
   std::vector<std::pair<VarNode*, size_t>> stack;
 

@@ -5,6 +5,7 @@
 
 #include "nn/simd_kernels.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace kgpip::nn {
 
@@ -129,14 +130,15 @@ Adam::Adam(ParamStore* store, double lr, double beta1, double beta2,
 }
 
 void Adam::Step(double clip) {
-  KGPIP_CHECK(m_.size() == store_->params().size())
+  const std::vector<Var>& params = store_->params();
+  KGPIP_CHECK(m_.size() == params.size())
       << "parameters registered after optimizer construction";
   ++t_;
   // Global-norm gradient clipping.
   double scale = 1.0;
   if (clip > 0.0) {
     double norm_sq = 0.0;
-    for (const Var& p : store_->params()) {
+    for (const Var& p : params) {
       const Matrix& g = p.grad();
       if (g.size() != p.value().size()) continue;
       for (size_t k = 0; k < g.size(); ++k) {
@@ -157,15 +159,17 @@ void Adam::Step(double clip) {
       lr_,
       eps_};
   const simd::Isa isa = simd::ActiveIsa();
-  for (size_t i = 0; i < store_->params().size(); ++i) {
-    Var p = store_->params()[i];
+  // Each parameter's update reads and writes only its own buffers, so
+  // the parameters are pool items.
+  util::ThreadPool::Global().ParallelFor(params.size(), [&](size_t i) {
+    Var p = params[i];
     Matrix& value = p.mutable_value();
-    const Matrix& grad = p.grad();
-    if (grad.size() != value.size()) continue;  // never touched this step
-    simd::AdamN(isa, coeffs, grad.data(), m_[i].data(), v_[i].data(),
-                value.data(), value.size());
-  }
-  store_->ZeroGrads();
+    if (p.grad().size() == value.size()) {  // else never touched this step
+      simd::AdamN(isa, coeffs, p.grad().data(), m_[i].data(), v_[i].data(),
+                  value.data(), value.size());
+    }
+    p.ZeroGrad();
+  });
 }
 
 }  // namespace kgpip::nn

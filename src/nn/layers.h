@@ -111,7 +111,8 @@ class Adam {
 
   /// Applies one update from the accumulated gradients, then zeroes them.
   /// Gradients are clipped to a global norm of `clip` first (0 = off);
-  /// the norm is one ordered sum, the update runs on simd::AdamN.
+  /// the norm is one ordered sum, and the update runs on simd::AdamN,
+  /// one pool item per parameter.
   void Step(double clip = 5.0);
 
   void set_learning_rate(double lr) { lr_ = lr; }

@@ -44,14 +44,12 @@ void Matrix::MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
       << "matmul shape mismatch: " << a.rows_ << "x" << a.cols_ << " * "
       << b.rows_ << "x" << b.cols_;
   out->Reshape(a.rows_, b.cols_);
-  out->Fill(0.0);
   // Dispatched micro-kernel (simd_kernels.h). Every level — scalar
-  // reference, AVX2, AVX-512 — reproduces the cache-blocked ikj loop's
-  // exact per-element chain (k ascending within 64x256 tiles, zero
-  // coefficients skipped), so training and serving stay bit-identical
-  // across hosts and KGPIP_ISA settings.
-  simd::GemmRows(simd::ActiveIsa(), a.data(), b.data(), out->data(), a.rows_,
-                 a.cols_, b.cols_);
+  // reference, AVX2, AVX-512 — stores each element's ascending-k chain
+  // from +0.0 with zero coefficients skipped, so training and serving
+  // stay bit-identical across hosts and KGPIP_ISA settings.
+  simd::Gemm(simd::ActiveIsa(), simd::GemmMode::kStore, a.data(), a.cols_, 1,
+             b.data(), out->data(), a.rows_, a.cols_, b.cols_);
 }
 
 Matrix Matrix::Transposed() const {

@@ -63,9 +63,9 @@ class Matrix {
 
   /// C = A * B. Shapes must agree.
   static Matrix MatMul(const Matrix& a, const Matrix& b);
-  /// C = A * B into a caller-owned buffer (reshaped, zeroed, then
-  /// accumulated by the same blocked kernel as MatMul, so results are
-  /// bit-identical). `out` must not alias `a` or `b`.
+  /// C = A * B into a caller-owned buffer (reshaped, then written by the
+  /// same kernel as MatMul, so results are bit-identical). `out` must not
+  /// alias `a` or `b`.
   static void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 
   Matrix Transposed() const;

@@ -1,5 +1,6 @@
 #include "nn/simd_kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -14,60 +15,32 @@ namespace kgpip::nn::simd {
 namespace {
 
 // ---- Scalar reference kernels ------------------------------------------
-// Same chains as Matrix::MatMulInto / the fastmath inline functions; the
-// quad-unrolled k loop is the auto-vectorizable form PR 5 shipped (four
-// sequential adds per element == four separate k passes).
+// Same chains as the intrinsic kernels / the fastmath inline functions.
 
-void GemmScalar(const double* a, const double* b, double* c, size_t rows,
-                size_t ac, size_t bc) {
-  constexpr size_t kTileK = 64;
-  constexpr size_t kTileJ = 256;
-  for (size_t kk = 0; kk < ac; kk += kTileK) {
-    const size_t k_end = kk + kTileK < ac ? kk + kTileK : ac;
-    for (size_t jj = 0; jj < bc; jj += kTileJ) {
-      const size_t j_end = jj + kTileJ < bc ? jj + kTileJ : bc;
-      for (size_t i = 0; i < rows; ++i) {
-        double* __restrict crow = c + i * bc;
-        const double* arow = a + i * ac;
-        size_t k = kk;
-        for (; k + 3 < k_end; k += 4) {
-          const double a0 = arow[k];
-          const double a1 = arow[k + 1];
-          const double a2 = arow[k + 2];
-          const double a3 = arow[k + 3];
-          const double* __restrict b0 = b + k * bc;
-          const double* __restrict b1 = b0 + bc;
-          const double* __restrict b2 = b1 + bc;
-          const double* __restrict b3 = b2 + bc;
-          if (a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0) {
-            for (size_t j = jj; j < j_end; ++j) {
-              crow[j] = (((crow[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) +
-                        a3 * b3[j];
-            }
-          } else {
-            // A zero coefficient must be *skipped*, not added: c += 0.0
-            // would flip a -0.0 accumulator to +0.0.
-            if (a0 != 0.0) {
-              for (size_t j = jj; j < j_end; ++j) crow[j] += a0 * b0[j];
-            }
-            if (a1 != 0.0) {
-              for (size_t j = jj; j < j_end; ++j) crow[j] += a1 * b1[j];
-            }
-            if (a2 != 0.0) {
-              for (size_t j = jj; j < j_end; ++j) crow[j] += a2 * b2[j];
-            }
-            if (a3 != 0.0) {
-              for (size_t j = jj; j < j_end; ++j) crow[j] += a3 * b3[j];
-            }
-          }
-        }
-        for (; k < k_end; ++k) {
-          const double aik = arow[k];
-          if (aik == 0.0) continue;
-          const double* __restrict brow = b + k * bc;
-          for (size_t j = jj; j < j_end; ++j) crow[j] += aik * brow[j];
-        }
+// The GEMM chain of every element of a kPanel-column slice of a row runs
+// in a local accumulator array (the intrinsic kernels' registers), which
+// the compiler vectorizes over j.
+template <bool kAdd>
+void GemmScalar(const double* a, size_t rs, size_t cs, const double* b,
+                double* c, size_t rows, size_t ac, size_t bc) {
+  constexpr size_t kPanel = 64;
+  double acc[kPanel];
+  for (size_t i = 0; i < rows; ++i) {
+    const double* arow = a + i * rs;
+    double* crow = c + i * bc;
+    for (size_t j0 = 0; j0 < bc; j0 += kPanel) {
+      const size_t w = std::min(kPanel, bc - j0);
+      std::fill_n(acc, w, 0.0);
+      for (size_t k = 0; k < ac; ++k) {
+        const double aik = arow[k * cs];
+        // A zero coefficient must be *skipped*, not added: acc += 0.0
+        // would flip a -0.0 accumulator to +0.0.
+        if (aik == 0.0) continue;
+        const double* __restrict brow = b + k * bc + j0;
+        for (size_t j = 0; j < w; ++j) acc[j] += aik * brow[j];
       }
+      double* __restrict out = crow + j0;
+      for (size_t j = 0; j < w; ++j) out[j] = kAdd ? out[j] + acc[j] : acc[j];
     }
   }
 }
@@ -244,21 +217,28 @@ Isa RefreshIsaFromEnv() { return Publish(ResolveFromEnv()); }
 // The per-level cases collapse to scalar when the variant was not
 // compiled in (non-x86 targets), keeping every call site portable.
 
-void GemmRows(Isa isa, const double* a, const double* b, double* c,
-              size_t rows, size_t ac, size_t bc) {
+void Gemm(Isa isa, GemmMode mode, const double* a, size_t a_row_stride,
+          size_t a_col_stride, const double* b, double* c, size_t rows,
+          size_t ac, size_t bc) {
   switch (isa) {
 #if defined(KGPIP_SIMD_HAVE_AVX512)
     case Isa::kAvx512:
-      detail::GemmAvx512(a, b, c, rows, ac, bc);
+      detail::GemmAvx512(mode, a, a_row_stride, a_col_stride, b, c, rows, ac,
+                         bc);
       return;
 #endif
 #if defined(KGPIP_SIMD_HAVE_AVX2)
     case Isa::kAvx2:
-      detail::GemmAvx2(a, b, c, rows, ac, bc);
+      detail::GemmAvx2(mode, a, a_row_stride, a_col_stride, b, c, rows, ac,
+                       bc);
       return;
 #endif
     default:
-      GemmScalar(a, b, c, rows, ac, bc);
+      if (mode == GemmMode::kAdd) {
+        GemmScalar<true>(a, a_row_stride, a_col_stride, b, c, rows, ac, bc);
+      } else {
+        GemmScalar<false>(a, a_row_stride, a_col_stride, b, c, rows, ac, bc);
+      }
       return;
   }
 }

@@ -12,8 +12,8 @@ namespace kgpip::nn::simd {
 /// intrinsics, AVX-512F intrinsics — all producing **byte-identical**
 /// output:
 ///   - GEMM keeps one independent accumulation chain per output element,
-///     walking k in ascending order and skipping zero A coefficients
-///     exactly like Matrix::MatMulInto (the training-path reference).
+///     walking k in ascending order from +0.0 and skipping zero A
+///     coefficients, the chain the scalar reference runs.
 ///     SIMD lanes map to distinct output columns, and packed IEEE
 ///     mul/add round exactly like their scalar forms lane by lane, so
 ///     width cannot change a single bit. FMA contraction is forbidden
@@ -65,12 +65,24 @@ Isa RefreshIsaFromEnv();
 // ActiveIsa(). Calling a level for which IsaSupported() is false is
 // undefined behavior (illegal instruction on older hosts).
 
-/// C(rows x bc) += A(rows x ac) * B(ac x bc), row-major, C pre-zeroed by
-/// the caller (or carrying prior accumulation — the kernel only ever
-/// adds). Bit-identical to Matrix::MatMulInto's accumulation. C must not
-/// alias A or B.
-void GemmRows(Isa isa, const double* a, const double* b, double* c,
-              size_t rows, size_t ac, size_t bc);
+/// How Gemm writes its product into C.
+enum class GemmMode {
+  kStore,  // C = A * B
+  kAdd,    // C += A * B
+};
+
+/// C(rows x bc) = A(rows x ac) * B(ac x bc), or C += it in kAdd mode.
+/// B and C are row-major; A is read through strides, a(i, k) =
+/// a[i * a_row_stride + k * a_col_stride], so a row-major A passes
+/// (ac, 1) and the transpose of a row-major ac x rows matrix passes
+/// (1, rows) and is read in place. Each element's product is one chain
+/// from +0.0 over ascending k that skips a(i, k) == 0.0, finished in
+/// registers, then stored, or added once as C + product: the bits of
+/// forming the product in zeroed scratch and adding it elementwise.
+/// C must not alias A or B.
+void Gemm(Isa isa, GemmMode mode, const double* a, size_t a_row_stride,
+          size_t a_col_stride, const double* b, double* c, size_t rows,
+          size_t ac, size_t bc);
 
 /// row[j] += bias[j] for every row of C (the bias tail of a fused linear
 /// layer; one row at a time it also sums the bias gradient).

@@ -72,9 +72,14 @@ using K = Kernels<OpsAvx2>;
 
 }  // namespace
 
-void GemmAvx2(const double* a, const double* b, double* c, size_t rows,
-              size_t ac, size_t bc) {
-  K::Gemm(a, b, c, rows, ac, bc);
+void GemmAvx2(GemmMode mode, const double* a, size_t a_row_stride,
+              size_t a_col_stride, const double* b, double* c,
+              size_t rows, size_t ac, size_t bc) {
+  if (mode == GemmMode::kAdd) {
+    K::Gemm<true>(a, a_row_stride, a_col_stride, b, c, rows, ac, bc);
+  } else {
+    K::Gemm<false>(a, a_row_stride, a_col_stride, b, c, rows, ac, bc);
+  }
 }
 void BiasAvx2(double* c, const double* bias, size_t rows, size_t cols) {
   K::Bias(c, bias, rows, cols);

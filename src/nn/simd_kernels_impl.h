@@ -13,10 +13,10 @@
 //   - No FMA: multiply and add are issued as separate intrinsics and
 //     these TUs build with -ffp-contract=off, so the compiler may not
 //     re-fuse them.
-//   - GEMM replays Matrix::MatMulInto's exact chain per output element:
-//     same k/j tile bounds, ascending k, the a(i,k)==0.0 *skip* (adding
-//     0.0 would flip a -0.0 accumulator to +0.0), and C read/written at
-//     tile boundaries just like the reference's in-memory accumulator.
+//   - GEMM keeps the scalar reference's exact chain per output element:
+//     from +0.0, ascending k, the a(i,k)==0.0 *skip* (adding 0.0 would
+//     flip a -0.0 accumulator to +0.0), finished in registers before it
+//     is stored, or added to C once.
 //   - The transcendental kernels evaluate FastExp/FastSigmoid/FastTanh
 //     (fastmath.h) as the same straight-line expression over shared
 //     constants; clamps use compare+blend so a NaN lane takes the same
@@ -52,29 +52,25 @@ struct Kernels {
 
   // ---- GEMM -------------------------------------------------------------
 
-  // One register-blocked panel: MR rows x NV vector columns, accumulators
-  // held in registers across the k-tile. The C values are loaded at tile
-  // entry and stored at tile exit, which is exactly the reference's
-  // in-memory accumulation chain for this tile (read-modify-write per k
-  // collapses to read once / add k times / write once — same adds, same
-  // order). B's row vectors are loaded once per k and shared by all MR
-  // rows; the zero-skip stays a scalar per-(row,k) branch.
-  template <size_t MR, size_t NV, bool kMaskedTail>
-  static inline void MicroPanel(const double* a, const double* b, double* c,
-                                size_t i0, size_t ac, size_t bc, size_t kk,
-                                size_t k_end, size_t j, MaskT tail) {
+  // One register-blocked panel: MR rows x NV vector columns. Every
+  // accumulator starts at +0.0 and takes its element's whole chain, k
+  // ascending, in registers; the finished chain is stored (kAdd false)
+  // or added to C once as C + chain. B's row vectors are loaded once per
+  // k and shared by all MR rows; A is read through its strides, and the
+  // zero-skip stays a scalar per-(row,k) branch. kUnitCs fixes A's
+  // column stride at 1 (a row-major A): with the stride known, GCC
+  // indexes A as a plain array, and the one-row panels of the forward
+  // GEMMs ran ~20% slower with it read at run time.
+  template <bool kAdd, bool kUnitCs, size_t MR, size_t NV, bool kMaskedTail>
+  static inline void MicroPanel(const double* a, size_t rs, size_t cs_in,
+                                const double* b, double* c, size_t i0,
+                                size_t ac, size_t bc, size_t j, MaskT tail) {
+    const size_t cs = kUnitCs ? 1 : cs_in;
     V acc[MR][NV];
     for (size_t m = 0; m < MR; ++m) {
-      double* crow = c + (i0 + m) * bc + j;
-      for (size_t v = 0; v < NV; ++v) {
-        if constexpr (kMaskedTail) {
-          acc[m][v] = Ops::MaskLoad(crow + v * kW, tail);
-        } else {
-          acc[m][v] = Ops::Load(crow + v * kW);
-        }
-      }
+      for (size_t v = 0; v < NV; ++v) acc[m][v] = Ops::Broadcast(0.0);
     }
-    for (size_t k = kk; k < k_end; ++k) {
+    for (size_t k = 0; k < ac; ++k) {
       const double* brow = b + k * bc + j;
       V bv[NV];
       for (size_t v = 0; v < NV; ++v) {
@@ -85,7 +81,7 @@ struct Kernels {
         }
       }
       for (size_t m = 0; m < MR; ++m) {
-        const double amk = a[(i0 + m) * ac + k];
+        const double amk = a[(i0 + m) * rs + k * cs];
         if (amk == 0.0) continue;
         const V va = Ops::Broadcast(amk);
         for (size_t v = 0; v < NV; ++v) {
@@ -96,51 +92,61 @@ struct Kernels {
     for (size_t m = 0; m < MR; ++m) {
       double* crow = c + (i0 + m) * bc + j;
       for (size_t v = 0; v < NV; ++v) {
+        V out = acc[m][v];
         if constexpr (kMaskedTail) {
-          Ops::MaskStore(crow + v * kW, tail, acc[m][v]);
+          if constexpr (kAdd) {
+            out = Ops::Add(Ops::MaskLoad(crow + v * kW, tail), out);
+          }
+          Ops::MaskStore(crow + v * kW, tail, out);
         } else {
-          Ops::Store(crow + v * kW, acc[m][v]);
+          if constexpr (kAdd) out = Ops::Add(Ops::Load(crow + v * kW), out);
+          Ops::Store(crow + v * kW, out);
         }
       }
     }
   }
 
-  template <size_t MR>
-  static inline void RowBlock(const double* a, const double* b, double* c,
-                              size_t i0, size_t ac, size_t bc, size_t kk,
-                              size_t k_end, size_t jj, size_t j_end) {
-    size_t j = jj;
+  template <bool kAdd, bool kUnitCs, size_t MR>
+  static inline void RowBlock(const double* a, size_t rs, size_t cs,
+                              const double* b, double* c, size_t i0,
+                              size_t ac, size_t bc) {
+    size_t j = 0;
     const MaskT no_mask{};
-    for (; j + 2 * kW <= j_end; j += 2 * kW) {
-      MicroPanel<MR, 2, false>(a, b, c, i0, ac, bc, kk, k_end, j, no_mask);
+    for (; j + 2 * kW <= bc; j += 2 * kW) {
+      MicroPanel<kAdd, kUnitCs, MR, 2, false>(a, rs, cs, b, c, i0, ac, bc, j,
+                                              no_mask);
     }
-    for (; j + kW <= j_end; j += kW) {
-      MicroPanel<MR, 1, false>(a, b, c, i0, ac, bc, kk, k_end, j, no_mask);
+    for (; j + kW <= bc; j += kW) {
+      MicroPanel<kAdd, kUnitCs, MR, 1, false>(a, rs, cs, b, c, i0, ac, bc, j,
+                                              no_mask);
     }
-    if (j < j_end) {
-      MicroPanel<MR, 1, true>(a, b, c, i0, ac, bc, kk, k_end, j,
-                              Ops::TailMask(j_end - j));
+    if (j < bc) {
+      MicroPanel<kAdd, kUnitCs, MR, 1, true>(a, rs, cs, b, c, i0, ac, bc, j,
+                                             Ops::TailMask(bc - j));
     }
   }
 
-  // C(rows x bc) += A(rows x ac) * B(ac x bc). Same kTileK/kTileJ bounds
-  // as Matrix::MatMulInto so per-element chains match the reference.
-  static void Gemm(const double* a, const double* b, double* c, size_t rows,
-                   size_t ac, size_t bc) {
-    constexpr size_t kTileK = 64;
-    constexpr size_t kTileJ = 256;
-    for (size_t kk = 0; kk < ac; kk += kTileK) {
-      const size_t k_end = kk + kTileK < ac ? kk + kTileK : ac;
-      for (size_t jj = 0; jj < bc; jj += kTileJ) {
-        const size_t j_end = jj + kTileJ < bc ? jj + kTileJ : bc;
-        size_t i = 0;
-        for (; i + 4 <= rows; i += 4) {
-          RowBlock<4>(a, b, c, i, ac, bc, kk, k_end, jj, j_end);
-        }
-        for (; i < rows; ++i) {
-          RowBlock<1>(a, b, c, i, ac, bc, kk, k_end, jj, j_end);
-        }
-      }
+  template <bool kAdd, bool kUnitCs>
+  static void Rows(const double* a, size_t rs, size_t cs, const double* b,
+                   double* c, size_t rows, size_t ac, size_t bc) {
+    size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+      RowBlock<kAdd, kUnitCs, 4>(a, rs, cs, b, c, i, ac, bc);
+    }
+    for (; i < rows; ++i) {
+      RowBlock<kAdd, kUnitCs, 1>(a, rs, cs, b, c, i, ac, bc);
+    }
+  }
+
+  // C(rows x bc) = A * B (kAdd false) or C += A * B, with
+  // a(i, k) = a[i * rs + k * cs]; see simd::Gemm.
+  template <bool kAdd>
+  static void Gemm(const double* a, size_t rs, size_t cs, const double* b,
+                   double* c, size_t rows, size_t ac, size_t bc) {
+    if (cs == 1) {
+      Rows<kAdd, true>(a, rs, cs, b, c, rows, ac, bc);
+    } else {
+      Rows<kAdd, false>(a, rs, cs, b, c, rows, ac, bc);
     }
   }
 

@@ -12,7 +12,8 @@
 
 namespace kgpip::nn::simd::detail {
 
-void GemmAvx2(const double* a, const double* b, double* c, size_t rows,
+void GemmAvx2(GemmMode mode, const double* a, size_t a_row_stride,
+              size_t a_col_stride, const double* b, double* c, size_t rows,
               size_t ac, size_t bc);
 void BiasAvx2(double* c, const double* bias, size_t rows, size_t cols);
 void SigmoidAvx2(double* d, size_t n);
@@ -27,7 +28,8 @@ void TanhGradAvx2(const double* dy, const double* y, double* g, size_t n);
 void AdamAvx2(const AdamCoeffs& c, const double* grad, double* m, double* v,
          double* value, size_t n);
 
-void GemmAvx512(const double* a, const double* b, double* c, size_t rows,
+void GemmAvx512(GemmMode mode, const double* a, size_t a_row_stride,
+                size_t a_col_stride, const double* b, double* c, size_t rows,
                 size_t ac, size_t bc);
 void BiasAvx512(double* c, const double* bias, size_t rows, size_t cols);
 void SigmoidAvx512(double* d, size_t n);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -37,6 +38,26 @@ int EnvThreads() {
     return 0;
   }
   return static_cast<int>(parsed);
+}
+
+/// How long an idle worker, and a submitter waiting for its loop's last
+/// chunks, spin on their atomics before parking on a condvar. Generator
+/// training submits a loop every few hundred microseconds, and a spin
+/// that outlasts the gap between two loops spares both sides a futex
+/// wake.
+constexpr std::chrono::microseconds kSpinBeforePark{400};
+
+/// Spins until `done()` holds or kSpinBeforePark passes; returns done().
+template <typename Pred>
+bool SpinUntil(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBeforePark;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  return true;
 }
 
 int ResolveThreads(int requested) {
@@ -186,6 +207,16 @@ struct ThreadPool::Impl {
         RunChunk(chunk);
         continue;
       }
+      // Spin before parking: a loop submitted meanwhile is picked up
+      // without a wake.
+      if (SpinUntil([&] {
+            return shutdown.load(std::memory_order_acquire) ||
+                   epoch.load(std::memory_order_acquire) != seen_epoch;
+          })) {
+        if (shutdown.load(std::memory_order_acquire)) return;
+        seen_epoch = epoch.load(std::memory_order_acquire);
+        continue;
+      }
       MutexLock lock(wake_mu);
       if (shutdown.load(std::memory_order_acquire)) return;
       if (epoch.load(std::memory_order_acquire) != seen_epoch) {
@@ -279,6 +310,12 @@ void ThreadPool::ParallelFor(size_t n,
     impl_->RunChunk(chunk);
   }
   t_in_task = false;
+  // Spin while the other lanes finish their chunks, then take loop.mu
+  // even if the spin saw zero: the last RunChunk notifies under it, so
+  // the loop outlives that notify.
+  SpinUntil([&] {
+    return loop.chunks_left.load(std::memory_order_acquire) == 0;
+  });
   std::exception_ptr first_error;
   {
     MutexLock lock(loop.mu);

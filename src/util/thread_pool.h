@@ -31,6 +31,11 @@ namespace kgpip::util {
 ///      from inside a worker also run inline, which keeps composed
 ///      parallel code (e.g. forest fits inside parallel CV folds)
 ///      deadlock-free.
+///   4. **Spin, then park.** An idle worker, and a submitter waiting for
+///      its loop's last chunks, spin on the pool's atomics for a bounded
+///      time before blocking on a condvar, so back-to-back loops (one
+///      per generator training batch) pay no futex wake. Nothing spins
+///      at one lane, and an idle pool parks within the bound.
 ///
 /// Instrumentation: `pool.tasks_executed`, `pool.steals`,
 /// `pool.parallel_fors` counters, a `pool.queue_depth` gauge (chunks

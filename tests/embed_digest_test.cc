@@ -3,8 +3,9 @@
 // edge tables (signed zeros, all-missing and constant columns, columns too
 // short for MI or correlation, the asymmetric pairwise probe, categorical
 // targets with missing labels or one class, no target, text columns), plus
-// non-finite cells, which embed exactly as missing ones. Any change to the
-// bits Embed returns moves a digest here.
+// non-finite cells, which embed exactly as missing ones, and columns whose
+// statistics overflow or underflow. Any change to the bits Embed returns
+// moves a digest here.
 
 #include <cmath>
 #include <cstdint>
@@ -15,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "codegraph/corpus.h"
+#include "core/kgpip.h"
 #include "data/benchmark_registry.h"
 #include "data/csv.h"
 #include "data/type_inference.h"
@@ -270,6 +273,59 @@ TEST(EmbedderTest, NonFiniteCellsEmbedAsMissing) {
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_TRUE(std::isfinite((*hits)[0].similarity));
+}
+
+TEST(EmbedderTest, ExtremeColumnsEmbedFiniteAndPredictSkeletons) {
+  // Finite values near DBL_MAX overflow a column's sums, and values near
+  // 1e-160 make the product of two columns' spreads underflow to zero. A
+  // statistic that cannot be computed is unavailable, as for a constant
+  // column, so the embedding stays finite and unit-norm and the
+  // similarity search takes it: PredictSkeletons returns generated
+  // skeletons instead of the refused query that sends Fit to its
+  // fallback portfolio.
+  constexpr size_t kRows = 30;
+  std::vector<double> huge(kRows), tiny(kRows), tiny2(kRows), y(kRows);
+  const std::vector<double> noise = Noise(kRows, 8);
+  const std::vector<double> noise2 = Noise(kRows, 9);
+  for (size_t r = 0; r < kRows; ++r) {
+    huge[r] = 1e308 / static_cast<double>(1 + r % 3);
+    tiny[r] = 1e-160 * noise[r];
+    tiny2[r] = 1e-160 * noise2[r];
+    y[r] = 0.5 * static_cast<double>(r);
+  }
+  const std::vector<Table> tables = {
+      MakeTable({Column::Numeric("x", huge), Column::Numeric("y", y)}, "y"),
+      MakeTable({Column::Numeric("x", tiny), Column::Numeric("z", tiny2),
+                 Column::Numeric("y", y)},
+                "y")};
+  for (const Table& table : tables) {
+    const std::vector<double> v = TableEmbedder().Embed(table);
+    double norm = 0.0;
+    for (size_t i = 0; i < v.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(v[i])) << "v[" << i << "] = " << v[i];
+      norm += v[i] * v[i];
+    }
+    EXPECT_NEAR(norm, 1.0, 1e-9);
+  }
+
+  BenchmarkRegistry registry;
+  std::vector<DatasetSpec> specs = registry.TrainingSpecs();
+  specs.resize(6);
+  core::KgpipConfig config;
+  config.generator_epochs = 4;
+  core::Kgpip kgpip(config);
+  codegraph::CorpusOptions corpus;
+  corpus.pipelines_per_dataset = 4;
+  corpus.noise_scripts_per_dataset = 1;
+  ASSERT_TRUE(kgpip.Train(specs, corpus, 3).ok());
+  for (const Table& table : tables) {
+    auto skeletons = kgpip.PredictSkeletons(table, TaskType::kRegression, 1);
+    ASSERT_TRUE(skeletons.ok()) << skeletons.status().ToString();
+    ASSERT_FALSE(skeletons->empty());
+    // Sampled graphs score above the dataset's mimicked pipelines (-50)
+    // and the fallback portfolio (-100 - rank).
+    EXPECT_GT(skeletons->front().log_prob, -50.0);
+  }
 }
 
 }  // namespace

@@ -316,6 +316,20 @@ TEST(GenTrainingTest, TrainedWeightsMatchPinnedDigestAtEveryLaneCountAndIsa) {
   util::ThreadPool::Configure(0);
 }
 
+// Batched training times the epoch thread's step (slot sums, clip norm
+// and Adam) once per batch: 7 examples at batch 4 are two batches.
+TEST(GenTrainingTest, BatchedEpochRecordsOneStepTimePerBatch) {
+  obs::Histogram* steps =
+      obs::MetricsRegistry::Global().GetHistogram("gen.train_step_seconds");
+  GraphGenerator generator(DigestConfig(4), 11);
+  const std::vector<GraphExample> examples = DigestExamples();
+  ASSERT_EQ(examples.size(), 7u);
+  Rng rng(5);
+  const int64_t before = steps->count();
+  generator.TrainEpoch(examples, &rng);
+  EXPECT_EQ(steps->count() - before, 2);
+}
+
 // Every thread outside the pool that calls ParallelFor works the same
 // shared submitter queue, so it can pick up chunks of a training loop
 // that another outside thread submitted. Batched training must give the

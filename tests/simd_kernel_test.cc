@@ -11,10 +11,12 @@
 // plumbing is covered separately, and a final test pins the batched
 // GenerateTopK decode to k independent Generate calls byte-for-byte.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "gen/graph_generator.h"
 #include "graph4ml/vocab.h"
 #include "nn/fastmath.h"
+#include "nn/matrix.h"
 #include "nn/simd_kernels.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -83,24 +86,115 @@ void ExpectBitEqual(const std::vector<double>& ref,
 const size_t kShapeSweep[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17,
                               31, 32, 33, 64};
 
+// GEMM inner sizes: the sweep plus sizes across the 64-wide k tile the
+// kernel used to have (a chain must not notice where a tile ended).
+std::vector<size_t> GemmInnerSweep() {
+  std::vector<size_t> out(std::begin(kShapeSweep), std::end(kShapeSweep));
+  out.insert(out.end(), {65, 127, 130});
+  return out;
+}
+
+// Gemm at `isa` over a copy of `c0`. With `a_transposed`, `a` holds the
+// k x m matrix whose transpose is read in place.
+std::vector<double> RunGemm(Isa isa, nn::simd::GemmMode mode,
+                            const std::vector<double>& a, bool a_transposed,
+                            const std::vector<double>& b,
+                            const std::vector<double>& c0, size_t m,
+                            size_t k, size_t n) {
+  std::vector<double> c = c0;
+  nn::simd::Gemm(isa, mode, a.data(), a_transposed ? 1 : k,
+                 a_transposed ? m : 1, b.data(), c.data(), m, k, n);
+  return c;
+}
+
+const nn::simd::GemmMode kGemmModes[] = {nn::simd::GemmMode::kStore,
+                                         nn::simd::GemmMode::kAdd};
+
 TEST(SimdKernelTest, GemmMatchesScalarBitwiseAcrossShapeSweep) {
+  // Both modes, with A row-major and read transposed in place, into a C
+  // holding zeros of both signs: every level equals the scalar kernel.
   const std::vector<Isa> levels = TestableSimdLevels();
   if (levels.empty()) GTEST_SKIP() << "host has no SIMD kernel support";
   Rng rng(11);
   for (size_t m : kShapeSweep) {
     for (size_t n : kShapeSweep) {
-      for (size_t k : kShapeSweep) {
+      for (size_t k : GemmInnerSweep()) {
         const std::vector<double> a = RandomBuffer(m * k, &rng);
         const std::vector<double> b = RandomBuffer(k * n, &rng);
-        std::vector<double> ref(m * n, 0.0);
-        nn::simd::GemmRows(Isa::kScalar, a.data(), b.data(), ref.data(), m,
-                           k, n);
+        const std::vector<double> c0 = RandomBuffer(m * n, &rng);
+        for (nn::simd::GemmMode mode : kGemmModes) {
+          for (bool transposed : {false, true}) {
+            const std::vector<double> ref =
+                RunGemm(Isa::kScalar, mode, a, transposed, b, c0, m, k, n);
+            for (Isa isa : levels) {
+              ExpectBitEqual(
+                  ref, RunGemm(isa, mode, a, transposed, b, c0, m, k, n), isa,
+                  std::string(mode == nn::simd::GemmMode::kAdd ? "add"
+                                                               : "store") +
+                      (transposed ? " gemm T " : " gemm ") +
+                      std::to_string(m) + "x" + std::to_string(k) + "*" +
+                      std::to_string(n));
+              if (HasFatalFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, GemmModesEqualTheirScratchAndPackedForms) {
+  // At every level, scalar included: store mode is each element's
+  // ascending-k chain from +0.0 that skips zero coefficients, written
+  // out here in plain C++; add mode equals MatMulInto into zeroed
+  // scratch followed by an elementwise add (C first); and reading A
+  // transposed in place equals reading a packed transpose.
+  std::vector<Isa> levels = TestableSimdLevels();
+  levels.insert(levels.begin(), Isa::kScalar);
+  Rng rng(17);
+  for (size_t m : kShapeSweep) {
+    for (size_t n : kShapeSweep) {
+      for (size_t k : GemmInnerSweep()) {
+        nn::Matrix a(m, k);
+        nn::Matrix b(k, n);
+        const std::vector<double> a_data = RandomBuffer(m * k, &rng);
+        const std::vector<double> b_data = RandomBuffer(k * n, &rng);
+        std::copy(a_data.begin(), a_data.end(), a.data());
+        std::copy(b_data.begin(), b_data.end(), b.data());
+        const std::vector<double> c0 = RandomBuffer(m * n, &rng);
+        std::vector<double> chains(m * n);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            double s = 0.0;
+            for (size_t kk = 0; kk < k; ++kk) {
+              if (a(i, kk) != 0.0) s += a(i, kk) * b(kk, j);
+            }
+            chains[i * n + j] = s;
+          }
+        }
+        nn::Matrix scratch(m, n, 0.0);
+        nn::Matrix::MatMulInto(a, b, &scratch);
+        std::vector<double> added = c0;
+        for (size_t e = 0; e < added.size(); ++e) added[e] += scratch.data()[e];
+        const nn::Matrix at = a.Transposed();
+        const std::vector<double> at_data(at.data(), at.data() + at.size());
+        const std::string shape = std::to_string(m) + "x" +
+                                  std::to_string(k) + "*" + std::to_string(n);
         for (Isa isa : levels) {
-          std::vector<double> got(m * n, 0.0);
-          nn::simd::GemmRows(isa, a.data(), b.data(), got.data(), m, k, n);
-          ExpectBitEqual(ref, got, isa,
-                         "gemm " + std::to_string(m) + "x" +
-                             std::to_string(k) + "*" + std::to_string(n));
+          const std::vector<double> stored = RunGemm(
+              isa, nn::simd::GemmMode::kStore, a_data, false, b_data, c0, m,
+              k, n);
+          ExpectBitEqual(chains, stored, isa, "store chains " + shape);
+          ExpectBitEqual(added,
+                         RunGemm(isa, nn::simd::GemmMode::kAdd, a_data, false,
+                                 b_data, c0, m, k, n),
+                         isa, "add vs scratch + add " + shape);
+          for (nn::simd::GemmMode mode : kGemmModes) {
+            ExpectBitEqual(
+                RunGemm(isa, mode, a_data, false, b_data, c0, m, k, n),
+                RunGemm(isa, mode, at_data, true, b_data, c0, m, k, n), isa,
+                "in-place vs packed transpose " + shape);
+          }
           if (HasFatalFailure()) return;
         }
       }

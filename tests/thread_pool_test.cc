@@ -1,13 +1,19 @@
 // Work-stealing pool: determinism at any thread count, exception
-// propagation, RNG forking, nesting, and stress coverage.
+// propagation, RNG forking, nesting, stress coverage, and bounded
+// spinning (loops during and after the spin, an idle pool parks).
 #include "util/thread_pool.h"
 
+#include <sys/resource.h>
+#include <sys/time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,6 +201,77 @@ TEST(ThreadPoolTest, PoolMetricsAreRecorded) {
   ThreadPool::Global().ParallelFor(500, [](size_t) {});
   EXPECT_GT(fors->value(), fors_before);
   EXPECT_GT(tasks->value(), tasks_before);
+  ThreadPool::Configure(0);
+}
+
+/// CPU seconds (user + system) this process has used so far.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// Runs `rounds` tiny loops back to back on the global pool, each
+/// followed by a serial gap of 0 to 1000 µs (some shorter than the
+/// pool's spin, some longer), and checks every index ran exactly once.
+void RunTinyLoopsWithGaps(int rounds) {
+  const int gaps_us[] = {0, 20, 150, 350, 450, 1000};
+  for (int round = 0; round < rounds; ++round) {
+    const size_t n = static_cast<size_t>(1 + round % 9);
+    std::vector<std::atomic<int>> hits(n);
+    ThreadPool::Global().ParallelFor(
+        n, [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of round " << round;
+    }
+    const auto gap = std::chrono::microseconds(gaps_us[round % 6]);
+    const auto until = std::chrono::steady_clock::now() + gap;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+}
+
+TEST(ThreadPoolTest, IdlePoolParksAfterABurst) {
+  // Idle lanes spin only for a bounded time before parking: after a
+  // burst of loops, a 200 ms idle window costs far less CPU than 200 ms.
+  ThreadPool::Configure(2);
+  for (int round = 0; round < 300; ++round) {
+    std::atomic<int64_t> total{0};
+    ThreadPool::Global().ParallelFor(
+        64, [&](size_t i) { total += static_cast<int64_t>(i); });
+    ASSERT_EQ(total.load(), 64 * 63 / 2);
+  }
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double idle_cpu = ProcessCpuSeconds() - before;
+  EXPECT_LT(idle_cpu, 0.04) << "idle pool used " << idle_cpu * 1e3
+                            << " ms of CPU in a 200 ms window";
+  ThreadPool::Configure(0);
+}
+
+TEST(ThreadPoolTest, BackToBackTinyLoopsWithSerialGapsCoverEveryIndex) {
+  // Loops that land while the lanes still spin, and loops that find
+  // them parked, each run every index exactly once.
+  for (int threads : {2, 4}) {
+    ThreadPool::Configure(threads);
+    RunTinyLoopsWithGaps(300);
+    if (HasFatalFailure()) break;
+  }
+  ThreadPool::Configure(0);
+}
+
+TEST(ThreadPoolTest, LoopsFromTwoOutsideSubmittersCoverEveryIndex) {
+  // Two threads outside the pool submit loops at once; each loop's
+  // submitter spins on its own loop and the workers serve both.
+  ThreadPool::Configure(2);
+  ThreadPool::Global();  // built before the submitters race for it
+  std::thread other([] { RunTinyLoopsWithGaps(200); });
+  RunTinyLoopsWithGaps(200);
+  other.join();
   ThreadPool::Configure(0);
 }
 
