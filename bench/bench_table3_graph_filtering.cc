@@ -239,7 +239,7 @@ int Run(int argc, char** argv) {
       }
       auto evaluator = hpo::TrialEvaluator::Create(
           split.train, spec.task, 0.25, options.seed);
-      hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+      hpo::TrialGuard guard(&*evaluator);
       double best = 0.0;
       ml::PipelineSpec best_spec;
       for (const auto& skeleton : skeletons) {

@@ -93,7 +93,7 @@ Result<AutoMlResult> AutoSklearnSystem::Fit(const Table& train,
   AutoMlResult result;
   // All trials run through the guard: NaN quarantine, bounded retries,
   // and a per-learner circuit breaker feeding the run report.
-  hpo::TrialGuard guard(&evaluator, hpo::TrialGuardOptions{});
+  hpo::TrialGuard guard(&evaluator);
   uint64_t trial_seed = seed * 131 + 17;
 
   auto run_trial = [&](const std::string& learner,

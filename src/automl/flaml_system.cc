@@ -51,7 +51,7 @@ Result<AutoMlResult> FlamlSystem::Fit(const Table& train, TaskType task,
   // Trials run through the guard: NaN quarantine, bounded retries, and a
   // per-learner circuit breaker that drops a learner whose trials keep
   // failing instead of letting it eat the whole budget.
-  hpo::TrialGuard guard(&evaluator, hpo::TrialGuardOptions{});
+  hpo::TrialGuard guard(&evaluator);
   uint64_t trial_seed = seed * 31 + 7;
   int total_trials = 0;
   while (!budget.Exhausted()) {

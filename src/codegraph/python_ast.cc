@@ -284,6 +284,8 @@ class Parser {
   }
 
   Result<std::vector<StmtPtr>> ParseBlock() {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxParseNesting) return TooDeep();
     if (!Check(TokKind::kIndent)) {
       return Err("parse.expected-block", "expected indented block");
     }
@@ -331,6 +333,8 @@ class Parser {
   }
 
   Result<ExprPtr> ParseExpression() {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxParseNesting) return TooDeep();
     KGPIP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     // Flat binary chain — precedence is irrelevant for flow analysis.
     static const char* kBinOps[] = {"+",  "-",  "*",  "/", "%",  "//",
@@ -531,8 +535,23 @@ class Parser {
         .ToStatus();
   }
 
+  Status TooDeep() const {
+    return Err("parse.nesting-too-deep",
+               StrFormat("expressions and blocks nest deeper than %d levels",
+                         kMaxParseNesting));
+  }
+
+  /// One level of depth_ for the scope of a recursive entry point
+  /// (ParseExpression, ParseBlock), so recursion stays bounded.
+  struct Nesting {
+    explicit Nesting(int* depth) : depth(depth) { ++*depth; }
+    ~Nesting() { --*depth; }
+    int* depth;
+  };
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

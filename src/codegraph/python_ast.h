@@ -81,6 +81,11 @@ struct Module {
   std::vector<StmtPtr> statements;
 };
 
+/// Expressions and indented blocks nest at most this deep; every bracket
+/// opens one more expression, so `x = (1)` nests two. Deeper input fails
+/// with `parse.nesting-too-deep` (CPython stops at 200 nested brackets).
+constexpr int kMaxParseNesting = 200;
+
 /// Parses a script; reports the first syntax error with its line.
 Result<Module> ParsePython(const std::string& source);
 

@@ -273,12 +273,12 @@ Result<std::vector<gen::ScoredSkeleton>> Kgpip::PredictSkeletonsFromNearest(
 Result<automl::AutoMlResult> Kgpip::Fit(const Table& train, TaskType task,
                                         hpo::Budget budget,
                                         uint64_t seed) const {
-  return Fit(train, task, budget, seed, FitOverrides{});
+  return Fit(train, task, budget, seed, nullptr);
 }
 
 Result<automl::AutoMlResult> Kgpip::Fit(const Table& train, TaskType task,
                                         hpo::Budget budget, uint64_t seed,
-                                        const FitOverrides& overrides) const {
+                                        const util::CancelToken* cancel) const {
   // Named span (not the macro) so the dataset's shape lands in the
   // args: a per-request trace group read in Perfetto identifies its
   // dataset without cross-referencing the audit log.
@@ -318,24 +318,24 @@ Result<automl::AutoMlResult> Kgpip::Fit(const Table& train, TaskType task,
   }
   return RunSearch(std::move(skeletons), train, task, budget, seed,
                    used_fallback, fallback_reason, std::move(profile),
-                   fit_watch, overrides);
+                   fit_watch, cancel);
 }
 
 Result<automl::AutoMlResult> Kgpip::FitWithSkeletons(
     std::vector<gen::ScoredSkeleton> skeletons, const Table& train,
     TaskType task, hpo::Budget budget, uint64_t seed,
-    const FitOverrides& overrides) const {
+    const util::CancelToken* cancel) const {
   KGPIP_TRACE_SPAN("kgpip.fit_with_skeletons");
   return RunSearch(std::move(skeletons), train, task, budget, seed,
                    /*used_fallback=*/false, /*fallback_reason=*/"",
-                   obs::StageProfile(), Stopwatch(), overrides);
+                   obs::StageProfile(), Stopwatch(), cancel);
 }
 
 Result<automl::AutoMlResult> Kgpip::RunSearch(
     std::vector<gen::ScoredSkeleton> skeletons, const Table& train,
     TaskType task, hpo::Budget budget, uint64_t seed, bool used_fallback,
     const std::string& fallback_reason, obs::StageProfile profile,
-    Stopwatch fit_watch, const FitOverrides& overrides) const {
+    Stopwatch fit_watch, const util::CancelToken* cancel) const {
   automl::AutoMlResult result;
 
   // Static lint gate: drop invalid candidates BEFORE the (T - t) / K
@@ -371,9 +371,7 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
     if (!created.ok()) return created.status();
     evaluator.emplace(std::move(*created));
   }
-  const hpo::TrialGuardOptions guard_options =
-      overrides.guard != nullptr ? *overrides.guard : hpo::TrialGuardOptions{};
-  hpo::TrialGuard guard(&*evaluator, guard_options);
+  hpo::TrialGuard guard(&*evaluator);
 
   for (const gen::ScoredSkeleton& s : skeletons) {
     result.skeletons.push_back(s.spec);
@@ -413,7 +411,7 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
       }
       if (slice.guard == nullptr) {
         guards.push_back(
-            std::make_unique<hpo::TrialGuard>(&*evaluator, guard_options));
+            std::make_unique<hpo::TrialGuard>(&*evaluator));
         slice.guard = guards.back().get();
       }
       if (plan.remaining_trials() > 0) {
@@ -429,7 +427,7 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
     std::atomic<size_t> next_slice{0};
     util::ThreadPool::Global().ParallelFor(slices.size(), [&](size_t) {
       SkeletonSlice& slice = slices[next_slice.fetch_add(1)];
-      if (slice.repeat || util::Cancelled(overrides.cancel)) return;
+      if (slice.repeat || util::Cancelled(cancel)) return;
       slice.search.Run(slice.guard, &slice.planned);
     });
 
@@ -443,7 +441,7 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
       // the trials it already ran side by side.
       hpo::Budget share = budget.SplitRemaining(k - i);
       share.Charge(slice.search.result().trials);
-      if (!util::Cancelled(overrides.cancel)) {
+      if (!util::Cancelled(cancel)) {
         slice.search.Run(slice.guard, &share);
       }
       const hpo::OptimizeResult& optimized = slice.search.result();

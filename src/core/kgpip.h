@@ -41,16 +41,6 @@ struct KgpipConfig {
 /// its top-1.
 std::vector<gen::ScoredSkeleton> FallbackPortfolio(TaskType task, int k);
 
-/// Per-request knobs the serving daemon threads through a shared (const)
-/// Kgpip instance: a trial-guard override (per-request deadlines, retry
-/// policy) and a cooperative cancellation token (the watchdog's lever).
-/// Both pointers are borrowed — they must outlive the Fit call — and
-/// both default to "default hpo::TrialGuardOptions / never cancel".
-struct FitOverrides {
-  const hpo::TrialGuardOptions* guard = nullptr;
-  const util::CancelToken* cancel = nullptr;
-};
-
 /// The KGpip system (paper §3): a learner & transformer selection
 /// component that (1) mines pipelines from scripts with static analysis,
 /// (2) embeds datasets by content for nearest-neighbour lookup,
@@ -89,11 +79,12 @@ class Kgpip : public automl::AutoMlSystem {
   Result<automl::AutoMlResult> Fit(const Table& train, TaskType task,
                                    hpo::Budget budget,
                                    uint64_t seed) const override;
-  /// The same fit with a per-request guard and cancel token, which
-  /// RunSearch checks before each skeleton slice and continuation.
+  /// The same fit with a cooperative cancel token (borrowed; null never
+  /// cancels), which RunSearch checks before each skeleton slice and
+  /// continuation. The budget's wall clock is the fit's only deadline.
   Result<automl::AutoMlResult> Fit(const Table& train, TaskType task,
                                    hpo::Budget budget, uint64_t seed,
-                                   const FitOverrides& overrides) const;
+                                   const util::CancelToken* cancel) const;
 
   /// Runs the search phase of Fit over caller-supplied candidate
   /// skeletons instead of predicted ones (works untrained). Candidates
@@ -103,7 +94,7 @@ class Kgpip : public automl::AutoMlSystem {
   Result<automl::AutoMlResult> FitWithSkeletons(
       std::vector<gen::ScoredSkeleton> skeletons, const Table& train,
       TaskType task, hpo::Budget budget, uint64_t seed,
-      const FitOverrides& overrides = {}) const;
+      const util::CancelToken* cancel = nullptr) const;
   std::string name() const override {
     return config_.optimizer == "flaml" ? "KGpipFLAML" : "KGpipAutoSklearn";
   }
@@ -146,7 +137,7 @@ class Kgpip : public automl::AutoMlSystem {
       std::vector<gen::ScoredSkeleton> skeletons, const Table& train,
       TaskType task, hpo::Budget budget, uint64_t seed, bool used_fallback,
       const std::string& fallback_reason, obs::StageProfile profile,
-      Stopwatch fit_watch, const FitOverrides& overrides = {}) const;
+      Stopwatch fit_watch, const util::CancelToken* cancel) const;
 
   /// Refills the similarity index from `embeddings_` in key order, the
   /// same index for TrainFromStore and LoadJson.

@@ -36,7 +36,6 @@ Json RunReport::ToJson() const {
     g.Set("failures", s.failures);
     g.Set("retries", s.retries);
     g.Set("nan_quarantined", s.nan_quarantined);
-    g.Set("timeouts", s.timeouts);
     g.Set("abandoned", s.abandoned);
     g.Set("redistributed_trials", s.redistributed_trials);
     g.Set("best_score", s.best_score);
@@ -52,7 +51,6 @@ Json RunReport::ToJson() const {
   out.Set("total_failures", total_failures);
   out.Set("total_retries", total_retries);
   out.Set("quarantined_scores", quarantined_scores);
-  out.Set("timeouts", timeouts);
   out.Set("circuit_breaker_trips", circuit_breaker_trips);
   out.Set("lint_rejected", lint_rejected);
   Json lint_codes = Json::Object();
@@ -75,10 +73,9 @@ Json RunReport::ToJson() const {
 
 std::string RunReport::Summary() const {
   std::string out = StrFormat(
-      "trials=%d failures=%d retries=%d nan=%d timeouts=%d breaker=%d "
-      "lint_rejected=%d",
+      "trials=%d failures=%d retries=%d nan=%d breaker=%d lint_rejected=%d",
       total_trials, total_failures, total_retries, quarantined_scores,
-      timeouts, circuit_breaker_trips, lint_rejected);
+      circuit_breaker_trips, lint_rejected);
   if (fallback_portfolio) out += " fallback_portfolio";
   if (last_resort_pass) out += " last_resort";
   if (returned_best_so_far) out += " best_so_far";
@@ -94,8 +91,7 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
   GuardedTrial out;
   util::CircuitBreaker& breaker =
       breakers_
-          .try_emplace(group, options_.circuit_breaker_threshold,
-                       kNeverCoolsDown)
+          .try_emplace(group, kCircuitBreakerThreshold, kNeverCoolsDown)
           .first->second;
   if (!breaker.Admit()) {
     out.failure = TrialFailure::kCircuitOpen;
@@ -115,7 +111,6 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
   static obs::Counter* retries = metrics.GetCounter("hpo.trial_retries");
   static obs::Counter* quarantined =
       metrics.GetCounter("hpo.quarantined_scores");
-  static obs::Counter* timeouts = metrics.GetCounter("hpo.timeouts");
   static obs::Counter* breaker_trips =
       metrics.GetCounter("hpo.circuit_breaker_trips");
   static obs::Histogram* trial_seconds =
@@ -136,7 +131,6 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
     Stopwatch* watch;
     ~RecordOnExit() { hist->Record(watch->ElapsedSeconds()); }
   } record{trial_seconds, &watch};
-  double injected_delay = 0.0;
   Status error;
   for (int attempt = 0;; ++attempt) {
     // Each attempt re-seeds so a retry is not a bit-identical rerun.
@@ -152,9 +146,6 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
                                                                attempt_seed);
                                  }()
                                : evaluator_->Evaluate(spec, attempt_seed);
-    if (inject != nullptr) {
-      injected_delay += inject->InjectedDelaySeconds(group);
-    }
 
     if (score.ok()) {
       double value = *score;
@@ -172,16 +163,6 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
         quarantined->Increment();
         break;
       }
-      double elapsed = watch.ElapsedSeconds() + injected_delay;
-      if (options_.trial_deadline_seconds > 0.0 &&
-          elapsed > options_.trial_deadline_seconds) {
-        out.failure = TrialFailure::kTimeout;
-        out.code = StatusCode::kResourceExhausted;
-        ++sr->timeouts;
-        ++report_.timeouts;
-        timeouts->Increment();
-        break;
-      }
       out.score = value;
       out.failure = TrialFailure::kNone;
       out.code = StatusCode::kOk;
@@ -191,14 +172,14 @@ GuardedTrial TrialGuard::Evaluate(const ml::PipelineSpec& spec,
     error = score.status();
     const bool transient = error.code() == StatusCode::kInternal ||
                            error.code() == StatusCode::kResourceExhausted;
-    if (transient && out.retries < options_.max_retries) {
+    if (transient && out.retries < kMaxRetries) {
       ++out.retries;
       ++sr->retries;
       ++report_.total_retries;
       retries->Increment();
       backoff_units_ += std::ldexp(1.0, attempt);
       report_.simulated_backoff_seconds =
-          options_.retry_backoff_seconds * backoff_units_;
+          kRetryBackoffSeconds * backoff_units_;
       continue;
     }
     out.failure = TrialFailure::kError;
@@ -237,7 +218,6 @@ void TrialGuard::MergeReport(const TrialGuard& other) {
     into->failures += from.failures;
     into->retries += from.retries;
     into->nan_quarantined += from.nan_quarantined;
-    into->timeouts += from.timeouts;
     into->abandoned = into->abandoned || from.abandoned;
     into->redistributed_trials += from.redistributed_trials;
     into->best_score = std::max(into->best_score, from.best_score);
@@ -249,12 +229,10 @@ void TrialGuard::MergeReport(const TrialGuard& other) {
   report_.total_failures += part.total_failures;
   report_.total_retries += part.total_retries;
   report_.quarantined_scores += part.quarantined_scores;
-  report_.timeouts += part.timeouts;
   report_.circuit_breaker_trips += part.circuit_breaker_trips;
   if (other.backoff_units_ > 0.0) {
     backoff_units_ += other.backoff_units_;
-    report_.simulated_backoff_seconds =
-        options_.retry_backoff_seconds * backoff_units_;
+    report_.simulated_backoff_seconds = kRetryBackoffSeconds * backoff_units_;
   }
 }
 

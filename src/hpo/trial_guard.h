@@ -18,7 +18,6 @@ enum class TrialFailure {
   kNone = 0,       // trial succeeded
   kError,          // evaluator returned a non-OK status (after retries)
   kNanScore,       // score was NaN/Inf and was quarantined
-  kTimeout,        // trial ran past the per-trial deadline
   kCircuitOpen,    // the skeleton's circuit breaker is open; not evaluated
 };
 
@@ -31,23 +30,6 @@ struct GuardedTrial {
   int retries = 0;       // transient-failure retries spent on this trial
 };
 
-/// Knobs for the guard. `Kgpip::Fit` and the baselines use the defaults;
-/// the serve daemon sets `trial_deadline_seconds` per request.
-struct TrialGuardOptions {
-  /// Retries per trial on transient codes (kInternal/kResourceExhausted).
-  int max_retries = 2;
-  /// Simulated backoff recorded (not slept) per retry; doubles each
-  /// attempt. Keeping it virtual keeps guarded runs deterministic.
-  double retry_backoff_seconds = 0.05;
-  /// Per-trial wall-clock deadline; 0 disables it. Evaluation is
-  /// single-threaded so the check is post-hoc: an overrunning trial's
-  /// score is discarded and counted as a timeout.
-  double trial_deadline_seconds = 0.0;
-  /// Consecutive failures (per group) that open the circuit breaker and
-  /// abandon the skeleton; <= 0 disables breaking.
-  int circuit_breaker_threshold = 3;
-};
-
 /// Per-skeleton (or per-learner) slice of a run's failure accounting.
 struct SkeletonReport {
   std::string key;  // skeleton spec string or learner name
@@ -55,7 +37,6 @@ struct SkeletonReport {
   int failures = 0;
   int retries = 0;
   int nan_quarantined = 0;
-  int timeouts = 0;
   bool abandoned = false;         // circuit breaker tripped
   int redistributed_trials = 0;   // budget released to surviving skeletons
   double best_score = -1e18;
@@ -73,7 +54,6 @@ struct RunReport {
   int total_failures = 0;
   int total_retries = 0;
   int quarantined_scores = 0;
-  int timeouts = 0;
   int circuit_breaker_trips = 0;
   /// Candidates the PipelineLinter rejected before any budget was
   /// allocated to them (they never appear in `skeletons` and consume no
@@ -107,8 +87,10 @@ struct RunReport {
 };
 
 /// Wraps a `TrialEvaluator` with the fault-tolerance policy: NaN/Inf
-/// score quarantine, per-trial deadline, bounded retry-with-backoff on
-/// transient failures, and a per-group circuit breaker. All failure
+/// score quarantine, bounded retry-with-backoff on transient failures,
+/// and a per-group circuit breaker. It never times a trial out: a
+/// running fit's only deadline is its `Budget`'s wall clock, which the
+/// search checks before each trial (DESIGN.md §6). All failure
 /// accounting lands in the embedded `RunReport`. Groups are arbitrary
 /// strings — KGpip uses the skeleton spec, the host-optimizer baselines
 /// use the learner name. Not thread-safe: searches that run side by side
@@ -116,8 +98,18 @@ struct RunReport {
 /// reports are merged afterwards (`MergeReport`).
 class TrialGuard {
  public:
-  TrialGuard(const TrialEvaluator* evaluator, TrialGuardOptions options)
-      : evaluator_(evaluator), options_(options) {}
+  /// Retries per trial on transient codes (kInternal/kResourceExhausted).
+  static constexpr int kMaxRetries = 2;
+  /// Simulated backoff recorded (not slept) for the first retry; it
+  /// doubles each attempt. Keeping it virtual keeps guarded runs
+  /// deterministic.
+  static constexpr double kRetryBackoffSeconds = 0.05;
+  /// Consecutive failures (per group) that open the circuit breaker and
+  /// abandon the skeleton.
+  static constexpr int kCircuitBreakerThreshold = 3;
+
+  explicit TrialGuard(const TrialEvaluator* evaluator)
+      : evaluator_(evaluator) {}
 
   /// Evaluates `spec` under the guard. Never propagates an error: every
   /// outcome is a `GuardedTrial`. A trial against an open circuit returns
@@ -138,11 +130,10 @@ class TrialGuard {
   /// Adds `other`'s report to this guard's, giving the report one guard
   /// would have built running this guard's trials and then `other`'s:
   /// counts add up and group entries keep first-seen order. Breakers are
-  /// not merged; the guards must share options.
+  /// not merged.
   void MergeReport(const TrialGuard& other);
 
   const TrialEvaluator& evaluator() const { return *evaluator_; }
-  const TrialGuardOptions& options() const { return options_; }
   RunReport& report() { return report_; }
   /// Moves the accumulated report out (the guard keeps running state).
   RunReport TakeReport() { return std::move(report_); }
@@ -154,9 +145,8 @@ class TrialGuard {
       std::numeric_limits<double>::infinity();
 
   const TrialEvaluator* evaluator_;
-  TrialGuardOptions options_;
   RunReport report_;
-  /// Simulated backoff in units of `retry_backoff_seconds` (a retry after
+  /// Simulated backoff in units of `kRetryBackoffSeconds` (a retry after
   /// attempt a adds 2^a). The sum is exact, so merged reports give the
   /// same seconds in any order.
   double backoff_units_ = 0.0;

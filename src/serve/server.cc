@@ -45,7 +45,7 @@ obs::Counter* ServeCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-// How often the watchdog scans for expired deadlines.
+// How often the watchdog scans the queue for expired deadlines.
 constexpr double kWatchdogPeriodSeconds = 0.02;
 
 // Nearest-rank percentile of an ascending, non-empty sample: the value
@@ -110,8 +110,11 @@ ServeOptions ServeOptions::FromEnv() {
   o.max_queue_depth = static_cast<size_t>(std::max<int64_t>(
       1, EnvInt("KGPIP_SERVE_QUEUE_DEPTH",
                 static_cast<int64_t>(o.max_queue_depth))));
-  o.default_deadline_seconds =
+  // A deadline that is not positive (0, negative, nan) would refuse
+  // every request; like an unparsable value, it keeps the default.
+  const double deadline =
       EnvDouble("KGPIP_SERVE_DEADLINE_SECONDS", o.default_deadline_seconds);
+  if (deadline > 0.0) o.default_deadline_seconds = deadline;
   o.grace_seconds = EnvDouble("KGPIP_SERVE_GRACE_SECONDS", o.grace_seconds);
   o.tenant_tokens_per_second =
       EnvDouble("KGPIP_SERVE_TENANT_RATE", o.tenant_tokens_per_second);
@@ -454,6 +457,8 @@ void Server::WatchdogLoop() {
   const auto period = std::chrono::duration<double>(kWatchdogPeriodSeconds);
   while (!stopping_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(period);
+    // Only queued requests: a running one is bounded by its Fit budget's
+    // wall clock, which ends at the request's deadline.
     std::vector<std::shared_ptr<Pending>> expired_queued;
     {
       util::MutexLock lock(mu_);
@@ -462,16 +467,6 @@ void Server::WatchdogLoop() {
                 RequestState::kQueued &&
             pending->admitted.ElapsedSeconds() >= pending->deadline_seconds) {
           expired_queued.push_back(pending);
-        }
-      }
-      for (const auto& pending : inflight_) {
-        if (pending->admitted.ElapsedSeconds() >= pending->deadline_seconds &&
-            !pending->cancel.cancelled()) {
-          // Cooperative cancel: Fit's search checks this token before
-          // each skeleton slice and continuation, so the request unwinds
-          // with best-so-far well inside the grace window.
-          pending->cancel.Cancel();
-          cancels->Increment();
         }
       }
     }
@@ -565,16 +560,11 @@ ServeResponse Server::Execute(Pending& pending, int degradation_level) {
 
   if (degradation_level >= 2) return ZeroShot(pending);
 
-  // Deadline propagation: the remaining request time bounds both the
-  // whole fit (hpo::Budget wall clock) and each trial (guard override);
-  // the watchdog's cancel covers everything in between.
+  // Deadline propagation: the remaining request time is the Fit budget's
+  // wall clock, the running fit's only deadline; its search checks it
+  // before every trial. The cancel token is Stop's lever.
   const double remaining = std::max(
       0.1, pending.deadline_seconds - pending.admitted.ElapsedSeconds());
-  hpo::TrialGuardOptions guard;
-  guard.trial_deadline_seconds = remaining;
-  core::FitOverrides overrides;
-  overrides.guard = &guard;
-  overrides.cancel = &pending.cancel;
   // Rung 1 is the same fit at half the trial budget.
   const int fit_trials =
       degradation_level == 1 ? std::max(1, trials / 2) : trials;
@@ -583,7 +573,7 @@ ServeResponse Server::Execute(Pending& pending, int degradation_level) {
   Result<automl::AutoMlResult> fitted = [&]() {
     KGPIP_TRACE_SPAN("serve.fit");
     return model_->Fit(req.table, req.task, hpo::Budget(fit_trials, remaining),
-                       req.seed, overrides);
+                       req.seed, &pending.cancel);
   }();
   if (!fitted.ok()) {
     response.status = fitted.status();
@@ -591,10 +581,10 @@ ServeResponse Server::Execute(Pending& pending, int degradation_level) {
   }
   fitted->report.degradation_level = degradation_level;
 
-  // Only a full-budget answer that neither the watchdog nor Stop cut
-  // short may seed the result cache. The budget's wall clock and the
-  // per-trial deadline both end at or after the request deadline, so a
-  // Fit that returns before it was not stopped by time either.
+  // Only a full-budget answer that Stop did not cut short may seed the
+  // result cache. The budget's wall clock ends at or after the request
+  // deadline, so a Fit that returns before it was not stopped by time
+  // either.
   if (degradation_level == 0 && !pending.cancel.cancelled() &&
       pending.admitted.ElapsedSeconds() < pending.deadline_seconds) {
     Json entry = Json::Object();

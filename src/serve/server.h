@@ -35,11 +35,13 @@ struct ServeOptions {
   /// Queued-request bound; admissions past it are shed with
   /// kResourceExhausted.               env: KGPIP_SERVE_QUEUE_DEPTH
   size_t max_queue_depth = 16;
-  /// Deadline applied to requests that do not carry one.
+  /// Deadline applied to requests that do not carry one. The env value
+  /// is ignored unless it is greater than 0.
   ///                                   env: KGPIP_SERVE_DEADLINE_SECONDS
   double default_deadline_seconds = 30.0;
-  /// Extra wall-clock a deadline-cancelled request gets to unwind and
-  /// report before the soak harness calls it stuck.
+  /// Extra wall-clock a request may run past its deadline before the
+  /// soak harness calls it stuck: a started trial and the final refit
+  /// still finish after the budget runs out.
   ///                                   env: KGPIP_SERVE_GRACE_SECONDS
   double grace_seconds = 5.0;
   /// Per-tenant token bucket: sustained admissions/second and burst
@@ -131,12 +133,12 @@ struct ServeResponse {
 ///     per-tenant circuit breakers. Overload is shed *at the door* with
 ///     kResourceExhausted; a draining server refuses with
 ///     kFailedPrecondition.
-///   * Deadlines: each request carries one. Its remaining time becomes
-///     the Fit budget's wall clock and the per-trial deadline
-///     (hpo::TrialGuardOptions); a watchdog thread fails still-queued
-///     expired requests directly and cancels running ones through their
-///     CancelToken, which Fit's search checks before each skeleton
-///     slice and continuation.
+///   * Deadlines: each request carries one. A watchdog thread fails
+///     still-queued expired requests directly. A running request's
+///     remaining time is its Fit budget's wall clock, which the search
+///     checks before every trial; nothing else times it out. Its
+///     CancelToken is Stop's lever: Fit's search checks it before each
+///     skeleton slice and continuation.
 ///   * Degradation ladder, sampled from queue depth at dequeue:
 ///     rung 0 full fit, rung 1 the same fit at half the trial budget,
 ///     rung 2 zero-shot: the fallback portfolio's top-1 skeleton,
@@ -162,8 +164,8 @@ class Server {
 
   /// Admits or sheds `request`. The returned future always becomes ready
   /// with a definite ServeResponse — immediately (shed/drain refusals
-  /// carry the rejection status) or when the request completes, is
-  /// cancelled by the watchdog, or fails.
+  /// carry the rejection status) or when the request completes, expires
+  /// in the queue, is refused by Stop, or fails.
   std::future<ServeResponse> Submit(FitRequest request);
 
   /// Stops admitting (new Submits get kFailedPrecondition) while letting

@@ -16,7 +16,6 @@ enum Site {
   kSiteEvaluatorError = 1,
   kSiteResourceExhausted = 2,
   kSiteNanScore = 3,
-  kSiteSlowTrial = 4,
 };
 
 /// SplitMix64 finalizer — turns a structured key into white bits.
@@ -70,15 +69,6 @@ bool FaultInjector::InjectNanScore(const std::string& key) {
     return true;
   }
   return false;
-}
-
-double FaultInjector::InjectedDelaySeconds(const std::string& key) {
-  MutexLock lock(mu_);
-  if (Roll(kSiteSlowTrial, key, config_.slow_trial_rate)) {
-    ++counters_.slow_trials;
-    return config_.slow_trial_seconds;
-  }
-  return 0.0;
 }
 
 void FaultInjector::CorruptArtifact(std::string* payload) {

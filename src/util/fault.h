@@ -31,10 +31,6 @@ struct FaultConfig {
   double resource_exhausted_rate = 0.0;
   /// P(an Evaluate call yields a NaN score instead of a real one).
   double nan_score_rate = 0.0;
-  /// P(a trial reports `slow_trial_seconds` of extra simulated latency),
-  /// used to exercise per-trial deadlines without real sleeps.
-  double slow_trial_rate = 0.0;
-  double slow_trial_seconds = 0.0;
   /// Learners whose every trial fails with kInternal — the
   /// "always-invalid skeleton" that must trip the circuit breaker.
   std::set<std::string> fail_learners;
@@ -48,7 +44,6 @@ struct FaultCounters {
   int evaluator_errors = 0;
   int resource_exhausted = 0;
   int nan_scores = 0;
-  int slow_trials = 0;
   int corrupted_bytes = 0;
 };
 
@@ -81,10 +76,6 @@ class FaultInjector {
 
   /// True if this attempt's score should be replaced with NaN.
   bool InjectNanScore(const std::string& key);
-
-  /// Extra simulated latency (seconds) for this attempt; 0 when the
-  /// trial is not selected as slow.
-  double InjectedDelaySeconds(const std::string& key);
 
   /// Corrupts artifact bytes in place per `corrupt_byte_stride`.
   void CorruptArtifact(std::string* payload);

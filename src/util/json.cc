@@ -32,9 +32,16 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == Json::kMaxParseDepth) {
+          return Err(StrFormat("nesting deeper than %d levels",
+                               Json::kMaxParseDepth));
+        }
+        ++depth_;
+        Result<Json> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -216,6 +223,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
 };
 
 void AppendEscaped(std::string* out, const std::string& s) {

@@ -87,7 +87,13 @@ class Json {
   /// Serializes; `indent` > 0 pretty-prints.
   std::string Dump(int indent = 0) const;
 
-  /// Parses a JSON document.
+  /// Arrays and objects nested deeper than this fail to parse. A trained
+  /// model's saved JSON nests 7 deep; the cap bounds the parser's
+  /// recursion on hostile input.
+  static constexpr int kMaxParseDepth = 128;
+
+  /// Parses a JSON document. Input nested deeper than kMaxParseDepth is
+  /// a kParseError with the byte offset of the first bracket past it.
   static Result<Json> Parse(std::string_view text);
 
  private:

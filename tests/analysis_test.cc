@@ -84,6 +84,52 @@ TEST(DiagnosticTest, ParserEmitsStructuredCodes) {
             std::string::npos);
 }
 
+TEST(DiagnosticTest, ParserCapsNestingDepth) {
+  auto parens = [](int depth) {
+    const size_t n = static_cast<size_t>(depth);
+    return "x = " + std::string(n, '(') + "1" + std::string(n, ')') + "\n";
+  };
+  // The right-hand side is one expression and each bracket opens one
+  // more, so kMaxParseNesting - 1 brackets reach the cap.
+  EXPECT_TRUE(ParsePython(parens(kMaxParseNesting - 1)).ok());
+  // One more fails at the token after the last bracket the cap allows;
+  // 10,000 brackets (20 KB) fail at the same place instead of
+  // exhausting the stack, through the analyzer too.
+  const std::string want = StrFormat(
+      "error[parse.nesting-too-deep] line 1:%d:", 5 + kMaxParseNesting);
+  for (int depth : {kMaxParseNesting, 10000}) {
+    SCOPED_TRACE(depth);
+    auto deep = ParsePython(parens(depth));
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+    EXPECT_NE(deep.status().message().find(want), std::string::npos)
+        << deep.status().ToString();
+    auto graph = AnalyzeScript("deep.py", parens(depth));
+    ASSERT_FALSE(graph.ok());
+    EXPECT_NE(graph.status().message().find("parse.nesting-too-deep"),
+              std::string::npos)
+        << graph.status().ToString();
+  }
+
+  // Indented blocks count too: the body of b nested `if`s is one block
+  // deeper than its b-th condition.
+  auto blocks = [](int b) {
+    std::string text;
+    for (int i = 0; i < b; ++i) {
+      text += std::string(static_cast<size_t>(i), ' ') + "if c:\n";
+    }
+    return text + std::string(static_cast<size_t>(b), ' ') + "y = 1\n";
+  };
+  EXPECT_TRUE(ParsePython(blocks(kMaxParseNesting - 1)).ok());
+  auto deep_blocks = ParsePython(blocks(kMaxParseNesting));
+  ASSERT_FALSE(deep_blocks.ok());
+  EXPECT_NE(deep_blocks.status().message().find(StrFormat(
+                "error[parse.nesting-too-deep] line %d:",
+                kMaxParseNesting + 1)),
+            std::string::npos)
+      << deep_blocks.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Flow-sensitive type propagation
 

@@ -89,7 +89,7 @@ TEST(OptimizerTest, CfoImprovesOverDefault) {
   auto optimizer = hpo::CreateOptimizer("flaml");
   ASSERT_TRUE(optimizer.ok());
   hpo::Budget budget(20, 1e9);
-  hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+  hpo::TrialGuard guard(&*evaluator);
   hpo::OptimizeResult result = (*optimizer)->OptimizeSkeleton(
       skeleton, &guard, &budget, 5);
   EXPECT_EQ(result.trials, 20);

@@ -88,7 +88,7 @@ TEST(EdgeCaseTest, BudgetZeroTrialsYieldsNoCandidates) {
   skeleton.learner = "decision_tree";
   auto optimizer = hpo::CreateOptimizer("flaml");
   hpo::Budget budget(0, 1e9);
-  hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+  hpo::TrialGuard guard(&*evaluator);
   auto result =
       (*optimizer)->OptimizeSkeleton(skeleton, &guard, &budget, 1);
   EXPECT_EQ(result.trials, 0);
@@ -107,7 +107,7 @@ TEST(EdgeCaseTest, DeadlineExpiryStopsOptimization) {
   auto optimizer = hpo::CreateOptimizer("flaml");
   // Already-expired wall clock: at most the first consume may slip in.
   hpo::Budget budget(1000, 1e-9);
-  hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+  hpo::TrialGuard guard(&*evaluator);
   auto result =
       (*optimizer)->OptimizeSkeleton(skeleton, &guard, &budget, 1);
   EXPECT_LE(result.trials, 1);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string_view>
@@ -230,18 +232,20 @@ TEST(TrialGuardTest, QuarantinesInjectedNanScores) {
   util::FaultConfig config;
   config.nan_score_rate = 1.0;
   util::ScopedFaultInjection scope(config);
-  hpo::TrialGuardOptions options;
-  options.circuit_breaker_threshold = 0;  // isolate the quarantine path
-  hpo::TrialGuard guard(&*evaluator, options);
+  hpo::TrialGuard guard(&*evaluator);
   ml::PipelineSpec spec;
   spec.learner = "decision_tree";
+  // One group per trial keeps the breaker out: isolate the quarantine path.
   for (int i = 0; i < 5; ++i) {
-    hpo::GuardedTrial trial = guard.Evaluate(spec, 100 + i, "g");
+    hpo::GuardedTrial trial =
+        guard.Evaluate(spec, 100 + i, StrFormat("g%d", i));
     EXPECT_FALSE(trial.ok());
     EXPECT_EQ(trial.failure, hpo::TrialFailure::kNanScore);
+    EXPECT_EQ(trial.retries, 0);  // a NaN score is not transient
   }
   EXPECT_EQ(guard.report().quarantined_scores, 5);
   EXPECT_EQ(guard.report().failures_by_code[StatusCode::kOutOfRange], 5);
+  EXPECT_EQ(guard.report().circuit_breaker_trips, 0);
 }
 
 TEST(TrialGuardTest, RetriesTransientFailures) {
@@ -252,21 +256,33 @@ TEST(TrialGuardTest, RetriesTransientFailures) {
   config.seed = 11;
   config.resource_exhausted_rate = 0.6;
   util::ScopedFaultInjection scope(config);
-  hpo::TrialGuardOptions options;
-  options.max_retries = 4;
-  options.circuit_breaker_threshold = 0;
-  hpo::TrialGuard guard(&*evaluator, options);
+  hpo::TrialGuard guard(&*evaluator);
   ml::PipelineSpec spec;
   spec.learner = "decision_tree";
   int successes = 0;
+  int retries = 0;
+  double backoff_units = 0.0;  // a trial's r retries back off 2^r - 1
   for (int i = 0; i < 10; ++i) {
-    hpo::GuardedTrial trial = guard.Evaluate(spec, 200 + i, "g");
-    if (trial.ok()) ++successes;
+    // One group per trial keeps the breaker out of the retry path.
+    hpo::GuardedTrial trial =
+        guard.Evaluate(spec, 200 + i, StrFormat("g%d", i));
+    EXPECT_LE(trial.retries, hpo::TrialGuard::kMaxRetries);
+    if (trial.ok()) {
+      ++successes;
+    } else {
+      EXPECT_EQ(trial.retries, hpo::TrialGuard::kMaxRetries);
+      EXPECT_EQ(trial.code, StatusCode::kResourceExhausted);
+    }
+    retries += trial.retries;
+    backoff_units += std::ldexp(1.0, trial.retries) - 1.0;
   }
-  // A 60% transient rate with 4 retries still lands most trials.
+  // A 60% transient rate with kMaxRetries retries still lands most trials.
   EXPECT_GE(successes, 5);
-  EXPECT_GT(guard.report().total_retries, 0);
-  EXPECT_GT(guard.report().simulated_backoff_seconds, 0.0);
+  EXPECT_GT(retries, 0);
+  EXPECT_EQ(guard.report().total_retries, retries);
+  EXPECT_EQ(guard.report().circuit_breaker_trips, 0);
+  EXPECT_DOUBLE_EQ(guard.report().simulated_backoff_seconds,
+                   hpo::TrialGuard::kRetryBackoffSeconds * backoff_units);
 }
 
 TEST(TrialGuardTest, CircuitBreakerOpensAndRedistributes) {
@@ -276,16 +292,17 @@ TEST(TrialGuardTest, CircuitBreakerOpensAndRedistributes) {
   util::FaultConfig config;
   config.fail_learners = {"decision_tree"};
   util::ScopedFaultInjection scope(config);
-  hpo::TrialGuardOptions options;
-  options.max_retries = 0;
-  options.circuit_breaker_threshold = 3;
-  hpo::TrialGuard guard(&*evaluator, options);
+  hpo::TrialGuard guard(&*evaluator);
   ml::PipelineSpec spec;
   spec.learner = "decision_tree";
-  for (int i = 0; i < 3; ++i) {
+  constexpr int kThreshold = hpo::TrialGuard::kCircuitBreakerThreshold;
+  for (int i = 0; i < kThreshold; ++i) {
+    EXPECT_FALSE(guard.CircuitOpen("g"));
     hpo::GuardedTrial trial = guard.Evaluate(spec, 300 + i, "g");
     EXPECT_EQ(trial.failure, hpo::TrialFailure::kError);
     EXPECT_EQ(trial.code, StatusCode::kInternal);
+    // kInternal is transient: each trial spends its retries first.
+    EXPECT_EQ(trial.retries, hpo::TrialGuard::kMaxRetries);
   }
   EXPECT_TRUE(guard.CircuitOpen("g"));
   // Further trials are rejected without touching the evaluator.
@@ -296,30 +313,13 @@ TEST(TrialGuardTest, CircuitBreakerOpensAndRedistributes) {
   const hpo::SkeletonReport* report = guard.report().Find("g");
   ASSERT_NE(report, nullptr);
   EXPECT_TRUE(report->abandoned);
-  EXPECT_EQ(report->trials, 3);  // the rejected trial does not count
-  EXPECT_EQ(report->failures, 3);
+  EXPECT_EQ(report->trials, kThreshold);  // the rejected one does not count
+  EXPECT_EQ(report->failures, kThreshold);
+  EXPECT_EQ(report->retries, kThreshold * hpo::TrialGuard::kMaxRetries);
   EXPECT_EQ(report->redistributed_trials, 5);
   EXPECT_EQ(guard.report().circuit_breaker_trips, 1);
   // An unrelated group is unaffected.
   EXPECT_FALSE(guard.CircuitOpen("other"));
-}
-
-TEST(TrialGuardTest, DeadlineTimesOutSlowTrials) {
-  Table table = MakeTable(6);
-  auto evaluator = MakeEvaluator(table);
-  ASSERT_TRUE(evaluator.ok());
-  util::FaultConfig config;
-  config.slow_trial_rate = 1.0;
-  config.slow_trial_seconds = 10.0;
-  util::ScopedFaultInjection scope(config);
-  hpo::TrialGuardOptions options;
-  options.trial_deadline_seconds = 1.0;
-  hpo::TrialGuard guard(&*evaluator, options);
-  ml::PipelineSpec spec;
-  spec.learner = "decision_tree";
-  hpo::GuardedTrial trial = guard.Evaluate(spec, 1, "g");
-  EXPECT_EQ(trial.failure, hpo::TrialFailure::kTimeout);
-  EXPECT_EQ(guard.report().timeouts, 1);
 }
 
 TEST(TrialGuardTest, ReportJsonRoundsUpTheTaxonomy) {
@@ -506,6 +506,40 @@ TEST(ArtifactTest, MalformedPayloadsFailWithAStatus) {
     EXPECT_FALSE(kgpip.trained());
   }
   std::remove(path.c_str());
+}
+
+TEST(ArtifactTest, DeeplyNestedPayloadFailsWithAParseError) {
+  // Correctly checksummed, so only the JSON parser stands between these
+  // 1,000,000 nested arrays and the stack.
+  const size_t depth = 1000000;
+  const std::string path = "/tmp/kgpip_fault_deep_payload.bin";
+  ASSERT_TRUE(util::WriteChecksummedFile(
+                  path, "KGPIP1",
+                  std::string(depth, '[') + std::string(depth, ']'))
+                  .ok());
+  core::Kgpip kgpip;
+  Status status = kgpip.LoadFile(path);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_TRUE(Contains(status.message(), "nesting deeper than"))
+      << status.ToString();
+  EXPECT_FALSE(kgpip.trained());
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactTest, DeeplyNestedCacheEntryIsEvicted) {
+  const std::string dir = StrFormat("/tmp/kgpip_fault_deep_cache_%d",
+                                    static_cast<int>(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  serve::ArtifactCache cache(serve::ArtifactCache::Options{dir, 8});
+  const std::string path = cache.PathForKey("deep");
+  ASSERT_TRUE(serve::ArtifactCache::WriteEntryFile(
+                  path, std::string(10000, '[') + std::string(10000, ']'))
+                  .ok());
+  EXPECT_EQ(cache.Get("deep").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(cache.stats().corrupt_evictions, 1);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -707,7 +741,7 @@ SearchOutcome SequentialSearch(const std::string& optimizer_name,
   auto evaluator = hpo::TrialEvaluator::Create(
       train, TaskType::kBinaryClassification, 0.25, seed);
   KGPIP_CHECK(evaluator.ok());
-  hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+  hpo::TrialGuard guard(&*evaluator);
   hpo::Budget budget(trials, 1e9);
   automl::AutoMlResult result;
   bool stopped_early = false;
@@ -838,8 +872,6 @@ TEST(ParallelSearchTest, CancelledOrExpiredFitReturnsLastResort) {
   core::Kgpip kgpip;
   util::CancelToken cancelled;
   cancelled.Cancel();
-  core::FitOverrides cancel;
-  cancel.cancel = &cancelled;
   for (int lanes : {1, 4}) {
     util::ThreadPool::Configure(lanes);
     for (const bool expired : {false, true}) {
@@ -850,7 +882,7 @@ TEST(ParallelSearchTest, CancelledOrExpiredFitReturnsLastResort) {
       auto fitted = kgpip.FitWithSkeletons(
           std::move(skeletons), table, TaskType::kBinaryClassification,
           expired ? hpo::Budget(14, 1e-9) : hpo::Budget(14, 1e9), 7,
-          expired ? core::FitOverrides{} : cancel);
+          expired ? nullptr : &cancelled);
       ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
       EXPECT_TRUE(fitted->report.returned_best_so_far);
       EXPECT_TRUE(fitted->report.last_resort_pass);

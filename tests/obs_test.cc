@@ -315,7 +315,7 @@ TEST_F(TracerTest, TrialSpanNamesItsLearner) {
   auto evaluator = hpo::TrialEvaluator::Create(
       table, TaskType::kBinaryClassification, 0.25, 3);
   ASSERT_TRUE(evaluator.ok()) << evaluator.status().ToString();
-  hpo::TrialGuard guard(&*evaluator, hpo::TrialGuardOptions{});
+  hpo::TrialGuard guard(&*evaluator);
   ml::PipelineSpec spec;
   spec.learner = "gaussian_nb";
   guard.Evaluate(spec, 1, "untraced");

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -30,12 +31,12 @@
 namespace kgpip::serve {
 namespace {
 
-Table MakeTable(uint64_t seed, int rows = 120) {
+Table MakeTable(uint64_t seed, int rows = 120, int numeric = 5) {
   DatasetSpec spec;
   spec.name = "serve_ds";
   spec.family = ConceptFamily::kLinear;
   spec.rows = rows;
-  spec.num_numeric = 5;
+  spec.num_numeric = numeric;
   spec.seed = seed;
   return GenerateDataset(spec);
 }
@@ -240,6 +241,28 @@ TEST(ArtifactCacheTest, InjectedCorruptionIsCaughtAtReadTime) {
   EXPECT_EQ(reborn.Get("victim").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(reborn.stats().corrupt_evictions, 1);
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// ServeOptions
+
+TEST(ServeOptionsTest, DeadlineThatIsNotPositiveKeepsTheDefault) {
+  const char* name = "KGPIP_SERVE_DEADLINE_SECONDS";
+  const char* raw = std::getenv(name);
+  const std::string saved = raw == nullptr ? "" : raw;
+  // 0 would refuse every request in the queue; nan would never expire.
+  for (const char* value : {"0", "-5", "nan"}) {
+    SCOPED_TRACE(value);
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    EXPECT_EQ(ServeOptions::FromEnv().default_deadline_seconds, 30.0);
+  }
+  ASSERT_EQ(setenv(name, "2.5", 1), 0);
+  EXPECT_EQ(ServeOptions::FromEnv().default_deadline_seconds, 2.5);
+  if (raw == nullptr) {
+    unsetenv(name);
+  } else {
+    setenv(name, saved.c_str(), 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -510,6 +533,26 @@ TEST_F(ServeFixture, ExpiredDeadlineProducesResourceExhausted) {
   EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
 
   EXPECT_TRUE(slow_future.get().status.ok());
+  server.Stop();
+}
+
+// A running request's only deadline is its Fit budget's wall clock,
+// checked before each trial: a trial that finishes past the request's
+// deadline is kept, not discarded.
+TEST_F(ServeFixture, TrialsThatOutlastTheDeadlineAreKept) {
+  ServeOptions options = FastOptions();
+  options.num_workers = 1;
+  Server server(model_, options);
+  ASSERT_TRUE(server.Start().ok());
+  FitRequest request;
+  request.table = MakeTable(131, 20000, 20);
+  request.max_trials = 4;
+  request.deadline_seconds = 0.1;
+  ServeResponse response = server.Submit(std::move(request)).get();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_GT(response.result.trials, 0);
+  EXPECT_EQ(response.result.report.total_failures, 0)
+      << response.result.report.Summary();
   server.Stop();
 }
 

@@ -156,6 +156,40 @@ TEST(JsonTest, ParseRoundTrip) {
   EXPECT_EQ(reparsed->Dump(), j.Dump());
 }
 
+TEST(JsonTest, NestingPastTheCapIsAParseErrorWithItsOffset) {
+  const int cap = Json::kMaxParseDepth;
+  auto arrays = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  auto objects = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += R"({"k":)";
+    return text + "1" + std::string(static_cast<size_t>(depth), '}');
+  };
+  EXPECT_TRUE(Json::Parse(arrays(cap)).ok());
+  EXPECT_TRUE(Json::Parse(objects(cap)).ok());
+  // The first bracket past the cap is at byte `cap` of the arrays and
+  // at byte 5 * cap of the objects.
+  auto deep = Json::Parse(arrays(cap + 1));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+  EXPECT_NE(deep.status().message().find(
+                "deeper than " + std::to_string(cap) + " levels at offset " +
+                std::to_string(cap)),
+            std::string::npos)
+      << deep.status().ToString();
+  auto deep_objects = Json::Parse(objects(cap + 1));
+  ASSERT_FALSE(deep_objects.ok());
+  EXPECT_NE(deep_objects.status().message().find(
+                "at offset " + std::to_string(5 * cap)),
+            std::string::npos)
+      << deep_objects.status().ToString();
+  // Hostile depth fails the same way instead of exhausting the stack.
+  EXPECT_EQ(Json::Parse(arrays(10000)).status().code(),
+            StatusCode::kParseError);
+}
+
 TEST(JsonTest, AtOnAnObjectOrPastTheEndIsNull) {
   // size() counts an object's members, so a loop over size() that calls
   // at() must not index past the (empty) array: at() returns the shared
