@@ -1,5 +1,6 @@
 #include "codegraph/python_ast.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "codegraph/analysis/diagnostic.h"
@@ -355,7 +356,9 @@ class Parser {
       bin->line = Peek().line;
       Advance();
       bin->value = std::move(lhs);
+      const int lhs_height = height_;
       KGPIP_ASSIGN_OR_RETURN(bin->index, ParseUnary());
+      KGPIP_RETURN_IF_ERROR(Taller(std::max(lhs_height, height_)));
       lhs = std::move(bin);
     }
     return lhs;
@@ -373,6 +376,7 @@ class Parser {
       zero->text = "0";
       un->value = std::move(zero);
       KGPIP_ASSIGN_OR_RETURN(un->index, ParsePostfix());
+      KGPIP_RETURN_IF_ERROR(Taller(height_));
       return un;
     }
     return ParsePostfix();
@@ -381,6 +385,9 @@ class Parser {
   Result<ExprPtr> ParsePostfix() {
     KGPIP_ASSIGN_OR_RETURN(ExprPtr expr, ParseAtom());
     while (true) {
+      // Each link wraps the expression so far: the tree grows one level
+      // taller than its tallest operand.
+      int tallest = height_;
       if (CheckOp(".")) {
         Advance();
         auto attr = std::make_unique<Expr>();
@@ -409,6 +416,7 @@ class Parser {
             KGPIP_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpression());
             call->args.push_back(std::move(arg));
           }
+          tallest = std::max(tallest, height_);
           if (CheckOp(",")) Advance();
           else break;
         }
@@ -421,11 +429,13 @@ class Parser {
         sub->line = Peek().line;
         sub->value = std::move(expr);
         KGPIP_ASSIGN_OR_RETURN(sub->index, ParseExpression());
+        tallest = std::max(tallest, height_);
         KGPIP_RETURN_IF_ERROR(ExpectOp("]"));
         expr = std::move(sub);
       } else {
         break;
       }
+      KGPIP_RETURN_IF_ERROR(Taller(tallest));
     }
     return expr;
   }
@@ -434,6 +444,7 @@ class Parser {
     const Token& tok = Peek();
     auto expr = std::make_unique<Expr>();
     expr->line = tok.line;
+    height_ = 1;
     switch (tok.kind) {
       case TokKind::kName:
         expr->kind = ExprKind::kName;
@@ -461,13 +472,16 @@ class Parser {
         if (tok.text == "[") {
           Advance();
           expr->kind = ExprKind::kList;
+          int tallest = 0;
           while (!CheckOp("]")) {
             KGPIP_ASSIGN_OR_RETURN(ExprPtr item, ParseExpression());
             expr->args.push_back(std::move(item));
+            tallest = std::max(tallest, height_);
             if (CheckOp(",")) Advance();
             else break;
           }
           KGPIP_RETURN_IF_ERROR(ExpectOp("]"));
+          KGPIP_RETURN_IF_ERROR(Taller(tallest));
           return expr;
         }
         break;
@@ -541,6 +555,15 @@ class Parser {
                          kMaxParseNesting));
   }
 
+  /// Records a new node over operands at most `operand_height` tall, and
+  /// fails once the tree outgrows the cap: a chain (`a+a+...`, `a.b.c`,
+  /// `f()()`) recurses in no parser call, but every recursive walk over
+  /// the tree, its destructor included, goes one level deeper per link.
+  Status Taller(int operand_height) {
+    height_ = operand_height + 1;
+    return height_ > kMaxParseNesting ? TooDeep() : Status::Ok();
+  }
+
   /// One level of depth_ for the scope of a recursive entry point
   /// (ParseExpression, ParseBlock), so recursion stays bounded.
   struct Nesting {
@@ -552,6 +575,9 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int depth_ = 0;
+  /// Height of the tree the last ParseExpression, ParseUnary,
+  /// ParsePostfix or ParseAtom call returned; a name or constant is 1.
+  int height_ = 0;
 };
 
 }  // namespace

@@ -82,8 +82,11 @@ struct Module {
 };
 
 /// Expressions and indented blocks nest at most this deep; every bracket
-/// opens one more expression, so `x = (1)` nests two. Deeper input fails
-/// with `parse.nesting-too-deep` (CPython stops at 200 nested brackets).
+/// opens one more expression, so `x = (1)` nests two. No expression tree
+/// is taller either: each operator, `.name`, call or subscript in a chain
+/// wraps the expression before it, so `a + b + c` is three levels tall.
+/// Deeper input fails with `parse.nesting-too-deep` (CPython stops at 200
+/// nested brackets).
 constexpr int kMaxParseNesting = 200;
 
 /// Parses a script; reports the first syntax error with its line.

@@ -1,7 +1,6 @@
 #include "core/kgpip.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <set>
@@ -421,12 +420,12 @@ Result<automl::AutoMlResult> Kgpip::RunSearch(
       slices.push_back(std::move(slice));
     }
 
-    // Items claim slices in skeleton order, whichever item the pool
-    // starts first. Planned shares never grow along that order, so with
-    // fewer lanes than skeletons the largest slices start first.
-    std::atomic<size_t> next_slice{0};
-    util::ThreadPool::Global().ParallelFor(slices.size(), [&](size_t) {
-      SkeletonSlice& slice = slices[next_slice.fetch_add(1)];
+    // The pool claims chunks in index order, one slice per chunk up to
+    // four skeletons per lane, so slices start in skeleton order. Planned
+    // shares never grow along that order, so with fewer lanes than
+    // skeletons the largest slices start first.
+    util::ThreadPool::Global().ParallelFor(slices.size(), [&](size_t i) {
+      SkeletonSlice& slice = slices[i];
       if (slice.repeat || util::Cancelled(cancel)) return;
       slice.search.Run(slice.guard, &slice.planned);
     });

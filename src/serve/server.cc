@@ -770,7 +770,6 @@ Json Server::DebugStatus() const {
     pool.Set("planned_threads", util::ThreadPool::PlannedThreads());
     pool.Set("tasks_executed",
              metrics.GetCounter("pool.tasks_executed")->value());
-    pool.Set("steals", metrics.GetCounter("pool.steals")->value());
     pool.Set("parallel_fors",
              metrics.GetCounter("pool.parallel_fors")->value());
     out.Set("pool", std::move(pool));

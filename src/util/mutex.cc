@@ -23,8 +23,6 @@ const char* LockRankName(LockRank rank) {
       return "pool.wake";
     case LockRank::kPoolLoop:
       return "pool.loop";
-    case LockRank::kPoolDeque:
-      return "pool.deque";
     case LockRank::kGenEngines:
       return "gen.engines";
     case LockRank::kFault:

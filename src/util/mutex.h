@@ -41,13 +41,11 @@ enum class LockRank : int {
   /// construction/destruction, which joins workers and (in the
   /// destructor path) takes the pool wake lock — hence above kPoolWake.
   kPoolRegistry = 80,
-  /// util::ThreadPool wake lock (sleep/wake epoch handshake).
+  /// util::ThreadPool wake lock: the FIFO of loops in flight (every
+  /// chunk claim) and the sleep/wake handshake.
   kPoolWake = 70,
   /// One ParallelFor's completion lock (error slot + done notify).
   kPoolLoop = 65,
-  /// Per-lane steal-deque locks. Pop and steal are sequential, never
-  /// nested in one another.
-  kPoolDeque = 60,
   /// gen::GraphGenerator decoder and training-tape free lists.
   kGenEngines = 50,
   /// util::FaultInjector decision state. Taken from pool lanes and serve

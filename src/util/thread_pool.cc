@@ -7,7 +7,6 @@
 #include <deque>
 #include <exception>
 #include <limits>
-#include <memory>
 #include <thread>
 #include <utility>
 
@@ -70,18 +69,22 @@ int ResolveThreads(int requested) {
 
 }  // namespace
 
-/// One parallel loop in flight. Items are pre-split into contiguous
-/// chunks; a chunk is the unit of stealing. Completion and exception
-/// state live here so concurrent loops (from different threads) never
-/// share state.
+/// One parallel loop in flight. Items are pre-split into `num_chunks`
+/// contiguous chunks, claimed in ascending index order. Completion and
+/// exception state live here so concurrent loops (from different
+/// threads) never share state.
 struct ForLoop {
-  size_t n = 0;
+  size_t num_chunks = 0;
+  size_t chunk_items = 0;  // n / num_chunks
+  size_t long_chunks = 0;  // n % num_chunks chunks hold one item more
   const std::function<void(size_t)>* body = nullptr;
   /// The submitting thread's request context, re-installed on every lane
   /// that runs one of this loop's chunks: spans/logs emitted inside the
   /// body carry the ids of the request that submitted the loop, even when
-  /// a worker interleaves chunks from concurrent requests.
+  /// a worker runs chunks of concurrent requests' loops in turn.
   RequestContext ctx;
+  /// Chunks not yet finished. A claimed chunk still counts, so a lane
+  /// holding one keeps the submitter (and this loop) waiting.
   std::atomic<size_t> chunks_left{0};
   Mutex mu{LockRank::kPoolLoop, "pool.loop"};
   CondVar done_cv;
@@ -90,6 +93,18 @@ struct ForLoop {
   size_t first_error_item KGPIP_GUARDED_BY(mu) =
       std::numeric_limits<size_t>::max();
   std::exception_ptr first_error KGPIP_GUARDED_BY(mu);
+
+  /// Chunk c is items [Begin(c), Begin(c + 1)).
+  size_t Begin(size_t c) const {
+    return c * chunk_items + std::min(c, long_chunks);
+  }
+};
+
+/// A loop in the pool's FIFO and the next of its chunks to claim. The
+/// loop leaves the FIFO when its last chunk is claimed.
+struct QueuedLoop {
+  ForLoop* loop = nullptr;
+  size_t next_chunk = 0;
 };
 
 /// A contiguous [begin, end) slice of one loop's items.
@@ -99,66 +114,50 @@ struct Chunk {
   size_t end = 0;
 };
 
-/// Chase–Lev-layout deque: the owning worker pushes and pops at the
-/// bottom (LIFO, cache-warm), thieves take from the top (FIFO, the
-/// biggest remaining slices first). Guarded by a mutex instead of the
-/// lock-free protocol — chunks are coarse, and this keeps the pool
-/// trivially TSan-clean.
-struct StealDeque {
-  Mutex mu{LockRank::kPoolDeque, "pool.deque"};
-  std::deque<Chunk> chunks KGPIP_GUARDED_BY(mu);
-
-  void PushBottom(Chunk c) {
-    MutexLock lock(mu);
-    chunks.push_back(c);
-  }
-  bool PopBottom(Chunk* out) {
-    MutexLock lock(mu);
-    if (chunks.empty()) return false;
-    *out = chunks.back();
-    chunks.pop_back();
-    return true;
-  }
-  bool StealTop(Chunk* out) {
-    MutexLock lock(mu);
-    if (chunks.empty()) return false;
-    *out = chunks.front();
-    chunks.pop_front();
-    return true;
-  }
-};
-
 struct ThreadPool::Impl {
   std::vector<std::thread> threads;
-  /// One deque per lane: workers 0..W-1 plus the caller lane W.
-  std::vector<std::unique_ptr<StealDeque>> deques;
   Mutex wake_mu{LockRank::kPoolWake, "pool.wake"};
   CondVar wake_cv;
+  /// Loops with unclaimed chunks, oldest first.
+  std::deque<QueuedLoop> loops KGPIP_GUARDED_BY(wake_mu);
   std::atomic<bool> shutdown{false};
-  /// Bumped on every submission so sleeping workers re-scan the deques.
+  /// Bumped on every submission, so a spinning worker sees new work
+  /// without taking wake_mu.
   std::atomic<uint64_t> epoch{0};
 
   obs::Counter* tasks_executed;
-  obs::Counter* steals;
   obs::Counter* parallel_fors;
-  obs::Gauge* queue_depth;
   obs::Histogram* task_seconds;
 
   Impl() {
     obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
     tasks_executed = metrics.GetCounter("pool.tasks_executed");
-    steals = metrics.GetCounter("pool.steals");
     parallel_fors = metrics.GetCounter("pool.parallel_fors");
-    queue_depth = metrics.GetGauge("pool.queue_depth");
     task_seconds = metrics.GetHistogram("pool.task_seconds");
+  }
+
+  /// Claims the next chunk of `own`, or of the oldest loop when `own` is
+  /// null. Returns false when there is none.
+  bool Claim(const ForLoop* own, Chunk* out) {
+    MutexLock lock(wake_mu);
+    auto it = loops.begin();
+    if (own != nullptr) {
+      while (it != loops.end() && it->loop != own) ++it;
+    }
+    if (it == loops.end()) return false;
+    ForLoop* loop = it->loop;
+    const size_t c = it->next_chunk++;
+    *out = Chunk{loop, loop->Begin(c), loop->Begin(c + 1)};
+    if (it->next_chunk == loop->num_chunks) loops.erase(it);
+    return true;
   }
 
   void RunChunk(const Chunk& chunk) {
     Stopwatch watch;
     ForLoop* loop = chunk.loop;
     // Run the chunk under the loop's request context, restoring this
-    // lane's own context afterwards (a steal may execute a chunk for a
-    // different request than the one the lane last worked).
+    // lane's own context afterwards (its next chunk may belong to a
+    // different request's loop).
     RequestContext saved = ExchangeRequestContext(loop->ctx);
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       try {
@@ -183,27 +182,14 @@ struct ThreadPool::Impl {
     }
   }
 
-  /// Pops from the lane's own deque, then sweeps the others starting at
-  /// the next lane (a fixed scan order keeps contention spread without a
-  /// per-thread RNG; results never depend on who wins a steal).
-  bool FindWork(size_t lane, Chunk* out) {
-    if (deques[lane]->PopBottom(out)) return true;
-    for (size_t off = 1; off < deques.size(); ++off) {
-      size_t victim = (lane + off) % deques.size();
-      if (deques[victim]->StealTop(out)) {
-        steals->Increment();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void WorkerMain(size_t lane) {
+  void WorkerMain() {
     t_in_task = true;
-    uint64_t seen_epoch = 0;
     while (true) {
+      // Read the epoch before looking for work: a loop queued after the
+      // look bumps it, and the spin below sees that.
+      const uint64_t seen_epoch = epoch.load(std::memory_order_acquire);
       Chunk chunk;
-      if (FindWork(lane, &chunk)) {
+      if (Claim(nullptr, &chunk)) {
         RunChunk(chunk);
         continue;
       }
@@ -214,38 +200,25 @@ struct ThreadPool::Impl {
                    epoch.load(std::memory_order_acquire) != seen_epoch;
           })) {
         if (shutdown.load(std::memory_order_acquire)) return;
-        seen_epoch = epoch.load(std::memory_order_acquire);
         continue;
       }
+      // Park until a loop is queued. Submissions and shutdown are
+      // published under wake_mu, so neither can land between this check
+      // and the block (no lost wakeup); spurious wakeups re-check.
       MutexLock lock(wake_mu);
-      if (shutdown.load(std::memory_order_acquire)) return;
-      if (epoch.load(std::memory_order_acquire) != seen_epoch) {
-        seen_epoch = epoch.load(std::memory_order_acquire);
-        continue;  // new work arrived while we were scanning
+      while (!shutdown.load(std::memory_order_acquire) && loops.empty()) {
+        wake_cv.Wait(wake_mu);
       }
-      // Predicate-based wait: shutdown/epoch publications happen under
-      // wake_mu (see ParallelFor and ~ThreadPool), so a store cannot
-      // land between this predicate check and the block — no lost
-      // wakeup — and spurious wakeups simply re-check.
-      wake_cv.Wait(wake_mu, [&] {
-        return shutdown.load(std::memory_order_acquire) ||
-               epoch.load(std::memory_order_acquire) != seen_epoch;
-      });
-      seen_epoch = epoch.load(std::memory_order_acquire);
+      if (shutdown.load(std::memory_order_acquire)) return;
     }
   }
 };
 
 ThreadPool::ThreadPool(int num_threads) : impl_(new Impl()) {
-  const int lanes = ResolveThreads(num_threads);
-  // Lane `num_workers_` is the submitting thread; spawn one fewer worker.
-  num_workers_ = lanes - 1;
-  for (int i = 0; i < lanes; ++i) {
-    impl_->deques.push_back(std::make_unique<StealDeque>());
-  }
+  // The submitting thread is a lane too; spawn one fewer worker.
+  num_workers_ = ResolveThreads(num_threads) - 1;
   for (int w = 0; w < num_workers_; ++w) {
-    impl_->threads.emplace_back(
-        [this, w] { impl_->WorkerMain(static_cast<size_t>(w)); });
+    impl_->threads.emplace_back([this] { impl_->WorkerMain(); });
   }
 }
 
@@ -275,40 +248,26 @@ void ThreadPool::ParallelFor(size_t n,
   impl_->parallel_fors->Increment();
 
   ForLoop loop;
-  loop.n = n;
   loop.body = &body;
   loop.ctx = CurrentRequestContext();
-  // ~4 chunks per lane bounds steal traffic while leaving enough slack
-  // for stealing to rebalance skewed item costs.
-  const size_t lanes = workers + 1;
-  size_t num_chunks = std::min(n, lanes * 4);
-  const size_t base = n / num_chunks;
-  const size_t extra = n % num_chunks;
-  loop.chunks_left.store(num_chunks, std::memory_order_release);
-  impl_->queue_depth->Set(static_cast<double>(num_chunks));
-
-  // Deal chunks round-robin across every lane's deque (submitter
-  // included), then wake the workers.
-  size_t begin = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t len = base + (c < extra ? 1 : 0);
-    Chunk chunk{&loop, begin, begin + len};
-    begin += len;
-    impl_->deques[c % lanes]->PushBottom(chunk);
-  }
+  // ~4 chunks per lane: few enough claims, and enough slack for a lane
+  // that finishes early to take more of a loop with skewed item costs.
+  loop.num_chunks = std::min(n, (workers + 1) * 4);
+  loop.chunk_items = n / loop.num_chunks;
+  loop.long_chunks = n % loop.num_chunks;
+  loop.chunks_left.store(loop.num_chunks, std::memory_order_release);
   {
     MutexLock lock(impl_->wake_mu);
+    impl_->loops.push_back(QueuedLoop{&loop, 0});
     impl_->epoch.fetch_add(1, std::memory_order_acq_rel);
   }
   impl_->wake_cv.NotifyAll();
 
-  // The submitting thread works lane `workers` until the loop drains.
+  // The submitting thread claims chunks of its own loop only, so it
+  // never runs another caller's items while it waits for its own.
   t_in_task = true;
   Chunk chunk;
-  while (loop.chunks_left.load(std::memory_order_acquire) > 0 &&
-         impl_->FindWork(workers, &chunk)) {
-    impl_->RunChunk(chunk);
-  }
+  while (impl_->Claim(&loop, &chunk)) impl_->RunChunk(chunk);
   t_in_task = false;
   // Spin while the other lanes finish their chunks, then take loop.mu
   // even if the spin saw zero: the last RunChunk notifies under it, so
@@ -319,13 +278,12 @@ void ThreadPool::ParallelFor(size_t n,
   std::exception_ptr first_error;
   {
     MutexLock lock(loop.mu);
-    loop.done_cv.Wait(loop.mu, [&] {
-      return loop.chunks_left.load(std::memory_order_acquire) == 0;
-    });
+    while (loop.chunks_left.load(std::memory_order_acquire) > 0) {
+      loop.done_cv.Wait(loop.mu);
+    }
     // Copy the error out under the lock (it is mu-guarded state).
     first_error = loop.first_error;
   }
-  impl_->queue_depth->Set(0.0);
   if (first_error) std::rethrow_exception(first_error);
 }
 

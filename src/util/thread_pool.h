@@ -19,12 +19,13 @@ namespace kgpip::util {
 ///      state is split *before* dispatch via `ForkRngs` (sequential
 ///      `Rng::Fork` calls on the calling thread), so stream assignment
 ///      is a function of the item index alone.
-///   2. **Work stealing.** Each worker owns a deque (Chase–Lev layout:
-///      the owner pushes/pops at the bottom, thieves steal from the
-///      top), so an unlucky worker stuck with slow items sheds its tail
-///      to idle peers. Deques are mutex-guarded rather than lock-free —
-///      chunks are coarse enough that the lock is not the bottleneck,
-///      and the simple variant is ThreadSanitizer-clean by construction.
+///   2. **One loop queue.** The pool keeps one FIFO of loops in flight
+///      under its wake mutex. A loop is cut into ~4 contiguous chunks per
+///      lane, claimed in ascending index order; an idle worker claims the
+///      next chunk of the oldest loop, and a lane that finishes early
+///      takes more of a loop whose item costs are skewed. The thread that
+///      submitted a loop claims only that loop's chunks, so it never runs
+///      another caller's items while it waits for its own.
 ///   3. **Inline degeneration.** `KGPIP_THREADS=1` (or a single-core
 ///      machine) spawns no threads at all: every helper runs the loop
 ///      body inline on the calling thread. Nested `ParallelFor` calls
@@ -37,10 +38,9 @@ namespace kgpip::util {
 ///      per generator training batch) pay no futex wake. Nothing spins
 ///      at one lane, and an idle pool parks within the bound.
 ///
-/// Instrumentation: `pool.tasks_executed`, `pool.steals`,
-/// `pool.parallel_fors` counters, a `pool.queue_depth` gauge (chunks
-/// outstanding at submit), and a `pool.task_seconds` histogram in the
-/// global obs::MetricsRegistry, plus `pool.parallel_for` trace spans.
+/// Instrumentation: `pool.tasks_executed` (chunks run) and
+/// `pool.parallel_fors` counters and a `pool.task_seconds` histogram in
+/// the global obs::MetricsRegistry, plus `pool.parallel_for` trace spans.
 class ThreadPool {
  public:
   /// The process-wide pool. Lazily constructed on first use with
@@ -68,13 +68,12 @@ class ThreadPool {
   int num_worker_threads() const { return num_workers_; }
 
   /// Runs body(i) for every i in [0, n), blocking until all items
-  /// finish. Which thread runs an item is not deterministic, and every
-  /// thread outside the pool that calls ParallelFor shares one submitter
-  /// queue, so a body may run next to items of another caller's loop:
-  /// per-item state belongs to the item index, never to the thread. If
-  /// bodies throw, the exception of the lowest item index is rethrown
-  /// after the loop drains (so the choice of surfaced error is
-  /// deterministic too).
+  /// finish. Chunks start in index order, but which lane runs an item is
+  /// not deterministic, and a worker may run items of other callers'
+  /// loops before and after: per-item state belongs to the item index,
+  /// never to the thread. If bodies throw, the exception of the lowest
+  /// item index is rethrown after the loop drains (so the choice of
+  /// surfaced error is deterministic too).
   void ParallelFor(size_t n, const std::function<void(size_t item)>& body);
 
   /// Order-preserving map: out[i] = fn(i). Results land by index, so the
@@ -85,20 +84,6 @@ class ThreadPool {
     std::vector<T> out(n);
     ParallelFor(n, [&](size_t i) { out[i] = fn(i); });
     return out;
-  }
-
-  /// Ordered reduction: maps every item, then folds the per-item results
-  /// strictly left-to-right on the calling thread. `fold(acc, value, i)`
-  /// sees items in ascending index order regardless of thread count, so
-  /// floating-point accumulation is bit-stable.
-  template <typename Acc, typename T>
-  Acc ParallelMapReduce(size_t n, Acc init,
-                        const std::function<T(size_t item)>& map,
-                        const std::function<void(Acc&, T&, size_t)>& fold) {
-    std::vector<T> mapped = ParallelMap<T>(n, map);
-    Acc acc = std::move(init);
-    for (size_t i = 0; i < n; ++i) fold(acc, mapped[i], i);
-    return acc;
   }
 
  private:

@@ -111,6 +111,46 @@ TEST(DiagnosticTest, ParserCapsNestingDepth) {
         << graph.status().ToString();
   }
 
+  // Chains recurse in no parser call, but each link wraps the expression
+  // before it, so `a` and k links make a tree k + 1 levels tall: one
+  // link fewer than the cap parses, and one more fails at the token after
+  // it. 100,000 links (200 KB) fail there too instead of building a tree
+  // whose recursive destructor overflows the stack.
+  const std::string want_chain = StrFormat(
+      "error[parse.nesting-too-deep] line 1:%d:", 6 + 2 * kMaxParseNesting);
+  for (const char* link : {"+a", ".b", "()"}) {
+    SCOPED_TRACE(link);
+    auto chain = [&](int links) {
+      std::string text = "x = a";
+      for (int i = 0; i < links; ++i) text += link;
+      return text + "\n";
+    };
+    EXPECT_TRUE(ParsePython(chain(kMaxParseNesting - 1)).ok());
+    for (int links : {kMaxParseNesting, 100000}) {
+      SCOPED_TRACE(links);
+      auto deep = ParsePython(chain(links));
+      ASSERT_FALSE(deep.ok());
+      EXPECT_NE(deep.status().message().find(want_chain), std::string::npos)
+          << deep.status().ToString();
+      auto graph = AnalyzeScript("chain.py", chain(links));
+      ASSERT_FALSE(graph.ok());
+      EXPECT_NE(graph.status().message().find("parse.nesting-too-deep"),
+                std::string::npos)
+          << graph.status().ToString();
+    }
+  }
+  // Links after a bracket wrap everything inside it: two chains of 150
+  // links, one in parentheses and one after them, are over 300 levels
+  // tall although each alone parses.
+  std::string links150;
+  for (int i = 0; i < 150; ++i) links150 += "+a";
+  EXPECT_TRUE(ParsePython("x = (a" + links150 + ")\n").ok());
+  auto stacked = ParsePython("x = (a" + links150 + ")" + links150 + "\n");
+  ASSERT_FALSE(stacked.ok());
+  EXPECT_NE(stacked.status().message().find("parse.nesting-too-deep"),
+            std::string::npos)
+      << stacked.status().ToString();
+
   // Indented blocks count too: the body of b nested `if`s is one block
   // deeper than its b-th condition.
   auto blocks = [](int b) {

@@ -53,7 +53,7 @@ class LockRankTest : public ::testing::Test {
 
 TEST_F(LockRankTest, RankNamesAreHumanReadable) {
   EXPECT_STREQ(LockRankName(LockRank::kServeServer), "serve.server");
-  EXPECT_STREQ(LockRankName(LockRank::kPoolDeque), "pool.deque");
+  EXPECT_STREQ(LockRankName(LockRank::kPoolLoop), "pool.loop");
   EXPECT_STREQ(LockRankName(LockRank::kLeaf), "leaf");
 }
 
@@ -206,7 +206,7 @@ TEST_F(LockRankTest, CondVarWaitForTimesOutWithPredicateStillFalse) {
   EXPECT_EQ(g_violations.load(), 0);
 }
 
-// End-to-end: the real ranked subsystems (pool registry/wake/loop/deque,
+// End-to-end: the real ranked subsystems (pool registry/wake/loop,
 // fault injector, metrics, tracer) nested by real work, with checking on.
 // Any ordering regression in the sweep shows up as a recorded violation.
 TEST_F(LockRankTest, PoolMetricsTraceFaultNestingIsCleanUnderLoad) {

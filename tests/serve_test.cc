@@ -547,12 +547,20 @@ TEST_F(ServeFixture, TrialsThatOutlastTheDeadlineAreKept) {
   FitRequest request;
   request.table = MakeTable(131, 20000, 20);
   request.max_trials = 4;
-  request.deadline_seconds = 0.1;
+  // A request's clock starts before Submit digests its table, so the
+  // deadline leaves 0.1 s after a digest of this table (milliseconds in
+  // an optimized build, over 0.1 s under ThreadSanitizer).
+  Stopwatch digest_watch;
+  (void)TableDigest(request.table);
+  const double deadline = 0.1 + digest_watch.ElapsedSeconds();
+  request.deadline_seconds = deadline;
   ServeResponse response = server.Submit(std::move(request)).get();
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_GT(response.result.trials, 0);
   EXPECT_EQ(response.result.report.total_failures, 0)
       << response.result.report.Summary();
+  // The request really outlasted its deadline.
+  EXPECT_GT(response.latency_seconds, deadline);
   server.Stop();
 }
 

@@ -1,6 +1,7 @@
-// Work-stealing pool: determinism at any thread count, exception
-// propagation, RNG forking, nesting, stress coverage, and bounded
-// spinning (loops during and after the spin, an idle pool parks).
+// Thread pool: determinism at any thread count, exception propagation,
+// RNG forking, nesting, stress coverage, bounded spinning (loops during
+// and after the spin, an idle pool parks), and outside submitters that
+// run only their own loops.
 #include "util/thread_pool.h"
 
 #include <sys/resource.h>
@@ -63,24 +64,6 @@ TEST(ThreadPoolTest, ParallelMapPreservesOrder) {
     for (size_t i = 0; i < r.size(); ++i) {
       ASSERT_EQ(r[i], static_cast<int>(i * i));
     }
-  }
-}
-
-TEST(ThreadPoolTest, OrderedReductionIsBitIdenticalAcrossThreadCounts) {
-  // Sums of irrationals are order-sensitive in floating point; the
-  // ordered fold must erase scheduling from the result entirely.
-  auto reduce = [] {
-    return ThreadPool::Global().ParallelMapReduce<double, double>(
-        5000, 0.0,
-        [](size_t i) {
-          return std::sqrt(static_cast<double>(i)) * 1e-3 +
-                 std::sin(static_cast<double>(i));
-        },
-        [](double& acc, double& v, size_t) { acc += v; });
-  };
-  auto sums = WithPoolSizes<double>({1, 2, 4, 7}, reduce);
-  for (size_t i = 1; i < sums.size(); ++i) {
-    ASSERT_EQ(sums[0], sums[i]) << "thread-count-dependent reduction";
   }
 }
 
@@ -159,7 +142,7 @@ TEST(ThreadPoolTest, StressUnevenItemCostsStillCoverAllItems) {
   std::vector<double> out(kN, -1.0);
   ThreadPool::Global().ParallelFor(kN, [&](size_t i) {
     // Skewed costs: early indices do ~100x the work of late ones, so
-    // completion relies on stealing from the loaded deques.
+    // the lanes that draw cheap chunks claim most of the loop.
     double acc = 0.0;
     size_t spins = (i < 30) ? 20000 : 200;
     for (size_t s = 0; s < spins; ++s) {
@@ -215,6 +198,14 @@ double ProcessCpuSeconds() {
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
+/// Spins for `micros` microseconds of wall time.
+void SpinFor(int micros) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(micros);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
 /// Runs `rounds` tiny loops back to back on the global pool, each
 /// followed by a serial gap of 0 to 1000 µs (some shorter than the
 /// pool's spin, some longer), and checks every index ran exactly once.
@@ -228,10 +219,7 @@ void RunTinyLoopsWithGaps(int rounds) {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of round " << round;
     }
-    const auto gap = std::chrono::microseconds(gaps_us[round % 6]);
-    const auto until = std::chrono::steady_clock::now() + gap;
-    while (std::chrono::steady_clock::now() < until) {
-    }
+    SpinFor(gaps_us[round % 6]);
   }
 }
 
@@ -272,6 +260,42 @@ TEST(ThreadPoolTest, LoopsFromTwoOutsideSubmittersCoverEveryIndex) {
   std::thread other([] { RunTinyLoopsWithGaps(200); });
   RunTinyLoopsWithGaps(200);
   other.join();
+  ThreadPool::Configure(0);
+}
+
+TEST(ThreadPoolTest, ASubmitterRunsOnlyItsOwnLoops) {
+  // Two threads outside a 2-lane pool each submit 300 loops of 8 items
+  // at once. A submitter waits for its loop by running that loop's
+  // chunks, never the other caller's, so no item of one submitter's
+  // loops runs on the other submitter's thread.
+  ThreadPool::Configure(2);
+  ThreadPool::Global();  // built before the submitters race for it
+  constexpr size_t kLoops = 300;
+  constexpr size_t kItems = 8;
+  std::vector<std::thread::id> ran_a(kLoops * kItems);
+  std::vector<std::thread::id> ran_b(kLoops * kItems);
+  const auto submit = [](std::vector<std::thread::id>* ran) {
+    for (size_t loop = 0; loop < kLoops; ++loop) {
+      ThreadPool::Global().ParallelFor(kItems, [&](size_t i) {
+        SpinFor((loop + i) % 3 == 0 ? 200 : 50);
+        (*ran)[loop * kItems + i] = std::this_thread::get_id();
+      });
+    }
+  };
+  std::thread a(submit, &ran_a);
+  std::thread b(submit, &ran_b);
+  const std::thread::id id_a = a.get_id();
+  const std::thread::id id_b = b.get_id();
+  a.join();
+  b.join();
+  size_t a_on_b = 0;
+  size_t b_on_a = 0;
+  for (size_t k = 0; k < kLoops * kItems; ++k) {
+    a_on_b += ran_a[k] == id_b ? 1 : 0;
+    b_on_a += ran_b[k] == id_a ? 1 : 0;
+  }
+  EXPECT_EQ(a_on_b, 0u) << "of " << kLoops * kItems << " items";
+  EXPECT_EQ(b_on_a, 0u) << "of " << kLoops * kItems << " items";
   ThreadPool::Configure(0);
 }
 
